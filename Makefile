@@ -2,7 +2,8 @@ GO ?= go
 
 .PHONY: build test race vet lint bench bench-hot bench-store bench-kernel \
 	check fuzz-short chaos loadgen bench-loadgen loadgen-stream \
-	bench-openloop bench-openloop-short loadgen-openloop-race bench-poison
+	bench-openloop bench-openloop-short loadgen-openloop-race bench-poison \
+	bench-test bench-run
 
 build:
 	$(GO) build ./...
@@ -101,5 +102,17 @@ bench-openloop-short:
 # (both backends) plus the deterministic-workload digest check.
 loadgen-openloop-race:
 	$(GO) test ./internal/loadgen/ -race -count=1 -v -run 'TestOpenLoopWorkloadDeterministic|TestOpenLoopSoak'
+
+# The gated benchmark (BENCHMARK.json) is a module of its own under bench/,
+# so the root `go build ./... && go test ./...` never compiles it. bench-test
+# builds it against this checkout and runs its unit tests — an exported-API
+# change that breaks the benchmark fails here, not in the gate.
+bench-test:
+	cd bench && $(GO) test ./...
+
+# One gated-protocol run of a single workload: make bench-run W=deep_cluster
+# (served_json, served_binary, deep_single, deep_cluster, deep_stream).
+bench-run:
+	bash bench/run.sh --workload $(W) --seed 1 --seconds 15 --trace 0
 
 check: build vet test

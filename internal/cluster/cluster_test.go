@@ -68,9 +68,10 @@ type testCluster struct {
 	dirs  map[string]string
 }
 
-// startCluster boots n shard nodes (durable when dir is true, memory-only
-// otherwise) and a coordinator over them.
-func startCluster(t *testing.T, n int, durable bool) *testCluster {
+// bootCluster boots n shard nodes (durable when durable is true,
+// memory-only otherwise) and a coordinator over them; opts carries
+// everything but Shard and Nodes.
+func bootCluster(t testing.TB, n int, durable bool, opts Options) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		nodes: make(map[string]*Node),
@@ -79,12 +80,12 @@ func startCluster(t *testing.T, n int, durable bool) *testCluster {
 	}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("n%d", i+1)
-		var opts NodeOptions
+		var nopts NodeOptions
 		if durable {
 			tc.dirs[id] = t.TempDir()
-			opts.Dir = tc.dirs[id]
+			nopts.Dir = tc.dirs[id]
 		}
-		node, err := NewNode(id, shardstore.DefaultConfig(), opts)
+		node, err := NewNode(id, shardstore.DefaultConfig(), nopts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,18 +96,46 @@ func startCluster(t *testing.T, n int, durable bool) *testCluster {
 		tc.nodes[id] = node
 		tc.addrs[id] = addr.String()
 	}
-	store, err := NewStore(Options{Shard: shardstore.DefaultConfig(), Nodes: tc.addrs})
+	opts.Shard, opts.Nodes = shardstore.DefaultConfig(), tc.addrs
+	store, err := NewStore(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc.store = store
-	t.Cleanup(func() {
-		store.Close()
-		for _, node := range tc.nodes {
-			node.Close()
-		}
-	})
+	t.Cleanup(tc.close)
 	return tc
+}
+
+// close tears the cluster down; closing twice is harmless.
+func (tc *testCluster) close() {
+	tc.store.Close()
+	for _, node := range tc.nodes {
+		node.Close()
+	}
+}
+
+// startCluster is bootCluster with a default coordinator.
+func startCluster(t *testing.T, n int, durable bool) *testCluster {
+	t.Helper()
+	return bootCluster(t, n, durable, Options{})
+}
+
+// restartNode closes a durable node and reopens it from its directory on
+// the same address.
+func (tc *testCluster) restartNode(t testing.TB, id string) *Node {
+	t.Helper()
+	if err := tc.nodes[id].Close(); err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewNode(id, shardstore.DefaultConfig(), NodeOptions{Dir: tc.dirs[id]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.Listen(tc.addrs[id]); err != nil {
+		t.Fatal(err)
+	}
+	tc.nodes[id] = node
+	return node
 }
 
 // assertSameVector requires exact IEEE-754 bit equality, the invariant the
@@ -386,19 +415,8 @@ func TestClusterNodeCompactionPreservesState(t *testing.T) {
 		}
 	}
 	// Restart both nodes from snapshot + empty WAL.
-	for id, node := range tc.nodes {
-		addr := tc.addrs[id]
-		if err := node.Close(); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := NewNode(id, shardstore.DefaultConfig(), NodeOptions{Dir: tc.dirs[id]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fresh.Listen(addr); err != nil {
-			t.Fatal(err)
-		}
-		tc.nodes[id] = fresh
+	for id := range tc.nodes {
+		tc.restartNode(t, id)
 	}
 	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
 	if err != nil {

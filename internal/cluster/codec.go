@@ -118,6 +118,11 @@ type Entry struct {
 	Tile [2]int
 	Seq  uint64
 	Rec  rssimap.Record
+	// enc, when set, is Rec's canonical encoding (appendRecord's output).
+	// The coordinator's ingest encodes each record once and every (tile,
+	// replica) entry it fans out splices these bytes instead of re-sorting
+	// the record's MACs.
+	enc []byte
 }
 
 // AddReq ingests a batch of entries (kindAdd) or installs a handed-off tile
@@ -463,6 +468,9 @@ func appendEntry(buf []byte, e Entry) ([]byte, error) {
 		return nil, err
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, e.Seq)
+	if e.enc != nil {
+		return append(buf, e.enc...), nil
+	}
 	return appendRecord(buf, e.Rec)
 }
 

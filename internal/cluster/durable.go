@@ -149,19 +149,16 @@ func (s *Store) appendToLogLocked(recs []rssimap.Record) {
 // A journal failure is fatal to ingestion: walErr is set and Add fails
 // closed from then on, so the coordinator never acks a record its own
 // durable log did not capture. s.mu must be held.
-func (s *Store) journalRecordsLocked(recs []rssimap.Record) error {
+func (s *Store) journalRecordsLocked(encs [][]byte) error {
 	if s.wlog == nil {
 		return nil
 	}
 	if s.walErr != nil {
 		return s.walErr
 	}
-	buf := appendU32(nil, uint32(len(recs)))
-	var err error
-	for _, rec := range recs {
-		if buf, err = appendRecord(buf, rec); err != nil {
-			return err
-		}
+	buf := appendU32(nil, uint32(len(encs)))
+	for _, enc := range encs {
+		buf = append(buf, enc...)
 	}
 	if err := s.wlog.Append(coordFrameRecords, buf); err != nil {
 		s.walErr = fmt.Errorf("cluster: coordinator wal failed: %w", err)

@@ -1,6 +1,8 @@
 // A shard node: one member of the cluster, owning the tiles the assignment
 // maps to it. Each node keeps an independent rssimap.Store per tile plus
-// the tile's applied entry log, journals every mutation to its own
+// the canonical sequence number of every record in it (the store holds each
+// record once, losslessly; the tile's entry log is rebuilt from the two for
+// snapshots and migration hand-offs), journals every mutation to its own
 // internal/wal lineage (WAL + snapshot, generation-reconciled exactly like
 // the server's persistence), and serves the shard-transport RPC over TCP.
 //
@@ -57,11 +59,25 @@ type NodeOptions struct {
 	SyncInterval time.Duration
 }
 
-// tileState is one tile's replica on this node.
+// tileState is one tile's replica on this node. The store is the only copy
+// of the applied records: it keeps position bits, contributor and int16
+// readings losslessly, so the tile's entry log is store record i stamped
+// with seqs[i].
 type tileState struct {
 	store   *rssimap.Store
 	lastSeq uint64
-	entries []Entry // applied entries in order, for handoff and snapshots
+	seqs    []uint64 // seqs[i] is the canonical sequence of store record i
+}
+
+// entries rebuilds the tile's applied entry log, in applied (= sequence)
+// order. Snapshots and migration hand-offs pay this; ingest does not.
+func (ts *tileState) entries(tile [2]int) []Entry {
+	recs := ts.store.Records()
+	out := make([]Entry, len(recs))
+	for i, rec := range recs {
+		out[i] = Entry{Tile: tile, Seq: ts.seqs[i], Rec: rec}
+	}
+	return out
 }
 
 // Node is one cluster member.
@@ -78,6 +94,8 @@ type Node struct {
 	frozen map[[2]int]bool
 	log    *wal.Log
 	dead   error // first fatal storage failure; the node refuses everything after
+	// applyRecs is applyEntriesLocked's reusable run buffer (write lock held).
+	applyRecs []rssimap.Record
 
 	connMu sync.Mutex
 	ln     net.Listener
@@ -226,28 +244,32 @@ func (n *Node) replayFrame(typ byte, payload []byte) error {
 // from a retried batch, a replayed WAL, or a resync, and is skipped. This
 // is what makes every delivery path idempotent.
 func (n *Node) applyEntriesLocked(entries []Entry) {
-	perTile := make(map[[2]int][]rssimap.Record)
-	var order [][2]int
-	for _, e := range entries {
-		ts := n.tiles[e.Tile]
+	// Entries go to their tile's store one same-tile run at a time. Tile
+	// stores are independent and Add is sequential, so splitting a tile's
+	// entries over several Adds builds the same store as one.
+	recs := n.applyRecs
+	for i := 0; i < len(entries); {
+		tile := entries[i].Tile
+		ts := n.tiles[tile]
 		if ts == nil {
 			st, _ := rssimap.NewStore(n.cfg.Store, nil)
 			ts = &tileState{store: st}
-			n.tiles[e.Tile] = ts
+			n.tiles[tile] = ts
 		}
-		if e.Seq <= ts.lastSeq {
-			continue
+		recs = recs[:0]
+		for ; i < len(entries) && entries[i].Tile == tile; i++ {
+			e := entries[i]
+			if e.Seq <= ts.lastSeq {
+				continue
+			}
+			ts.lastSeq = e.Seq
+			ts.seqs = append(ts.seqs, e.Seq)
+			recs = append(recs, e.Rec)
 		}
-		ts.lastSeq = e.Seq
-		ts.entries = append(ts.entries, e)
-		if _, ok := perTile[e.Tile]; !ok {
-			order = append(order, e.Tile)
-		}
-		perTile[e.Tile] = append(perTile[e.Tile], e.Rec)
+		ts.store.Add(recs)
 	}
-	for _, t := range order {
-		n.tiles[t].store.Add(perTile[t])
-	}
+	clear(recs[:cap(recs)])
+	n.applyRecs = recs[:0]
 }
 
 // journal appends one frame to the node WAL. Any failure is fatal: the
@@ -292,7 +314,7 @@ func (n *Node) Compact() error {
 
 // snapshotLocked encodes the full node state with the wire codec —
 // deterministic bytes, no gob: assignment, then each tile's applied log
-// in tile order.
+// (rebuilt from its store, one tile at a time) in tile order.
 func (n *Node) snapshotLocked() ([]byte, error) {
 	buf, err := appendAssignment(nil, n.assign)
 	if err != nil {
@@ -310,7 +332,7 @@ func (n *Node) snapshotLocked() ([]byte, error) {
 			return nil, err
 		}
 		buf = appendU64(buf, ts.lastSeq)
-		if buf, err = appendEntries(buf, ts.entries); err != nil {
+		if buf, err = appendEntries(buf, ts.entries(t)); err != nil {
 			return nil, err
 		}
 	}
@@ -345,10 +367,13 @@ func (n *Node) loadSnapshot(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		ts := &tileState{store: st, lastSeq: lastSeq, entries: entries}
+		ts := &tileState{store: st, lastSeq: lastSeq, seqs: make([]uint64, len(entries))}
 		recs := make([]rssimap.Record, len(entries))
 		for j, e := range entries {
-			recs[j] = e.Rec
+			if e.Tile != t {
+				return fmt.Errorf("%w: entry for tile %v in tile %v's log", ErrValue, e.Tile, t)
+			}
+			ts.seqs[j], recs[j] = e.Seq, e.Rec
 		}
 		ts.store.Add(recs)
 		n.tiles[t] = ts
@@ -432,12 +457,15 @@ func (n *Node) serveConn(conn net.Conn) {
 		delete(n.conns, conn)
 		n.connMu.Unlock()
 	}()
+	// One confidence buffer per connection: a response is written out
+	// before the next request is read, so every query reuses it.
+	var confs []rssimap.PointConfidence
 	for {
 		msg, err := readMsg(conn, time.Now().Add(transportIdle))
 		if err != nil {
 			return
 		}
-		resp, dl := n.dispatch(msg)
+		resp, dl := n.dispatch(msg, &confs)
 		if resp == nil {
 			return
 		}
@@ -453,8 +481,10 @@ func (n *Node) serveConn(conn net.Conn) {
 // node connection). Requests whose wire deadline carries the expired
 // sentinel are refused unworked with statusExpired: the sender's own
 // clock said the originating client already gave up, and the relative
-// encoding means receiver clock skew cannot fake (or mask) that.
-func (n *Node) dispatch(msg any) (any, time.Time) {
+// encoding means receiver clock skew cannot fake (or mask) that. confs is
+// the connection's confidence buffer; a ConfResp aliases it until the next
+// dispatch on the same connection.
+func (n *Node) dispatch(msg any, confs *[]rssimap.PointConfidence) (any, time.Time) {
 	now := time.Now()
 	switch m := msg.(type) {
 	case *Hello:
@@ -467,7 +497,7 @@ func (n *Node) dispatch(msg any) (any, time.Time) {
 		if m.Deadline == deadlineExpiredMs {
 			return n.refuseExpired(&ConfResp{}), wireDeadline(m.Deadline, now, transportIdle)
 		}
-		return n.handleConf(m), wireDeadline(m.Deadline, now, transportIdle)
+		return n.handleConf(m, confs), wireDeadline(m.Deadline, now, transportIdle)
 	case *FreezeReq:
 		return n.guard(m.Deadline, func() any { return n.handleFreeze(m) }), wireDeadline(m.Deadline, now, transportIdle)
 	case *FetchTileReq:
@@ -555,12 +585,14 @@ func (n *Node) handleAdd(m *AddReq, install bool) *Ack {
 			}
 		}
 	}
-	payload, err := appendEntries(nil, m.Entries)
-	if err != nil {
-		return &Ack{Status: statusFailed, Epoch: n.epoch, Msg: err.Error()}
-	}
-	if err := n.journalLocked(nodeFrameEntries, payload); err != nil {
-		return &Ack{Status: statusFailed, Epoch: n.epoch, Msg: err.Error()}
+	if n.log != nil {
+		payload, err := appendEntries(nil, m.Entries)
+		if err != nil {
+			return &Ack{Status: statusFailed, Epoch: n.epoch, Msg: err.Error()}
+		}
+		if err := n.journalLocked(nodeFrameEntries, payload); err != nil {
+			return &Ack{Status: statusFailed, Epoch: n.epoch, Msg: err.Error()}
+		}
 	}
 	n.applyEntriesLocked(m.Entries)
 	n.statMu.Lock()
@@ -579,7 +611,7 @@ func (n *Node) handleAdd(m *AddReq, install bool) *Ack {
 // same seq-gated entries in the same canonical order and is therefore
 // bit-identical. During a migration's ownership flip no node outside the
 // replica set at the current epoch will answer for the tile.
-func (n *Node) handleConf(m *ConfReq) *ConfResp {
+func (n *Node) handleConf(m *ConfReq, dst *[]rssimap.PointConfidence) *ConfResp {
 	n.mu.RLock()
 	if n.dead != nil {
 		resp := &ConfResp{Status: statusFailed, Epoch: n.epoch, Msg: n.dead.Error()}
@@ -605,15 +637,14 @@ func (n *Node) handleConf(m *ConfReq) *ConfResp {
 	n.confs++
 	n.statMu.Unlock()
 
-	var confs []rssimap.PointConfidence
 	if ts == nil {
-		confs = shardstore.EmptyConfidences(nil, m.Scan, m.Cfg)
+		*dst = shardstore.EmptyConfidences(*dst, m.Scan, m.Cfg)
 	} else {
 		// The per-tile store has its own lock; queries on different tiles
 		// of this node never contend.
-		confs = ts.store.PointConfidencesInto(nil, m.Pos, m.Scan, m.Cfg)
+		*dst = ts.store.PointConfidencesInto(*dst, m.Pos, m.Scan, m.Cfg)
 	}
-	return &ConfResp{Status: statusOK, Epoch: epoch, Confs: confs}
+	return &ConfResp{Status: statusOK, Epoch: epoch, Confs: *dst}
 }
 
 // handleFreeze marks a tile read-only ahead of a migration handoff. The
@@ -633,7 +664,7 @@ func (n *Node) handleFreeze(m *FreezeReq) *Ack {
 }
 
 // handleFetch hands a tile's applied entry log to the migration driver,
-// in applied (= sequence) order.
+// in applied (= sequence) order, rebuilt from the tile's store.
 func (n *Node) handleFetch(m *FetchTileReq) *TileState {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -645,7 +676,7 @@ func (n *Node) handleFetch(m *FetchTileReq) *TileState {
 	}
 	resp := &TileState{Status: statusOK, Epoch: n.epoch}
 	if ts := n.tiles[m.Tile]; ts != nil {
-		resp.Entries = append([]Entry(nil), ts.entries...)
+		resp.Entries = ts.entries(m.Tile)
 	}
 	return resp
 }
@@ -726,7 +757,7 @@ func (n *Node) handleStats() *StatsResp {
 		resp.Msg = n.dead.Error()
 	}
 	for _, ts := range n.tiles {
-		resp.Entries += uint64(len(ts.entries))
+		resp.Entries += uint64(len(ts.seqs))
 	}
 	if n.log != nil {
 		resp.WALFrames, resp.WALBytes = n.log.Stats()

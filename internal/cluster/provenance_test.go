@@ -29,7 +29,7 @@ func entryFingerprint(e Entry) string {
 	return b.String()
 }
 
-// tileEntries snapshots a node's entry log for one tile.
+// tileEntries rebuilds a node's entry log for one tile.
 func tileEntries(n *Node, tile [2]int) []Entry {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -37,7 +37,7 @@ func tileEntries(n *Node, tile [2]int) []Entry {
 	if ts == nil {
 		return nil
 	}
-	return append([]Entry(nil), ts.entries...)
+	return ts.entries(tile)
 }
 
 // TestClusterMigrationPreservesProvenance pins the acceptance criterion that
@@ -102,19 +102,7 @@ func TestClusterMigrationPreservesProvenance(t *testing.T) {
 
 	// Restart the target from its durable dir: the installed tile — with
 	// every contributor string — must replay from snapshot + WAL exactly.
-	addr := tc.addrs[to]
-	if err := tc.nodes[to].Close(); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewNode(to, shardstore.DefaultConfig(), NodeOptions{Dir: tc.dirs[to]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.Listen(addr); err != nil {
-		t.Fatal(err)
-	}
-	tc.nodes[to] = fresh
-	replayed := tileEntries(fresh, tile)
+	replayed := tileEntries(tc.restartNode(t, to), tile)
 	if len(replayed) != len(want) {
 		t.Fatalf("restart replayed %d entries, want %d", len(replayed), len(want))
 	}

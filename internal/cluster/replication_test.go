@@ -21,41 +21,10 @@ import (
 // path has its own test below.
 func startReplicatedCluster(t *testing.T, n int, coordDir string) *testCluster {
 	t.Helper()
-	tc := &testCluster{
-		nodes: make(map[string]*Node),
-		addrs: make(map[string]string),
-		dirs:  make(map[string]string),
-	}
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("n%d", i+1)
-		tc.dirs[id] = t.TempDir()
-		node, err := NewNode(id, shardstore.DefaultConfig(), NodeOptions{Dir: tc.dirs[id]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.nodes[id] = node
-		tc.addrs[id] = addr.String()
-	}
-	store, err := NewStore(Options{
-		Shard: shardstore.DefaultConfig(), Nodes: tc.addrs,
+	return bootCluster(t, n, true, Options{
 		Replicate: true, Dir: coordDir,
 		Retry: &resilience.RetryPolicy{MaxAttempts: 1},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.store = store
-	t.Cleanup(func() {
-		store.Close()
-		for _, node := range tc.nodes {
-			node.Close()
-		}
-	})
-	return tc
 }
 
 // TestFollowerReadBitIdentity grows a replicated cluster, migrates its
@@ -458,38 +427,10 @@ func TestIngestRetriesAcrossNodeRestart(t *testing.T) {
 	const width, height = 80, 80
 	recs := randRecords(rng, 400, width, height)
 
-	tc := &testCluster{
-		nodes: make(map[string]*Node),
-		addrs: make(map[string]string),
-		dirs:  make(map[string]string),
-	}
-	for i := 0; i < 2; i++ {
-		id := fmt.Sprintf("n%d", i+1)
-		tc.dirs[id] = t.TempDir()
-		node, err := NewNode(id, shardstore.DefaultConfig(), NodeOptions{Dir: tc.dirs[id]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.nodes[id] = node
-		tc.addrs[id] = addr.String()
-	}
-	store, err := NewStore(Options{
-		Shard: shardstore.DefaultConfig(), Nodes: tc.addrs,
+	tc := bootCluster(t, 2, true, Options{
 		Retry: &resilience.RetryPolicy{MaxAttempts: 20, Base: 20 * time.Millisecond, Max: 100 * time.Millisecond, Budget: 10 * time.Second},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		store.Close()
-		for _, n := range tc.nodes {
-			n.Close()
-		}
-	})
+	store := tc.store
 
 	store.Add(recs[:200])
 

@@ -276,34 +276,76 @@ func cloneRecord(rec rssimap.Record) rssimap.Record {
 	return rssimap.Record{Pos: rec.Pos, RSSI: m, Contributor: rec.Contributor}
 }
 
-// Add appends records to the canonical log and fans each out to the nodes
-// holding its tiles (owner + halo; with replication on, the follower gets
-// the same entries — a dual-write with identical seqs, so either replica
-// serves bit-identical answers). Sequence numbers are the canonical log
-// positions, assigned under the lock together with the per-node outbox
-// order — so every node sees every tile's entries in canonical order, and
-// the per-tile replica a node builds is bit-identical to the shard the
-// single-process store would build. With durability on, the batch is
-// journaled to the coordinator WAL before any node sees it (a journal
-// failure fails the ingest closed — nothing is acked the coordinator's own
-// log did not capture). Wire errors mark the node unsynced (the canonical
-// log replays the tail later); Add itself never loses data.
+// Add ingests copies of the given records (the caller keeps its maps); see
+// addOwned for what ingestion does.
 func (s *Store) Add(records []rssimap.Record) {
-	if len(records) == 0 {
-		return
-	}
 	recs := make([]rssimap.Record, len(records))
 	for i, in := range records {
 		recs[i] = cloneRecord(in)
 	}
+	s.addOwned(recs)
+}
+
+// AddUploads ingests every point of the given uploads that carries a scan.
+// The records rssimap.UploadRecords builds are held by nobody else, so they
+// go into the canonical log as they are.
+func (s *Store) AddUploads(uploads []*wifi.Upload) {
+	s.addOwned(rssimap.UploadRecords(uploads))
+}
+
+// encodeRecords renders each record's canonical bytes once, back to back in
+// one buffer; encs[i] is record i's slice of it. An unencodable record (an
+// RSSI outside int16, a MAC over 255 bytes) fails the whole batch.
+func encodeRecords(recs []rssimap.Record) (encs [][]byte, err error) {
+	var buf []byte
+	ends := make([]int, len(recs))
+	for i, rec := range recs {
+		if buf, err = appendRecord(buf, rec); err != nil {
+			return nil, err
+		}
+		ends[i] = len(buf)
+	}
+	encs = make([][]byte, len(recs))
+	off := 0
+	for i, end := range ends {
+		encs[i] = buf[off:end:end]
+		off = end
+	}
+	return encs, nil
+}
+
+// addOwned appends records the store may keep without copying to the
+// canonical log and fans each out to the nodes holding its tiles (owner +
+// halo; with replication on, the follower gets the same entries — a
+// dual-write with identical seqs, so either replica serves bit-identical
+// answers). Sequence numbers are the canonical log positions, assigned
+// under the lock together with the per-node outbox order — so every node
+// sees every tile's entries in canonical order, and the per-tile replica a
+// node builds is bit-identical to the shard the single-process store would
+// build. With durability on, the batch is journaled to the coordinator WAL
+// before any node sees it (a journal failure fails the ingest closed —
+// nothing is acked the coordinator's own log did not capture). Wire errors
+// mark the node unsynced (the canonical log replays the tail later);
+// ingestion itself never loses data. A batch holding a record the wire
+// codec cannot carry is refused whole, before it reaches the log.
+func (s *Store) addOwned(recs []rssimap.Record) {
+	if len(recs) == 0 {
+		return
+	}
+	// Encoded once, outside the lock: the coordinator journal and every
+	// (tile, replica) entry below splice these bytes.
+	encs, err := encodeRecords(recs)
+	if err != nil {
+		return
+	}
 	s.mu.Lock()
-	if err := s.journalRecordsLocked(recs); err != nil {
+	if err := s.journalRecordsLocked(encs); err != nil {
 		s.mu.Unlock()
 		return
 	}
 	var tiles [][2]int
 	perNode := make(map[string][]Entry)
-	for _, rec := range recs {
+	for i, rec := range recs {
 		idx := len(s.log)
 		s.log = append(s.log, rec)
 		seq := uint64(idx) + 1
@@ -313,7 +355,7 @@ func (s *Store) Add(records []rssimap.Record) {
 			if ti > 0 {
 				s.halo.Add(1)
 			}
-			e := Entry{Tile: t, Seq: seq, Rec: rec}
+			e := Entry{Tile: t, Seq: seq, Rec: rec, enc: encs[i]}
 			if mig := s.migrating[t]; mig != nil {
 				mig.buffer = append(mig.buffer, e)
 				continue
@@ -345,11 +387,6 @@ func (s *Store) Add(records []rssimap.Record) {
 			nc.markUnsynced(err)
 		}
 	}
-}
-
-// AddUploads ingests every point of the given uploads that carries a scan.
-func (s *Store) AddUploads(uploads []*wifi.Upload) {
-	s.Add(rssimap.UploadRecords(uploads))
 }
 
 // Len returns the number of canonical records.
