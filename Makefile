@@ -1,9 +1,9 @@
 GO ?= go
 
 .PHONY: build test race vet lint bench bench-hot bench-store bench-kernel \
-	check fuzz-short chaos loadgen bench-loadgen loadgen-stream \
-	bench-openloop bench-openloop-short loadgen-openloop-race bench-poison \
-	bench-test bench-run
+	check fuzz-short chaos chaos-single chaos-cluster loadgen bench-loadgen \
+	loadgen-stream bench-openloop bench-openloop-short loadgen-openloop-race \
+	bench-poison bench-test bench-run loc
 
 build:
 	$(GO) build ./...
@@ -51,11 +51,14 @@ bench-store:
 bench-kernel:
 	$(GO) test ./internal/xgb/ -run NONE -benchmem -bench 'BenchmarkKernel'
 
-# Short coverage-guided fuzzing of the WAL frame decoder, the trajectory
-# codecs, and the binary upload/session wire codec (native go fuzzing;
-# corpora live in testdata/fuzz/).
+# Short coverage-guided fuzzing of the shared byte reader, the WAL frame
+# decoder and the WAL payload codecs, the trajectory codecs, the binary
+# upload/session wire codec and the shard-transport codec (native go
+# fuzzing; corpora live in testdata/fuzz/).
 fuzz-short:
+	$(GO) test ./internal/binenc/ -run NONE -fuzz FuzzBinencReader -fuzztime 20s
 	$(GO) test ./internal/wal/ -run NONE -fuzz FuzzFrameDecode -fuzztime 20s
+	$(GO) test ./internal/server/ -run NONE -fuzz FuzzWALPayloadCodec -fuzztime 20s
 	$(GO) test ./internal/trajectory/ -run NONE -fuzz FuzzTrajectoryCodec -fuzztime 20s
 	$(GO) test ./internal/server/ -run NONE -fuzz FuzzBinaryCodec -fuzztime 20s
 	$(GO) test ./internal/cluster/ -run NONE -fuzz FuzzClusterCodec -fuzztime 20s
@@ -64,8 +67,18 @@ fuzz-short:
 # replay the upload workload (batch and streaming sessions), crash at
 # every filesystem mutation site (or wedge the disk and watch the breaker
 # trip, degrade, and heal), recover, and check the durability invariants.
+# The explorer lists live here only; CI runs the two halves as two jobs.
+CHAOS_SINGLE = TestCrashPointExploration|TestSessionCrashPointExploration|TestWedgeMidWorkload|TestTrustCrashPointExploration
+CHAOS_CLUSTER = TestClusterCrashPointExploration|TestReplicatedCrashPointExploration|TestCoordinatorCrashPointExploration
+
 chaos:
-	$(GO) test ./internal/chaos/ -race -short -v -run 'TestCrashPointExploration|TestSessionCrashPointExploration|TestWedgeMidWorkload|TestClusterCrashPointExploration|TestReplicatedCrashPointExploration|TestCoordinatorCrashPointExploration|TestTrustCrashPointExploration'
+	$(GO) test ./internal/chaos/ -race -short -v -run '$(CHAOS_SINGLE)|$(CHAOS_CLUSTER)'
+
+chaos-single:
+	$(GO) test ./internal/chaos/ -race -short -v -run '$(CHAOS_SINGLE)'
+
+chaos-cluster:
+	$(GO) test ./internal/chaos/ -race -short -v -run '$(CHAOS_CLUSTER)'
 
 # Sybil store-poisoning experiment: the same seeded campaign against an
 # undefended server and the trust-weighted pipeline; writes
@@ -114,5 +127,12 @@ bench-test:
 # (served_json, served_binary, deep_single, deep_cluster, deep_stream).
 bench-run:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 15 --trace 0
+
+# Non-test Go lines per package directory and in total (find, wc and awk
+# only), so a PR's line delta is one diff of two outputs.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort | xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 check: build vet test

@@ -339,6 +339,10 @@ func run(args []string) error {
 		tc.WeightRefresh = *trustRefresh
 		tc.Drift.Window = *driftWindow
 		trustCfg = &tc
+		if _, ok := store.(rssimap.TrustWeighted); !ok {
+			fmt.Println("trust: this store backend (-join) does not apply contributor weights: " +
+				"quarantine and drift alarms are on, θ2 re-weighting is OFF (trust.weighting_active=false in /v1/stats)")
+		}
 	}
 
 	pr := geo.NewProjection(geo.LatLon{Lat: 32.06, Lon: 118.79})

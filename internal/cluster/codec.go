@@ -33,12 +33,12 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 
+	"trajforge/internal/binenc"
 	"trajforge/internal/geo"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/wifi"
@@ -80,20 +80,22 @@ const (
 	statusExpired    byte = 5 // request deadline already expired; refused unworked
 )
 
-// Typed decode failures, distinguishable with errors.Is.
+// Typed decode failures, distinguishable with errors.Is. Truncated,
+// oversized and value are binenc's sentinels under the names this package
+// has always exported; version and kind belong to this frame format.
 var (
 	// ErrTruncated: the frame ends before a declared field.
-	ErrTruncated = errors.New("cluster: truncated frame")
+	ErrTruncated = binenc.ErrTruncated
 	// ErrOversized: a declared count cannot fit the frame's bytes, or the
 	// payload length disagrees with the body.
-	ErrOversized = errors.New("cluster: oversized frame")
+	ErrOversized = binenc.ErrOversized
 	// ErrVersion: the version byte is not one this node speaks.
 	ErrVersion = errors.New("cluster: unsupported frame version")
 	// ErrKind: the kind byte is unknown or wrong for the context.
 	ErrKind = errors.New("cluster: unexpected frame kind")
 	// ErrValue: a field holds a value with no wire meaning (an unsorted
 	// RSSI map, an out-of-range length, a non-canonical assignment).
-	ErrValue = errors.New("cluster: invalid frame value")
+	ErrValue = binenc.ErrValue
 )
 
 // Hello is the connection preamble the coordinator sends.
@@ -213,175 +215,53 @@ type StatsResp struct {
 	ExpiredRejects uint64
 }
 
-// reader is a bounds-checked cursor over one frame.
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.data) || r.off+n < 0 {
-		return nil, fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrTruncated, n, r.off, len(r.data))
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) u8() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (r *reader) f64() (float64, error) {
-	v, err := r.u64()
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(v), nil
-}
-
-// str16 reads a u16-length-prefixed string.
-func (r *reader) str16() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// str8 reads a u8-length-prefixed string.
-func (r *reader) str8() (string, error) {
-	n, err := r.u8()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func (r *reader) tile() ([2]int, error) {
-	x, err := r.u32()
-	if err != nil {
-		return [2]int{}, err
-	}
-	y, err := r.u32()
-	if err != nil {
-		return [2]int{}, err
-	}
-	return [2]int{int(int32(x)), int(int32(y))}, nil
-}
-
-func (r *reader) done() error {
-	if r.off != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrOversized, len(r.data)-r.off)
-	}
-	return nil
-}
-
 // header parses the three-field frame header, returning the kind and the
-// payload cursor.
-func header(data []byte) (byte, *reader, error) {
-	r := &reader{data: data}
-	ver, err := r.u8()
-	if err != nil {
-		return 0, nil, err
-	}
-	if ver != codecVersion {
+// payload cursor. The version is judged as soon as it is read, so a frame
+// from another build is named as that, not as truncated.
+func header(data []byte) (byte, *binenc.Reader, error) {
+	r := binenc.NewReader(data)
+	if ver := r.U8(); r.Err() == nil && ver != codecVersion {
 		return 0, nil, fmt.Errorf("%w: got version %d, speak %d", ErrVersion, ver, codecVersion)
 	}
-	kind, err := r.u8()
-	if err != nil {
-		return 0, nil, err
-	}
-	plen, err := r.u32()
-	if err != nil {
-		return 0, nil, err
-	}
-	rest := len(data) - r.off
-	if int64(plen) > int64(rest) {
-		return 0, nil, fmt.Errorf("%w: header declares %d payload bytes, %d present", ErrTruncated, plen, rest)
-	}
-	if int(plen) < rest {
-		return 0, nil, fmt.Errorf("%w: header declares %d payload bytes, %d present", ErrOversized, plen, rest)
-	}
-	return kind, r, nil
+	kind := r.U8()
+	r.PayloadLen()
+	return kind, r, r.Err()
 }
 
-// --- encoder helpers ---
-
-func appendStr16(buf []byte, s string) ([]byte, error) {
-	if len(s) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: string of %d bytes", ErrValue, len(s))
+// finishFrame stamps the payload length into the header slot.
+func finishFrame(buf []byte) ([]byte, error) {
+	if len(buf) > maxFrameBytes {
+		return nil, fmt.Errorf("%w: frame of %d bytes exceeds %d", ErrValue, len(buf), maxFrameBytes)
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...), nil
+	return binenc.FinishFrame(buf), nil
 }
 
-func appendStr8(buf []byte, s string) ([]byte, error) {
-	if len(s) > math.MaxUint8 {
-		return nil, fmt.Errorf("%w: string of %d bytes", ErrValue, len(s))
-	}
-	buf = append(buf, byte(len(s)))
-	return append(buf, s...), nil
-}
+// --- tile / status ---
 
 func appendTile(buf []byte, t [2]int) ([]byte, error) {
 	if t[0] < math.MinInt32 || t[0] > math.MaxInt32 || t[1] < math.MinInt32 || t[1] > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: tile %v outside int32", ErrValue, t)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(t[0])))
-	return binary.LittleEndian.AppendUint32(buf, uint32(int32(t[1]))), nil
+	buf = binenc.AppendU32(buf, uint32(int32(t[0])))
+	return binenc.AppendU32(buf, uint32(int32(t[1]))), nil
 }
 
-// newFrame starts a frame of the given kind with the 6-byte header slot.
-func newFrame(kind byte, sizeHint int) []byte {
-	buf := make([]byte, 6, 6+sizeHint)
-	buf[0], buf[1] = codecVersion, kind
-	return buf
+func readTile(r *binenc.Reader) [2]int {
+	x := int32(r.U32())
+	y := int32(r.U32())
+	return [2]int{int(x), int(y)}
 }
 
-// finishFrame stamps the payload length into the reserved header slot.
-func finishFrame(buf []byte) ([]byte, error) {
-	if len(buf) > maxFrameBytes {
-		return nil, fmt.Errorf("%w: frame of %d bytes exceeds %d", ErrValue, len(buf), maxFrameBytes)
-	}
-	binary.LittleEndian.PutUint32(buf[2:6], uint32(len(buf)-6))
-	return buf, nil
+// newResponse starts a response frame with the `u8 status | u64 epoch |
+// str16 msg` prefix every response kind opens with.
+func newResponse(kind byte, sizeHint int, status byte, epoch uint64, msg string) ([]byte, error) {
+	buf := binenc.NewFrame(codecVersion, kind, 16+len(msg)+sizeHint)
+	buf = binenc.AppendU64(append(buf, status), epoch)
+	return binenc.AppendStr16(buf, msg)
+}
+
+func readResponse(r *binenc.Reader) (status byte, epoch uint64, msg string) {
+	return r.U8(), r.U64(), r.Str16()
 }
 
 // --- record / entry ---
@@ -389,8 +269,8 @@ func finishFrame(buf []byte) ([]byte, error) {
 // appendRecord encodes one record with its RSSI map in ascending-MAC order,
 // the canonical form decodeRecord enforces.
 func appendRecord(buf []byte, rec rssimap.Record) ([]byte, error) {
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Pos.X))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Pos.Y))
+	buf = binenc.AppendF64(buf, rec.Pos.X)
+	buf = binenc.AppendF64(buf, rec.Pos.Y)
 	if len(rec.RSSI) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: record reports %d APs", ErrValue, len(rec.RSSI))
 	}
@@ -399,64 +279,59 @@ func appendRecord(buf []byte, rec rssimap.Record) ([]byte, error) {
 		macs = append(macs, mac)
 	}
 	sort.Strings(macs)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(macs)))
+	buf = binenc.AppendU16(buf, uint16(len(macs)))
 	var err error
 	for _, mac := range macs {
-		if buf, err = appendStr8(buf, mac); err != nil {
+		if buf, err = binenc.AppendObs(buf, mac, rec.RSSI[mac]); err != nil {
 			return nil, err
 		}
-		rssi := rec.RSSI[mac]
-		if rssi < math.MinInt16 || rssi > math.MaxInt16 {
-			return nil, fmt.Errorf("%w: RSSI %d outside int16", ErrValue, rssi)
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(rssi)))
 	}
-	if buf, err = appendStr8(buf, rec.Contributor); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return binenc.AppendStr8(buf, rec.Contributor)
 }
 
 // recMinBytes is the fixed per-record wire cost (pos + AP count +
 // contributor length byte).
 const recMinBytes = 8 + 8 + 2 + 1
 
-func decodeRecord(r *reader) (rssimap.Record, error) {
+func decodeRecord(r *binenc.Reader) rssimap.Record {
 	var rec rssimap.Record
-	x, err := r.f64()
-	if err != nil {
-		return rec, err
-	}
-	y, err := r.f64()
-	if err != nil {
-		return rec, err
-	}
-	n, err := r.u16()
-	if err != nil {
-		return rec, err
-	}
-	rec.Pos = geo.Point{X: x, Y: y}
+	rec.Pos.X = r.F64()
+	rec.Pos.Y = r.F64()
+	n := r.ObsCount()
 	rec.RSSI = make(map[string]int, n)
 	prev := ""
-	for i := 0; i < int(n); i++ {
-		mac, err := r.str8()
-		if err != nil {
-			return rec, err
-		}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		mac := r.Str8()
+		rssi := r.I16()
 		if i > 0 && mac <= prev {
-			return rec, fmt.Errorf("%w: RSSI map not in strict MAC order (%q after %q)", ErrValue, mac, prev)
+			r.Fail(fmt.Errorf("%w: RSSI map not in strict MAC order (%q after %q)", ErrValue, mac, prev))
 		}
 		prev = mac
-		rssi, err := r.u16()
-		if err != nil {
-			return rec, err
+		rec.RSSI[mac] = rssi
+	}
+	rec.Contributor = r.Str8()
+	return rec
+}
+
+// appendRecords encodes a counted record list: the coordinator journal's
+// ingest frame and the head of its checkpoint.
+func appendRecords(buf []byte, recs []rssimap.Record) ([]byte, error) {
+	buf = binenc.AppendU32(buf, uint32(len(recs)))
+	var err error
+	for _, rec := range recs {
+		if buf, err = appendRecord(buf, rec); err != nil {
+			return nil, err
 		}
-		rec.RSSI[mac] = int(int16(rssi))
 	}
-	if rec.Contributor, err = r.str8(); err != nil {
-		return rec, err
+	return buf, nil
+}
+
+func decodeRecords(r *binenc.Reader) []rssimap.Record {
+	recs := make([]rssimap.Record, 0, r.Count(r.U32(), recMinBytes))
+	for i := 0; i < cap(recs) && r.Err() == nil; i++ {
+		recs = append(recs, decodeRecord(r))
 	}
-	return rec, nil
+	return recs
 }
 
 // entryMinBytes is the fixed per-entry wire cost (tile + seq + record min).
@@ -467,41 +342,28 @@ func appendEntry(buf []byte, e Entry) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, e.Seq)
+	buf = binenc.AppendU64(buf, e.Seq)
 	if e.enc != nil {
 		return append(buf, e.enc...), nil
 	}
 	return appendRecord(buf, e.Rec)
 }
 
-func decodeEntries(r *reader) ([]Entry, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
+func decodeEntries(r *binenc.Reader) []Entry {
+	entries := make([]Entry, r.Count(r.U32(), entryMinBytes))
+	for i := 0; i < len(entries) && r.Err() == nil; i++ {
+		entries[i].Tile = readTile(r)
+		entries[i].Seq = r.U64()
+		entries[i].Rec = decodeRecord(r)
 	}
-	if int64(n)*entryMinBytes > int64(len(r.data)-r.off) {
-		return nil, fmt.Errorf("%w: claims %d entries in %d payload bytes", ErrOversized, n, len(r.data)-r.off)
-	}
-	entries := make([]Entry, n)
-	for i := range entries {
-		if entries[i].Tile, err = r.tile(); err != nil {
-			return nil, err
-		}
-		if entries[i].Seq, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if entries[i].Rec, err = decodeRecord(r); err != nil {
-			return nil, err
-		}
-	}
-	return entries, nil
+	return entries
 }
 
 func appendEntries(buf []byte, entries []Entry) ([]byte, error) {
 	if len(entries) > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: %d entries", ErrValue, len(entries))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
+	buf = binenc.AppendU32(buf, uint32(len(entries)))
 	var err error
 	for _, e := range entries {
 		if buf, err = appendEntry(buf, e); err != nil {
@@ -511,48 +373,7 @@ func appendEntries(buf []byte, entries []Entry) ([]byte, error) {
 	return buf, nil
 }
 
-// --- scan / feature config / confidences ---
-
-func appendScan(buf []byte, scan wifi.Scan) ([]byte, error) {
-	if len(scan) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: scan of %d observations", ErrValue, len(scan))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(scan)))
-	var err error
-	for _, obs := range scan {
-		if buf, err = appendStr8(buf, obs.MAC); err != nil {
-			return nil, err
-		}
-		if obs.RSSI < math.MinInt16 || obs.RSSI > math.MaxInt16 {
-			return nil, fmt.Errorf("%w: RSSI %d outside int16", ErrValue, obs.RSSI)
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(obs.RSSI)))
-	}
-	return buf, nil
-}
-
-func decodeScan(r *reader) (wifi.Scan, error) {
-	n, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	scan := make(wifi.Scan, 0, n)
-	for i := 0; i < int(n); i++ {
-		mac, err := r.str8()
-		if err != nil {
-			return nil, err
-		}
-		rssi, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		scan = append(scan, wifi.Observation{MAC: mac, RSSI: int(int16(rssi))})
-	}
-	return scan, nil
-}
+// --- feature config / confidences ---
 
 // Feature-config flag bits.
 const (
@@ -564,15 +385,15 @@ const (
 )
 
 func appendFeatureConfig(buf []byte, cfg rssimap.FeatureConfig) ([]byte, error) {
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.R))
+	buf = binenc.AppendF64(buf, cfg.R)
 	if cfg.TopK < 0 || cfg.TopK > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: TopK %d outside uint16", ErrValue, cfg.TopK)
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(cfg.TopK))
+	buf = binenc.AppendU16(buf, uint16(cfg.TopK))
 	if cfg.Tol < math.MinInt16 || cfg.Tol > math.MaxInt16 {
 		return nil, fmt.Errorf("%w: Tol %d outside int16", ErrValue, cfg.Tol)
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(cfg.Tol)))
+	buf = binenc.AppendU16(buf, uint16(int16(cfg.Tol)))
 	var flags byte
 	if cfg.IncludeNum {
 		flags |= cfgIncludeNum
@@ -589,35 +410,20 @@ func appendFeatureConfig(buf []byte, cfg rssimap.FeatureConfig) ([]byte, error) 
 	return append(buf, flags), nil
 }
 
-func decodeFeatureConfig(r *reader) (rssimap.FeatureConfig, error) {
+func decodeFeatureConfig(r *binenc.Reader) rssimap.FeatureConfig {
 	var cfg rssimap.FeatureConfig
-	rr, err := r.f64()
-	if err != nil {
-		return cfg, err
-	}
-	topk, err := r.u16()
-	if err != nil {
-		return cfg, err
-	}
-	tol, err := r.u16()
-	if err != nil {
-		return cfg, err
-	}
-	flags, err := r.u8()
-	if err != nil {
-		return cfg, err
-	}
+	cfg.R = r.F64()
+	cfg.TopK = int(r.U16())
+	cfg.Tol = rssimap.Tolerance(r.I16())
+	flags := r.U8()
 	if flags&^byte(cfgFlagsMask) != 0 {
-		return cfg, fmt.Errorf("%w: unknown feature-config flags %#x", ErrValue, flags)
+		r.Fail(fmt.Errorf("%w: unknown feature-config flags %#x", ErrValue, flags))
 	}
-	cfg.R = rr
-	cfg.TopK = int(topk)
-	cfg.Tol = rssimap.Tolerance(int16(tol))
 	cfg.IncludeNum = flags&cfgIncludeNum != 0
 	cfg.IncludeResiduals = flags&cfgIncludeResiduals != 0
 	cfg.DisableTheta2 = flags&cfgDisableTheta2 != 0
 	cfg.IncludeSummary = flags&cfgIncludeSummary != 0
-	return cfg, nil
+	return cfg
 }
 
 // confMinBytes is the fixed per-confidence wire cost.
@@ -627,61 +433,41 @@ func appendConfs(buf []byte, confs []rssimap.PointConfidence) ([]byte, error) {
 	if len(confs) > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: %d confidences", ErrValue, len(confs))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(confs)))
+	buf = binenc.AppendU32(buf, uint32(len(confs)))
 	var err error
 	for _, c := range confs {
-		if buf, err = appendStr8(buf, c.MAC); err != nil {
+		if buf, err = binenc.AppendStr8(buf, c.MAC); err != nil {
 			return nil, err
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Phi))
+		buf = binenc.AppendF64(buf, c.Phi)
 		if c.Num < 0 || int64(c.Num) > math.MaxUint32 {
 			return nil, fmt.Errorf("%w: Num %d outside uint32", ErrValue, c.Num)
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Num))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Residual))
+		buf = binenc.AppendU32(buf, uint32(c.Num))
+		buf = binenc.AppendF64(buf, c.Residual)
 		if c.Heard < 0 || int64(c.Heard) > math.MaxUint32 {
 			return nil, fmt.Errorf("%w: Heard %d outside uint32", ErrValue, c.Heard)
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Heard))
+		buf = binenc.AppendU32(buf, uint32(c.Heard))
 	}
 	return buf, nil
 }
 
-func decodeConfs(r *reader) ([]rssimap.PointConfidence, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int64(n)*confMinBytes > int64(len(r.data)-r.off) {
-		return nil, fmt.Errorf("%w: claims %d confidences in %d payload bytes", ErrOversized, n, len(r.data)-r.off)
-	}
-	confs := make([]rssimap.PointConfidence, n)
-	for i := range confs {
-		if confs[i].MAC, err = r.str8(); err != nil {
-			return nil, err
-		}
-		if confs[i].Phi, err = r.f64(); err != nil {
-			return nil, err
-		}
-		num, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		confs[i].Num = int(num)
+func decodeConfs(r *binenc.Reader) []rssimap.PointConfidence {
+	confs := make([]rssimap.PointConfidence, r.Count(r.U32(), confMinBytes))
+	for i := 0; i < len(confs) && r.Err() == nil; i++ {
+		c := &confs[i]
+		c.MAC = r.Str8()
+		c.Phi = r.F64()
+		c.Num = int(r.U32())
 		// Cluster nodes never install contributor trust tables, so the
 		// trusted mass always equals the cardinality and is not carried on
 		// the wire.
-		confs[i].TrustNum = float64(num)
-		if confs[i].Residual, err = r.f64(); err != nil {
-			return nil, err
-		}
-		heard, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		confs[i].Heard = int(heard)
+		c.TrustNum = float64(c.Num)
+		c.Residual = r.F64()
+		c.Heard = int(r.U32())
 	}
-	return confs, nil
+	return confs
 }
 
 // --- assignment ---
@@ -702,50 +488,37 @@ func appendOverrideMap(buf []byte, m map[[2]int]string) ([]byte, error) {
 		tiles = append(tiles, t)
 	}
 	sort.Slice(tiles, func(i, j int) bool { return tileLess(tiles[i], tiles[j]) })
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tiles)))
+	buf = binenc.AppendU32(buf, uint32(len(tiles)))
 	var err error
 	for _, t := range tiles {
 		if buf, err = appendTile(buf, t); err != nil {
 			return nil, err
 		}
-		if buf, err = appendStr16(buf, m[t]); err != nil {
+		if buf, err = binenc.AppendStr16(buf, m[t]); err != nil {
 			return nil, err
 		}
 	}
 	return buf, nil
 }
 
-func decodeOverrideMap(r *reader) (map[[2]int]string, error) {
-	no, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+func decodeOverrideMap(r *binenc.Reader) map[[2]int]string {
 	const overrideMinBytes = 8 + 2
-	if int64(no)*overrideMinBytes > int64(len(r.data)-r.off) {
-		return nil, fmt.Errorf("%w: claims %d overrides in %d payload bytes", ErrOversized, no, len(r.data)-r.off)
-	}
-	m := make(map[[2]int]string, no)
+	n := r.Count(r.U32(), overrideMinBytes)
+	m := make(map[[2]int]string, n)
 	var prev [2]int
-	for i := 0; i < int(no); i++ {
-		t, err := r.tile()
-		if err != nil {
-			return nil, err
-		}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		t := readTile(r)
 		if i > 0 && !tileLess(prev, t) {
-			return nil, fmt.Errorf("%w: overrides not in strict tile order (%v after %v)", ErrValue, t, prev)
+			r.Fail(fmt.Errorf("%w: overrides not in strict tile order (%v after %v)", ErrValue, t, prev))
 		}
 		prev = t
-		id, err := r.str16()
-		if err != nil {
-			return nil, err
-		}
-		m[t] = id
+		m[t] = r.Str16()
 	}
-	return m, nil
+	return m
 }
 
 func appendAssignment(buf []byte, a Assignment) ([]byte, error) {
-	buf = binary.LittleEndian.AppendUint64(buf, a.Epoch)
+	buf = binenc.AppendU64(buf, a.Epoch)
 	var flags byte
 	if a.Replicate {
 		flags |= assignReplicate
@@ -756,10 +529,10 @@ func appendAssignment(buf []byte, a Assignment) ([]byte, error) {
 	}
 	members := append([]string(nil), a.Members...)
 	sort.Strings(members)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(members)))
+	buf = binenc.AppendU16(buf, uint16(len(members)))
 	var err error
 	for _, id := range members {
-		if buf, err = appendStr16(buf, id); err != nil {
+		if buf, err = binenc.AppendStr16(buf, id); err != nil {
 			return nil, err
 		}
 	}
@@ -769,43 +542,27 @@ func appendAssignment(buf []byte, a Assignment) ([]byte, error) {
 	return appendOverrideMap(buf, a.FollowerOverrides)
 }
 
-func decodeAssignment(r *reader) (Assignment, error) {
+func decodeAssignment(r *binenc.Reader) Assignment {
 	var a Assignment
-	epoch, err := r.u64()
-	if err != nil {
-		return a, err
-	}
-	a.Epoch = epoch
-	flags, err := r.u8()
-	if err != nil {
-		return a, err
-	}
+	a.Epoch = r.U64()
+	flags := r.U8()
 	if flags&^byte(assignFlagsMask) != 0 {
-		return a, fmt.Errorf("%w: unknown assignment flags %#x", ErrValue, flags)
+		r.Fail(fmt.Errorf("%w: unknown assignment flags %#x", ErrValue, flags))
 	}
 	a.Replicate = flags&assignReplicate != 0
-	nm, err := r.u16()
-	if err != nil {
-		return a, err
-	}
+	const memberMinBytes = 2
+	nm := r.Count(uint32(r.U16()), memberMinBytes)
 	a.Members = make([]string, 0, nm)
-	for i := 0; i < int(nm); i++ {
-		id, err := r.str16()
-		if err != nil {
-			return a, err
-		}
+	for i := 0; i < nm && r.Err() == nil; i++ {
+		id := r.Str16()
 		if i > 0 && id <= a.Members[i-1] {
-			return a, fmt.Errorf("%w: members not in strict order (%q after %q)", ErrValue, id, a.Members[i-1])
+			r.Fail(fmt.Errorf("%w: members not in strict order (%q after %q)", ErrValue, id, a.Members[i-1]))
 		}
 		a.Members = append(a.Members, id)
 	}
-	if a.Overrides, err = decodeOverrideMap(r); err != nil {
-		return a, err
-	}
-	if a.FollowerOverrides, err = decodeOverrideMap(r); err != nil {
-		return a, err
-	}
-	return a, nil
+	a.Overrides = decodeOverrideMap(r)
+	a.FollowerOverrides = decodeOverrideMap(r)
+	return a
 }
 
 func tileLess(a, b [2]int) bool {
@@ -820,93 +577,57 @@ func tileLess(a, b [2]int) bool {
 // EncodeFrame renders one message as a wire frame. The message must be one
 // of the typed structs above; requests and responses share the function.
 func EncodeFrame(msg any) ([]byte, error) {
+	var buf []byte
+	var err error
 	switch m := msg.(type) {
 	case *Hello:
-		buf := newFrame(kindHello, 8+len(m.NodeID))
-		buf = binary.LittleEndian.AppendUint32(buf, m.Deadline)
-		buf, err := appendStr16(buf, m.NodeID)
-		if err != nil {
-			return nil, err
-		}
-		return finishFrame(buf)
+		buf = binenc.NewFrame(codecVersion, kindHello, 8+len(m.NodeID))
+		buf = binenc.AppendU32(buf, m.Deadline)
+		buf, err = binenc.AppendStr16(buf, m.NodeID)
 	case *Ack:
-		buf := newFrame(kindAck, 16+len(m.Msg))
-		buf = append(buf, m.Status)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-		buf, err := appendStr16(buf, m.Msg)
-		if err != nil {
-			return nil, err
-		}
-		return finishFrame(buf)
+		buf, err = newResponse(kindAck, 0, m.Status, m.Epoch, m.Msg)
 	case *AddReq:
-		return encodeAddLike(kindAdd, m)
+		buf, err = encodeAddLike(kindAdd, m)
 	case *InstallReq:
-		return encodeAddLike(kindInstall, (*AddReq)(m))
+		buf, err = encodeAddLike(kindInstall, (*AddReq)(m))
 	case *ConfReq:
-		buf := newFrame(kindConf, 64+len(m.Scan)*10)
-		buf = binary.LittleEndian.AppendUint32(buf, m.Deadline)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-		buf, err := appendTile(buf, m.Tile)
-		if err != nil {
+		buf = binenc.NewFrame(codecVersion, kindConf, 64+len(m.Scan)*10)
+		buf = binenc.AppendU32(buf, m.Deadline)
+		buf = binenc.AppendU64(buf, m.Epoch)
+		if buf, err = appendTile(buf, m.Tile); err != nil {
 			return nil, err
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Pos.X))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Pos.Y))
+		buf = binenc.AppendF64(buf, m.Pos.X)
+		buf = binenc.AppendF64(buf, m.Pos.Y)
 		if buf, err = appendFeatureConfig(buf, m.Cfg); err != nil {
 			return nil, err
 		}
-		if buf, err = appendScan(buf, m.Scan); err != nil {
-			return nil, err
-		}
-		return finishFrame(buf)
+		buf, err = binenc.AppendScan(buf, m.Scan)
 	case *ConfResp:
-		buf := newFrame(kindConfResp, 32+len(m.Confs)*confMinBytes)
-		buf = append(buf, m.Status)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-		buf, err := appendStr16(buf, m.Msg)
-		if err != nil {
+		if buf, err = newResponse(kindConfResp, 16+len(m.Confs)*confMinBytes, m.Status, m.Epoch, m.Msg); err != nil {
 			return nil, err
 		}
-		if buf, err = appendConfs(buf, m.Confs); err != nil {
-			return nil, err
-		}
-		return finishFrame(buf)
+		buf, err = appendConfs(buf, m.Confs)
 	case *FreezeReq:
-		return encodeTileReq(kindFreeze, (*TileReq)(m))
+		buf, err = encodeTileReq(kindFreeze, (*TileReq)(m))
 	case *FetchTileReq:
-		return encodeTileReq(kindFetchTile, (*TileReq)(m))
+		buf, err = encodeTileReq(kindFetchTile, (*TileReq)(m))
 	case *DropReq:
-		return encodeTileReq(kindDrop, (*TileReq)(m))
+		buf, err = encodeTileReq(kindDrop, (*TileReq)(m))
 	case *TileState:
-		buf := newFrame(kindTileState, 32+len(m.Entries)*entryMinBytes)
-		buf = append(buf, m.Status)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-		buf, err := appendStr16(buf, m.Msg)
-		if err != nil {
+		if buf, err = newResponse(kindTileState, 16+len(m.Entries)*entryMinBytes, m.Status, m.Epoch, m.Msg); err != nil {
 			return nil, err
 		}
-		if buf, err = appendEntries(buf, m.Entries); err != nil {
-			return nil, err
-		}
-		return finishFrame(buf)
+		buf, err = appendEntries(buf, m.Entries)
 	case *AssignReq:
-		buf := newFrame(kindAssign, 64)
-		buf = binary.LittleEndian.AppendUint32(buf, m.Deadline)
-		buf, err := appendAssignment(buf, m.Assign)
-		if err != nil {
-			return nil, err
-		}
-		return finishFrame(buf)
+		buf = binenc.NewFrame(codecVersion, kindAssign, 64)
+		buf = binenc.AppendU32(buf, m.Deadline)
+		buf, err = appendAssignment(buf, m.Assign)
 	case *SeqsReq:
-		buf := newFrame(kindTileSeqs, 4)
-		buf = binary.LittleEndian.AppendUint32(buf, m.Deadline)
-		return finishFrame(buf)
+		buf = binenc.NewFrame(codecVersion, kindTileSeqs, 4)
+		buf = binenc.AppendU32(buf, m.Deadline)
 	case *SeqsResp:
-		buf := newFrame(kindSeqsResp, 32+len(m.Tiles)*16)
-		buf = append(buf, m.Status)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-		buf, err := appendStr16(buf, m.Msg)
-		if err != nil {
+		if buf, err = newResponse(kindSeqsResp, 16+len(m.Tiles)*16, m.Status, m.Epoch, m.Msg); err != nil {
 			return nil, err
 		}
 		if len(m.Tiles) > math.MaxUint32 {
@@ -914,36 +635,33 @@ func EncodeFrame(msg any) ([]byte, error) {
 		}
 		tiles := append([]TileSeq(nil), m.Tiles...)
 		sort.Slice(tiles, func(i, j int) bool { return tileLess(tiles[i].Tile, tiles[j].Tile) })
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tiles)))
+		buf = binenc.AppendU32(buf, uint32(len(tiles)))
 		for _, ts := range tiles {
 			if buf, err = appendTile(buf, ts.Tile); err != nil {
 				return nil, err
 			}
-			buf = binary.LittleEndian.AppendUint64(buf, ts.Seq)
+			buf = binenc.AppendU64(buf, ts.Seq)
 		}
-		return finishFrame(buf)
 	case *StatsReq:
-		buf := newFrame(kindStats, 4)
-		buf = binary.LittleEndian.AppendUint32(buf, m.Deadline)
-		return finishFrame(buf)
+		buf = binenc.NewFrame(codecVersion, kindStats, 4)
+		buf = binenc.AppendU32(buf, m.Deadline)
 	case *StatsResp:
-		buf := newFrame(kindStatsResp, 64)
-		buf = append(buf, m.Status)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-		buf, err := appendStr16(buf, m.Msg)
-		if err != nil {
+		if buf, err = newResponse(kindStatsResp, 48, m.Status, m.Epoch, m.Msg); err != nil {
 			return nil, err
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, m.Tiles)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Entries)
-		buf = binary.LittleEndian.AppendUint64(buf, m.WALFrames)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.WALBytes))
-		buf = binary.LittleEndian.AppendUint64(buf, m.Generation)
-		buf = binary.LittleEndian.AppendUint64(buf, m.ExpiredRejects)
-		return finishFrame(buf)
+		buf = binenc.AppendU32(buf, m.Tiles)
+		buf = binenc.AppendU64(buf, m.Entries)
+		buf = binenc.AppendU64(buf, m.WALFrames)
+		buf = binenc.AppendU64(buf, uint64(m.WALBytes))
+		buf = binenc.AppendU64(buf, m.Generation)
+		buf = binenc.AppendU64(buf, m.ExpiredRejects)
 	default:
 		return nil, fmt.Errorf("%w: cannot encode %T", ErrKind, msg)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return finishFrame(buf)
 }
 
 // InstallReq is an AddReq delivered on the migration path: the node accepts
@@ -961,239 +679,102 @@ type FetchTileReq TileReq
 type DropReq TileReq
 
 func encodeAddLike(kind byte, m *AddReq) ([]byte, error) {
-	buf := newFrame(kind, 16+len(m.Entries)*(entryMinBytes+32))
-	buf = binary.LittleEndian.AppendUint32(buf, m.Deadline)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-	buf, err := appendEntries(buf, m.Entries)
-	if err != nil {
-		return nil, err
-	}
-	return finishFrame(buf)
+	buf := binenc.NewFrame(codecVersion, kind, 16+len(m.Entries)*(entryMinBytes+32))
+	buf = binenc.AppendU32(buf, m.Deadline)
+	buf = binenc.AppendU64(buf, m.Epoch)
+	return appendEntries(buf, m.Entries)
 }
 
 func encodeTileReq(kind byte, m *TileReq) ([]byte, error) {
-	buf := newFrame(kind, 20)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Deadline)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-	buf, err := appendTile(buf, m.Tile)
-	if err != nil {
-		return nil, err
-	}
-	return finishFrame(buf)
+	buf := binenc.NewFrame(codecVersion, kind, 20)
+	buf = binenc.AppendU32(buf, m.Deadline)
+	buf = binenc.AppendU64(buf, m.Epoch)
+	return appendTile(buf, m.Tile)
 }
 
 // --- frame decoder ---
 
-// DecodeFrame parses one wire frame into its typed message.
+// DecodeFrame parses one wire frame into its typed message. The literals
+// below list their fields in wire order: Go evaluates the reads left to
+// right, and the sticky reader makes a failed one harmless to those after.
 func DecodeFrame(data []byte) (any, error) {
 	kind, r, err := header(data)
 	if err != nil {
 		return nil, err
 	}
+	var msg any
 	switch kind {
 	case kindHello:
-		m := &Hello{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if m.NodeID, err = r.str16(); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		msg = &Hello{Deadline: r.U32(), NodeID: r.Str16()}
 	case kindAck:
 		m := &Ack{}
-		if m.Status, err = r.u8(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Msg, err = r.str16(); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		m.Status, m.Epoch, m.Msg = readResponse(r)
+		msg = m
 	case kindAdd, kindInstall:
-		m := &AddReq{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
+		m := &AddReq{Deadline: r.U32(), Epoch: r.U64(), Entries: decodeEntries(r)}
+		if msg = m; kind == kindInstall {
+			msg = (*InstallReq)(m)
 		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Entries, err = decodeEntries(r); err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		if kind == kindInstall {
-			return (*InstallReq)(m), nil
-		}
-		return m, nil
 	case kindConf:
-		m := &ConfReq{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Tile, err = r.tile(); err != nil {
-			return nil, err
-		}
-		if m.Pos.X, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if m.Pos.Y, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if m.Cfg, err = decodeFeatureConfig(r); err != nil {
-			return nil, err
-		}
-		if m.Scan, err = decodeScan(r); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		m := &ConfReq{Deadline: r.U32(), Epoch: r.U64(), Tile: readTile(r)}
+		m.Pos.X = r.F64()
+		m.Pos.Y = r.F64()
+		m.Cfg = decodeFeatureConfig(r)
+		m.Scan = r.Scan()
+		msg = m
 	case kindConfResp:
 		m := &ConfResp{}
-		if m.Status, err = r.u8(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Msg, err = r.str16(); err != nil {
-			return nil, err
-		}
-		if m.Confs, err = decodeConfs(r); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		m.Status, m.Epoch, m.Msg = readResponse(r)
+		m.Confs = decodeConfs(r)
+		msg = m
 	case kindFreeze, kindFetchTile, kindDrop:
-		m := &TileReq{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Tile, err = r.tile(); err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
+		m := &TileReq{Deadline: r.U32(), Epoch: r.U64(), Tile: readTile(r)}
 		switch kind {
 		case kindFreeze:
-			return (*FreezeReq)(m), nil
+			msg = (*FreezeReq)(m)
 		case kindFetchTile:
-			return (*FetchTileReq)(m), nil
+			msg = (*FetchTileReq)(m)
 		default:
-			return (*DropReq)(m), nil
+			msg = (*DropReq)(m)
 		}
 	case kindTileState:
 		m := &TileState{}
-		if m.Status, err = r.u8(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Msg, err = r.str16(); err != nil {
-			return nil, err
-		}
-		if m.Entries, err = decodeEntries(r); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		m.Status, m.Epoch, m.Msg = readResponse(r)
+		m.Entries = decodeEntries(r)
+		msg = m
 	case kindAssign:
-		m := &AssignReq{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if m.Assign, err = decodeAssignment(r); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		msg = &AssignReq{Deadline: r.U32(), Assign: decodeAssignment(r)}
 	case kindTileSeqs:
-		m := &SeqsReq{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		msg = &SeqsReq{Deadline: r.U32()}
 	case kindSeqsResp:
 		m := &SeqsResp{}
-		if m.Status, err = r.u8(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Msg, err = r.str16(); err != nil {
-			return nil, err
-		}
-		n, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
+		m.Status, m.Epoch, m.Msg = readResponse(r)
 		const tileSeqBytes = 8 + 8
-		if int64(n)*tileSeqBytes > int64(len(r.data)-r.off) {
-			return nil, fmt.Errorf("%w: claims %d tile seqs in %d payload bytes", ErrOversized, n, len(r.data)-r.off)
-		}
-		m.Tiles = make([]TileSeq, n)
-		var prev [2]int
-		for i := range m.Tiles {
-			if m.Tiles[i].Tile, err = r.tile(); err != nil {
-				return nil, err
-			}
-			if i > 0 && !tileLess(prev, m.Tiles[i].Tile) {
-				return nil, fmt.Errorf("%w: tile seqs not in strict tile order", ErrValue)
-			}
-			prev = m.Tiles[i].Tile
-			if m.Tiles[i].Seq, err = r.u64(); err != nil {
-				return nil, err
+		m.Tiles = make([]TileSeq, r.Count(r.U32(), tileSeqBytes))
+		for i := 0; i < len(m.Tiles) && r.Err() == nil; i++ {
+			m.Tiles[i] = TileSeq{Tile: readTile(r), Seq: r.U64()}
+			if i > 0 && !tileLess(m.Tiles[i-1].Tile, m.Tiles[i].Tile) {
+				r.Fail(fmt.Errorf("%w: tile seqs not in strict tile order", ErrValue))
 			}
 		}
-		return m, r.done()
+		msg = m
 	case kindStats:
-		m := &StatsReq{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		msg = &StatsReq{Deadline: r.U32()}
 	case kindStatsResp:
 		m := &StatsResp{}
-		if m.Status, err = r.u8(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Msg, err = r.str16(); err != nil {
-			return nil, err
-		}
-		if m.Tiles, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if m.Entries, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.WALFrames, err = r.u64(); err != nil {
-			return nil, err
-		}
-		wb, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.WALBytes = int64(wb)
-		if m.Generation, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.ExpiredRejects, err = r.u64(); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		m.Status, m.Epoch, m.Msg = readResponse(r)
+		m.Tiles = r.U32()
+		m.Entries = r.U64()
+		m.WALFrames = r.U64()
+		m.WALBytes = int64(r.U64())
+		m.Generation = r.U64()
+		m.ExpiredRejects = r.U64()
+		msg = m
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrKind, kind)
 	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return msg, nil
 }

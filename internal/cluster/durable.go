@@ -1,6 +1,5 @@
 // Coordinator durability: the canonical record log and every assignment
-// epoch spill to the coordinator's own WAL + snapshot lineage (the same
-// two-phase generation protocol node and server persistence use). Records
+// epoch spill to the coordinator's own wal.Lineage (WAL + snapshot). Records
 // are journaled BEFORE they fan out to any node, so on a coordinator crash
 // the journal is always a superset of what any node holds — restart
 // rebuilds the log and the assignment from disk and resyncs node tails
@@ -8,10 +7,10 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 
+	"trajforge/internal/binenc"
 	"trajforge/internal/fsx"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/wal"
@@ -28,106 +27,61 @@ const (
 	coordFrameAssign  byte = 2 // one installed assignment (codec assignment)
 )
 
-func (s *Store) coordWALPath() string  { return filepath.Join(s.opts.Dir, coordWALName) }
-func (s *Store) coordSnapPath() string { return filepath.Join(s.opts.Dir, coordSnapName) }
-
-// openDurability wires the filesystem seam and, when a Dir is configured,
-// opens the coordinator WAL and recovers the canonical log plus the last
-// journaled assignment from snapshot + log replay. Returns the recovered
-// assignment, or nil when none was journaled (or durability is off).
+// openDurability opens the coordinator's lineage when a Dir is configured
+// and recovers the canonical log plus the last journaled assignment from it.
+// Returns the recovered assignment, or nil when none was journaled (or
+// durability is off).
 func (s *Store) openDurability() (*Assignment, error) {
-	s.fs = s.opts.FS
-	if s.fs == nil {
-		s.fs = fsx.OS
-	}
 	if s.opts.Dir == "" {
 		return nil, nil
 	}
-	if err := s.fs.MkdirAll(s.opts.Dir, 0o755); err != nil {
+	fs := s.opts.FS
+	if fs == nil {
+		fs = fsx.OS
+	}
+	if err := fs.MkdirAll(s.opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: coordinator dir: %w", err)
 	}
-	log, err := wal.Open(s.coordWALPath(), wal.Options{SyncInterval: s.opts.SyncInterval, FS: s.fs})
+	log, err := wal.OpenLineage(filepath.Join(s.opts.Dir, coordWALName), filepath.Join(s.opts.Dir, coordSnapName),
+		wal.Options{SyncInterval: s.opts.SyncInterval, FS: fs})
 	if err != nil {
 		return nil, err
 	}
-	s.wlog = log
-
 	var recovered *Assignment
-	snapGen, payload, err := wal.ReadSnapshotFS(s.fs, s.coordSnapPath())
-	switch {
-	case errors.Is(err, wal.ErrNoSnapshot):
-		snapGen = 0
-	case err != nil:
+	err = log.Recover(func(payload []byte) (err error) {
+		recovered, err = s.loadCoordSnapshot(payload)
+		return err
+	}, func(typ byte, payload []byte) error {
+		return s.replayCoordFrame(typ, payload, &recovered)
+	})
+	if err != nil {
 		log.Close()
 		return nil, err
-	default:
-		a, err := s.loadCoordSnapshot(payload)
-		if err != nil {
-			log.Close()
-			return nil, fmt.Errorf("%w: coordinator snapshot: %v", wal.ErrCorrupt, err)
-		}
-		recovered = a
 	}
-	walGen := s.wlog.Generation()
-	switch {
-	case snapGen > walGen:
-		// Crash between snapshot rename and log reset: the snapshot already
-		// covers every frame of the stale log.
-		if err := s.wlog.Reset(snapGen); err != nil {
-			log.Close()
-			return nil, err
-		}
-	case snapGen < walGen && walGen > 1:
-		log.Close()
-		return nil, fmt.Errorf("%w: coordinator snapshot generation %d behind log generation %d in %s",
-			wal.ErrCorrupt, snapGen, walGen, s.opts.Dir)
-	default:
-		if err := s.wlog.Replay(func(typ byte, payload []byte) error {
-			return s.replayCoordFrame(typ, payload, &recovered)
-		}); err != nil {
-			log.Close()
-			return nil, err
-		}
-	}
+	s.wlog = log
 	return recovered, nil
 }
 
 func (s *Store) replayCoordFrame(typ byte, payload []byte, recovered **Assignment) error {
-	r := &reader{data: payload}
+	r := binenc.NewReader(payload)
 	switch typ {
 	case coordFrameRecords:
-		n, err := r.u32()
-		if err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		recs := decodeRecords(r)
+		if r.Done() == nil {
+			s.appendToLogLocked(recs)
 		}
-		recs := make([]rssimap.Record, 0, n)
-		for i := 0; i < int(n); i++ {
-			rec, err := decodeRecord(r)
-			if err != nil {
-				return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-			}
-			recs = append(recs, rec)
-		}
-		if err := r.done(); err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-		}
-		s.appendToLogLocked(recs)
-		return nil
 	case coordFrameAssign:
-		a, err := decodeAssignment(r)
-		if err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-		}
-		if err := r.done(); err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-		}
-		if *recovered == nil || a.Epoch >= (*recovered).Epoch {
+		a := decodeAssignment(r)
+		if r.Done() == nil && (*recovered == nil || a.Epoch >= (*recovered).Epoch) {
 			*recovered = &a
 		}
-		return nil
 	default:
 		return fmt.Errorf("%w: unknown coordinator frame type %d", wal.ErrCorrupt, typ)
 	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("%w: coordinator frame type %d: %v", wal.ErrCorrupt, typ, err)
+	}
+	return nil
 }
 
 // appendToLogLocked appends recovered records to the canonical log and
@@ -156,7 +110,7 @@ func (s *Store) journalRecordsLocked(encs [][]byte) error {
 	if s.walErr != nil {
 		return s.walErr
 	}
-	buf := appendU32(nil, uint32(len(encs)))
+	buf := binenc.AppendU32(nil, uint32(len(encs)))
 	for _, enc := range encs {
 		buf = append(buf, enc...)
 	}
@@ -188,33 +142,18 @@ func (s *Store) journalAssignLocked(a Assignment) {
 // loadCoordSnapshot decodes a coordinator checkpoint: the canonical record
 // log, then the assignment current when it was taken.
 func (s *Store) loadCoordSnapshot(payload []byte) (*Assignment, error) {
-	r := &reader{data: payload}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]rssimap.Record, 0, n)
-	for i := 0; i < int(n); i++ {
-		rec, err := decodeRecord(r)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-	a, err := decodeAssignment(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
+	r := binenc.NewReader(payload)
+	recs := decodeRecords(r)
+	a := decodeAssignment(r)
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	s.appendToLogLocked(recs)
 	return &a, nil
 }
 
-// Compact checkpoints the coordinator: snapshot the canonical log and the
-// current assignment, durably rename it into place, then reset the WAL to
-// the next generation — two-phase, crash-safe at every point between.
+// Compact checkpoints the coordinator's lineage with the canonical log and
+// the current assignment.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -224,19 +163,12 @@ func (s *Store) Compact() error {
 	if s.walErr != nil {
 		return s.walErr
 	}
-	buf := appendU32(nil, uint32(len(s.log)))
-	var err error
-	for _, rec := range s.log {
-		if buf, err = appendRecord(buf, rec); err != nil {
-			return err
-		}
+	buf, err := appendRecords(nil, s.log)
+	if err != nil {
+		return err
 	}
 	if buf, err = appendAssignment(buf, s.assign); err != nil {
 		return err
 	}
-	gen := s.wlog.Generation() + 1
-	if err := wal.WriteSnapshotFS(s.fs, s.coordSnapPath(), gen, buf); err != nil {
-		return err
-	}
-	return s.wlog.Reset(gen)
+	return s.wlog.Checkpoint(buf)
 }

@@ -3,8 +3,7 @@
 // the canonical sequence number of every record in it (the store holds each
 // record once, losslessly; the tile's entry log is rebuilt from the two for
 // snapshots and migration hand-offs), journals every mutation to its own
-// internal/wal lineage (WAL + snapshot, generation-reconciled exactly like
-// the server's persistence), and serves the shard-transport RPC over TCP.
+// wal.Lineage (WAL + snapshot), and serves the shard-transport RPC over TCP.
 //
 // Fencing: the node journals the assignment epoch it last accepted, and
 // every tile-addressed request carries the sender's epoch. Queries demand
@@ -26,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"trajforge/internal/binenc"
 	"trajforge/internal/fsx"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/shardstore"
@@ -82,18 +82,16 @@ func (ts *tileState) entries(tile [2]int) []Entry {
 
 // Node is one cluster member.
 type Node struct {
-	id   string
-	cfg  shardstore.Config
-	opts NodeOptions
-	fs   fsx.FS
+	id  string
+	cfg shardstore.Config
 
 	mu     sync.RWMutex
 	epoch  uint64
 	assign Assignment
 	tiles  map[[2]int]*tileState
 	frozen map[[2]int]bool
-	log    *wal.Log
-	dead   error // first fatal storage failure; the node refuses everything after
+	log    *wal.Lineage // nil on a memory-only node
+	dead   error        // first fatal storage failure; the node refuses everything after
 	// applyRecs is applyEntriesLocked's reusable run buffer (write lock held).
 	applyRecs []rssimap.Record
 
@@ -109,9 +107,8 @@ type Node struct {
 	expired  uint64
 }
 
-// NewNode opens (or recovers) a shard node. With a Dir, state is loaded
-// snapshot-first then WAL-replayed, reconciling generations the same way
-// server persistence does.
+// NewNode opens (or recovers) a shard node. With a Dir, state is recovered
+// through wal.Lineage: snapshot first, then the WAL replayed on top.
 func NewNode(id string, cfg shardstore.Config, opts NodeOptions) (*Node, error) {
 	if id == "" {
 		return nil, errors.New("cluster: node id must be non-empty")
@@ -129,8 +126,6 @@ func NewNode(id string, cfg shardstore.Config, opts NodeOptions) (*Node, error) 
 	n := &Node{
 		id:     id,
 		cfg:    cfg,
-		opts:   opts,
-		fs:     fs,
 		tiles:  make(map[[2]int]*tileState),
 		frozen: make(map[[2]int]bool),
 		conns:  make(map[net.Conn]struct{}),
@@ -141,12 +136,13 @@ func NewNode(id string, cfg shardstore.Config, opts NodeOptions) (*Node, error) 
 	if err := fs.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: node dir: %w", err)
 	}
-	log, err := wal.Open(filepath.Join(opts.Dir, nodeWALName), wal.Options{SyncInterval: opts.SyncInterval, FS: fs})
+	log, err := wal.OpenLineage(filepath.Join(opts.Dir, nodeWALName), filepath.Join(opts.Dir, nodeSnapName),
+		wal.Options{SyncInterval: opts.SyncInterval, FS: fs})
 	if err != nil {
 		return nil, err
 	}
 	n.log = log
-	if err := n.load(); err != nil {
+	if err := log.Recover(n.loadSnapshot, n.replayFrame); err != nil {
 		log.Close()
 		return nil, err
 	}
@@ -164,79 +160,37 @@ func (n *Node) Epoch() uint64 {
 	return n.epoch
 }
 
-// snapPath returns the snapshot path (only valid with a Dir).
-func (n *Node) snapPath() string { return filepath.Join(n.opts.Dir, nodeSnapName) }
-
-// load reconciles snapshot and WAL generations and replays the log.
-func (n *Node) load() error {
-	snapGen, payload, err := wal.ReadSnapshotFS(n.fs, n.snapPath())
-	switch {
-	case errors.Is(err, wal.ErrNoSnapshot):
-		snapGen = 0
-	case err != nil:
-		return err
-	default:
-		if err := n.loadSnapshot(payload); err != nil {
-			return fmt.Errorf("%w: node snapshot: %v", wal.ErrCorrupt, err)
-		}
-	}
-	walGen := n.log.Generation()
-	switch {
-	case snapGen > walGen:
-		// Crash between snapshot rename and log reset: the snapshot already
-		// covers every frame of the stale log.
-		return n.log.Reset(snapGen)
-	case snapGen < walGen && walGen > 1:
-		return fmt.Errorf("%w: node snapshot generation %d behind log generation %d in %s",
-			wal.ErrCorrupt, snapGen, walGen, n.opts.Dir)
-	default:
-		return n.log.Replay(func(typ byte, payload []byte) error {
-			return n.replayFrame(typ, payload)
-		})
-	}
-}
-
+// replayFrame applies one node WAL frame during recovery. Done both
+// finishes a frame's decode and gates its effect; a frame that fails it is
+// reported below and applies nothing.
 func (n *Node) replayFrame(typ byte, payload []byte) error {
-	r := &reader{data: payload}
+	r := binenc.NewReader(payload)
 	switch typ {
 	case nodeFrameEntries:
-		entries, err := decodeEntries(r)
-		if err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		entries := decodeEntries(r)
+		if r.Done() == nil {
+			n.applyEntriesLocked(entries)
 		}
-		if err := r.done(); err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-		}
-		n.applyEntriesLocked(entries)
-		return nil
 	case nodeFrameDrop:
-		t, err := r.tile()
-		if err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		t := readTile(r)
+		if r.Done() == nil {
+			delete(n.tiles, t)
+			delete(n.frozen, t)
 		}
-		if err := r.done(); err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-		}
-		delete(n.tiles, t)
-		delete(n.frozen, t)
-		return nil
 	case nodeFrameAssign:
-		a, err := decodeAssignment(r)
-		if err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-		}
-		if err := r.done(); err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-		}
+		a := decodeAssignment(r)
 		// Replay preserves monotonicity: frames were only journaled for
 		// accepted (>= current) epochs.
-		if a.Epoch >= n.epoch {
+		if r.Done() == nil && a.Epoch >= n.epoch {
 			n.epoch, n.assign = a.Epoch, a
 		}
-		return nil
 	default:
 		return fmt.Errorf("%w: unknown node frame type %d", wal.ErrCorrupt, typ)
 	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("%w: node frame type %d: %v", wal.ErrCorrupt, typ, err)
+	}
+	return nil
 }
 
 // applyEntriesLocked applies a batch, gated per tile on the applied
@@ -287,11 +241,7 @@ func (n *Node) journalLocked(typ byte, payload []byte) error {
 	return nil
 }
 
-// Compact writes a snapshot of the full node state and resets the WAL to
-// the next generation — the same two-phase protocol as server persistence:
-// the snapshot is durably renamed into place before the log resets, so a
-// crash between the two replays the old log onto the old snapshot or
-// re-points the new log, never loses a frame.
+// Compact checkpoints the node's lineage with a snapshot of its full state.
 func (n *Node) Compact() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -305,11 +255,7 @@ func (n *Node) Compact() error {
 	if err != nil {
 		return err
 	}
-	gen := n.log.Generation() + 1
-	if err := wal.WriteSnapshotFS(n.fs, n.snapPath(), gen, payload); err != nil {
-		return err
-	}
-	return n.log.Reset(gen)
+	return n.log.Checkpoint(payload)
 }
 
 // snapshotLocked encodes the full node state with the wire codec —
@@ -325,13 +271,13 @@ func (n *Node) snapshotLocked() ([]byte, error) {
 		tiles = append(tiles, t)
 	}
 	sort.Slice(tiles, func(i, j int) bool { return tileLess(tiles[i], tiles[j]) })
-	buf = appendU32(buf, uint32(len(tiles)))
+	buf = binenc.AppendU32(buf, uint32(len(tiles)))
 	for _, t := range tiles {
 		ts := n.tiles[t]
 		if buf, err = appendTile(buf, t); err != nil {
 			return nil, err
 		}
-		buf = appendU64(buf, ts.lastSeq)
+		buf = binenc.AppendU64(buf, ts.lastSeq)
 		if buf, err = appendEntries(buf, ts.entries(t)); err != nil {
 			return nil, err
 		}
@@ -339,29 +285,21 @@ func (n *Node) snapshotLocked() ([]byte, error) {
 	return buf, nil
 }
 
+// tileMinBytes is the fixed per-tile snapshot cost (tile + last seq + entry
+// count).
+const tileMinBytes = 8 + 8 + 4
+
 func (n *Node) loadSnapshot(payload []byte) error {
-	r := &reader{data: payload}
-	a, err := decodeAssignment(r)
-	if err != nil {
-		return err
-	}
+	r := binenc.NewReader(payload)
+	a := decodeAssignment(r)
 	n.epoch, n.assign = a.Epoch, a
-	nt, err := r.u32()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < int(nt); i++ {
-		t, err := r.tile()
-		if err != nil {
-			return err
-		}
-		lastSeq, err := r.u64()
-		if err != nil {
-			return err
-		}
-		entries, err := decodeEntries(r)
-		if err != nil {
-			return err
+	nt := r.Count(r.U32(), tileMinBytes)
+	for i := 0; i < nt && r.Err() == nil; i++ {
+		t := readTile(r)
+		lastSeq := r.U64()
+		entries := decodeEntries(r)
+		if r.Err() != nil {
+			break
 		}
 		st, err := rssimap.NewStore(n.cfg.Store, nil)
 		if err != nil {
@@ -378,16 +316,7 @@ func (n *Node) loadSnapshot(payload []byte) error {
 		ts.store.Add(recs)
 		n.tiles[t] = ts
 	}
-	return r.done()
-}
-
-func appendU32(buf []byte, v uint32) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(buf []byte, v uint64) []byte {
-	buf = appendU32(buf, uint32(v))
-	return appendU32(buf, uint32(v>>32))
+	return r.Done()
 }
 
 // Serve accepts shard-transport connections until the listener closes.

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"trajforge/internal/fsx"
 	"trajforge/internal/geo"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/shardstore"
@@ -103,13 +103,13 @@ func (tc *testCluster) checkReplicaLogs(settled bool) error {
 }
 
 // compactedSnapshot compacts a node and returns the snapshot payload it
-// wrote.
-func compactedSnapshot(t *testing.T, n *Node) []byte {
+// wrote into dir.
+func compactedSnapshot(t *testing.T, n *Node, dir string) []byte {
 	t.Helper()
 	if err := n.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := wal.ReadSnapshotFS(fsx.OS, n.snapPath())
+	_, payload, err := wal.ReadSnapshot(filepath.Join(dir, nodeSnapName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +202,8 @@ func TestReplicaRebuildEquivalence(t *testing.T) {
 	// reopened nodes (tiles loaded from the snapshot) still hand out the
 	// canonical logs.
 	for id, n := range tc.nodes {
-		before := compactedSnapshot(t, n)
-		if after := compactedSnapshot(t, tc.restartNode(t, id)); !bytes.Equal(before, after) {
+		before := compactedSnapshot(t, n, tc.dirs[id])
+		if after := compactedSnapshot(t, tc.restartNode(t, id), tc.dirs[id]); !bytes.Equal(before, after) {
 			t.Fatalf("node %s: snapshot changed across reopen (%d vs %d bytes)", id, len(before), len(after))
 		}
 	}

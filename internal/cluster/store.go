@@ -82,7 +82,6 @@ type migration struct {
 type Store struct {
 	cfg  shardstore.Config
 	opts Options
-	fs   fsx.FS
 
 	mu        sync.RWMutex
 	log       []rssimap.Record
@@ -90,8 +89,8 @@ type Store struct {
 	assign    Assignment
 	migrating map[[2]int]*migration
 	nodes     map[string]*nodeClient
-	wlog      *wal.Log // canonical-log + assignment journal (nil = memory-only)
-	walErr    error    // first fatal journal failure; Add fails closed after
+	wlog      *wal.Lineage // canonical-log + assignment journal (nil = memory-only)
+	walErr    error        // first fatal journal failure; Add fails closed after
 
 	forwards     atomic.Uint64 // confidence RPCs sent to nodes
 	halo         atomic.Uint64 // halo (non-owner-tile) entries fanned out

@@ -124,53 +124,57 @@ func RunClusterReplicated(opts ClusterOptions) (*ClusterReplicatedResult, error)
 		accepted, rejected, errors int
 	}
 	stats := make([]workerStats, opts.Workers)
-	// Worker 0 kills the victim just before its item nearest the workload
-	// midpoint; the failure window runs on follower reads until the same
-	// worker re-replicates the dead node's tiles at the three-quarter mark
-	// — all under concurrent load from every other worker.
+	// The run has three phases with a barrier between them: healthy, the
+	// failure window (victim dead, follower reads), and repaired. Every
+	// worker finishes a phase before the next begins, so each sends its
+	// share of items — a quarter of them — inside the failure window no
+	// matter how the scheduler interleaves workers; left unsynchronised, the
+	// others could finish their whole slice before the kill and leave the
+	// window empty of reads. Both marks are multiples of Workers, so worker g
+	// still sends exactly the items congruent to g.
 	killAt := (len(w.Items) / 2 / opts.Workers) * opts.Workers
 	repairAt := (len(w.Items) * 3 / 4 / opts.Workers) * opts.Workers
 	if repairAt <= killAt {
 		repairAt = killAt + opts.Workers
 	}
-	var killErr error
-	var wg sync.WaitGroup
+	runPhase := func(lo, hi int) {
+		var wg sync.WaitGroup
+		for g := 0; g < opts.Workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				st := &stats[g]
+				for i := lo + g; i < hi && i < len(w.Items); i += opts.Workers {
+					t0 := time.Now()
+					v, err := postUpload(client, url, "application/json", w.Items[i].Body)
+					st.latencies = append(st.latencies, float64(time.Since(t0).Nanoseconds())/1e6)
+					switch {
+					case err != nil:
+						st.errors++
+					case v.Accepted:
+						st.accepted++
+					default:
+						st.rejected++
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
 	start := time.Now()
-	for g := 0; g < opts.Workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			st := &stats[g]
-			for i := g; i < len(w.Items); i += opts.Workers {
-				if g == 0 && i == killAt {
-					if err := nodes[victim].Close(); err != nil {
-						killErr = err
-					}
-				}
-				if g == 0 && i == repairAt {
-					if err := cs.Rereplicate(victim); err != nil {
-						killErr = fmt.Errorf("rereplicate %s: %w", victim, err)
-					}
-				}
-				t0 := time.Now()
-				v, err := postUpload(client, url, "application/json", w.Items[i].Body)
-				st.latencies = append(st.latencies, float64(time.Since(t0).Nanoseconds())/1e6)
-				switch {
-				case err != nil:
-					st.errors++
-				case v.Accepted:
-					st.accepted++
-				default:
-					st.rejected++
-				}
-			}
-		}(g)
+	runPhase(0, killAt)
+	if err := nodes[victim].Close(); err != nil {
+		return nil, fmt.Errorf("loadgen: mid-run node kill: %w", err)
 	}
-	wg.Wait()
+	runPhase(killAt, repairAt)
+	// The repair runs under the last phase's load, as an operator's would.
+	repaired := make(chan error, 1)
+	go func() { repaired <- cs.Rereplicate(victim) }()
+	runPhase(repairAt, len(w.Items))
+	if err := <-repaired; err != nil {
+		return nil, fmt.Errorf("loadgen: rereplicate %s: %w", victim, err)
+	}
 	elapsed := time.Since(start)
-	if killErr != nil {
-		return nil, fmt.Errorf("loadgen: mid-run node kill: %w", killErr)
-	}
 
 	var all []float64
 	for i := range stats {

@@ -10,8 +10,10 @@ import (
 	"trajforge/internal/cluster"
 	"trajforge/internal/detect"
 	"trajforge/internal/resilience"
+	"trajforge/internal/rssimap"
 	"trajforge/internal/shardstore"
 	"trajforge/internal/stream"
+	"trajforge/internal/trust"
 	"trajforge/internal/wifi"
 )
 
@@ -248,5 +250,69 @@ func TestClusterHealthDegraded(t *testing.T) {
 	}
 	if retryAfter == "" {
 		t.Fatal("degraded health carries no Retry-After")
+	}
+}
+
+// TestTrustStatsSayWhetherWeightingIsLive: `-trust` in front of a backend
+// that cannot apply contributor weights must not look the same in /v1/stats
+// as one that can. The field is read off the wire, as an operator would.
+func TestTrustStatsSayWhetherWeightingIsLive(t *testing.T) {
+	recs := persistRecords(rand.New(rand.NewSource(97)), 200)
+	global, err := rssimap.NewStore(rssimap.DefaultConfig(), recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := cluster.NewNode("n1", shardstore.DefaultConfig(), cluster.NodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := node.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, err := cluster.NewStore(cluster.Options{
+		Shard: shardstore.DefaultConfig(), Nodes: map[string]string{"n1": addr.String()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		clustered.Close()
+		node.Close()
+	})
+	det := trainTestDetector(t, global)
+	for _, tc := range []struct {
+		name  string
+		store rssimap.Backend
+		want  bool
+	}{
+		{"rssimap.Store", global, true},
+		{"shardstore.Store", sharded, true},
+		{"cluster.Store", clustered, false},
+	} {
+		tcfg := trust.DefaultConfig()
+		_, ts, _ := newTestService(t, Config{
+			WiFi:  &detect.WiFiDetector{Store: tc.store, Model: det.Model, Features: det.Features},
+			Trust: &tcfg,
+		})
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			Trust map[string]json.RawMessage `json:"trust"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(st.Trust["weighting_active"]); got != fmt.Sprint(tc.want) {
+			t.Errorf("%s: /v1/stats trust.weighting_active = %q, want %v", tc.name, got, tc.want)
+		}
 	}
 }

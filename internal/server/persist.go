@@ -168,10 +168,8 @@ type persistEntry struct {
 // log asynchronously (bounded queue, group-committed fsync); compaction
 // snapshots the full provider state and resets the log.
 type Persistence struct {
-	opts     PersistOptions
-	dir      string
-	log      *wal.Log
-	snapPath string
+	opts PersistOptions
+	log  *wal.Lineage
 
 	recovered *RecoveredState
 
@@ -198,11 +196,8 @@ type Persistence struct {
 }
 
 // OpenPersistence opens (or initialises) the data directory and recovers
-// the provider state from the snapshot and WAL. The generation protocol:
-// a snapshot newer than the log supersedes it entirely (crash between
-// snapshot rename and log reset); equal generations replay the log on top
-// of the snapshot; a log newer than its snapshot means the snapshot file
-// was lost and recovery refuses to guess.
+// the provider state from the snapshot and WAL through wal.Lineage, which
+// owns the generation protocol.
 func OpenPersistence(dir string, opts PersistOptions) (*Persistence, error) {
 	opts.setDefaults()
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
@@ -212,16 +207,14 @@ func OpenPersistence(dir string, opts PersistOptions) (*Persistence, error) {
 	if syncInterval < 0 {
 		syncInterval = 0 // wal: zero = inline fsync per append
 	}
-	log, err := wal.Open(filepath.Join(dir, walFileName),
+	log, err := wal.OpenLineage(filepath.Join(dir, walFileName), filepath.Join(dir, snapFileName),
 		wal.Options{SyncInterval: syncInterval, FS: opts.FS})
 	if err != nil {
 		return nil, err
 	}
 	p := &Persistence{
 		opts:      opts,
-		dir:       dir,
 		log:       log,
-		snapPath:  filepath.Join(dir, snapFileName),
 		queue:     make(chan persistEntry, opts.QueueDepth),
 		compactCh: make(chan chan error),
 		stop:      make(chan struct{}),
@@ -237,124 +230,107 @@ func OpenPersistence(dir string, opts PersistOptions) (*Persistence, error) {
 	return p, nil
 }
 
-// load reconciles snapshot and WAL generations and replays the log.
+// load rebuilds the recovered state: the snapshot, then every frame the
+// log holds on top of it.
 func (p *Persistence) load() error {
 	st := &RecoveredState{}
 	pending := newPendingSessions()
-	snapGen, payload, err := wal.ReadSnapshotFS(p.opts.FS, p.snapPath)
-	switch {
-	case errors.Is(err, wal.ErrNoSnapshot):
-		snapGen = 0
-	case err != nil:
-		return err
-	default:
+	err := p.log.Recover(func(payload []byte) error {
 		var snap snapshotData
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-			return fmt.Errorf("%w: snapshot payload: %v", wal.ErrCorrupt, err)
+			return err
 		}
 		st.Accepted, st.Rejected = snap.Accepted, snap.Rejected
 		st.Records, st.History = snap.Records, snap.History
 		st.Trust = snap.Trust
 		for i := range snap.Sessions {
 			if err := pending.open(snap.Sessions[i]); err != nil {
-				return fmt.Errorf("%w: snapshot sessions: %v", wal.ErrCorrupt, err)
+				return fmt.Errorf("sessions: %v", err)
 			}
 		}
-	}
-
-	walGen := p.log.Generation()
-	switch {
-	case snapGen > walGen:
-		// Crash between snapshot rename and log reset: the snapshot already
-		// contains every frame in the stale log, so discard the frames and
-		// re-point the log at the snapshot's generation.
-		if err := p.log.Reset(snapGen); err != nil {
-			return err
-		}
-	case snapGen < walGen && walGen > 1:
-		// The log was compacted at least once, so a snapshot of its
-		// generation must exist; a missing or older one means lost data.
-		return fmt.Errorf("%w: snapshot generation %d behind log generation %d in %s",
-			wal.ErrCorrupt, snapGen, walGen, p.dir)
-	default:
-		err := p.log.Replay(func(typ byte, payload []byte) error {
-			switch typ {
-			case frameAccepted:
-				u, pFake, err := decodeUpload(payload)
-				if err != nil {
-					return err
-				}
-				st.Uploads = append(st.Uploads, u)
-				st.UploadScores = append(st.UploadScores, pFake)
-				st.Accepted++
-			case frameRejected:
-				st.Rejected++
-			case frameSessionOpen:
-				id, mode, contributor, err := decodeSessionOpen(payload)
-				if err != nil {
-					return err
-				}
-				if err := pending.open(stream.SessionState{ID: id, Mode: mode, Contributor: contributor}); err != nil {
-					return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-				}
-			case frameSessionChunk:
-				chunk, _, err := decodeUpload(payload)
-				if err != nil {
-					return err
-				}
-				if err := pending.appendChunk(chunk); err != nil {
-					return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-				}
-			case frameSessionReject:
-				id, err := decodeSessionReject(payload)
-				if err != nil {
-					return err
-				}
-				if err := pending.reject(id); err != nil {
-					return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-				}
-			case frameSessionVerdict:
-				id, outcome, pFake, err := decodeSessionVerdict(payload)
-				if err != nil {
-					return err
-				}
-				sess, err := pending.resolve(id)
-				if err != nil {
-					return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-				}
-				switch outcome {
-				case sessionAccepted:
-					// The verdict frame carries no trajectory: the chunks
-					// already journaled every point bit-exact. Reassemble and
-					// replay through the same path a batch accept takes, in
-					// frame (= ingestion) order.
-					st.Uploads = append(st.Uploads, &wifi.Upload{
-						Traj: &trajectory.T{
-							ID: sess.ID, Mode: sess.Mode, Points: sess.Points,
-						},
-						Scans:       sess.Scans,
-						Contributor: sess.Contributor,
-					})
-					st.UploadScores = append(st.UploadScores, pFake)
-					st.Accepted++
-				case sessionRejected:
-					st.Rejected++
-				case sessionAborted:
-					// Expired or refused on restart: drop without a verdict.
-				default:
-					return fmt.Errorf("%w: unknown session outcome %d", wal.ErrCorrupt, outcome)
-				}
-			default:
-				return fmt.Errorf("%w: unknown frame type %d", wal.ErrCorrupt, typ)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+		return nil
+	}, func(typ byte, payload []byte) error {
+		return replayFrame(st, pending, typ, payload)
+	})
+	if err != nil {
+		return err
 	}
 	st.Sessions = pending.inFlight()
 	p.recovered = st
+	return nil
+}
+
+// replayFrame applies one WAL frame to the state under recovery.
+func replayFrame(st *RecoveredState, pending *pendingSessions, typ byte, payload []byte) error {
+	switch typ {
+	case frameAccepted:
+		u, pFake, err := decodeUpload(payload)
+		if err != nil {
+			return err
+		}
+		st.Uploads = append(st.Uploads, u)
+		st.UploadScores = append(st.UploadScores, pFake)
+		st.Accepted++
+	case frameRejected:
+		st.Rejected++
+	case frameSessionOpen:
+		id, mode, contributor, err := decodeSessionOpen(payload)
+		if err != nil {
+			return err
+		}
+		if err := pending.open(stream.SessionState{ID: id, Mode: mode, Contributor: contributor}); err != nil {
+			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		}
+	case frameSessionChunk:
+		chunk, _, err := decodeUpload(payload)
+		if err != nil {
+			return err
+		}
+		if err := pending.appendChunk(chunk); err != nil {
+			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		}
+	case frameSessionReject:
+		id, err := decodeSessionReject(payload)
+		if err != nil {
+			return err
+		}
+		if err := pending.reject(id); err != nil {
+			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		}
+	case frameSessionVerdict:
+		id, outcome, pFake, err := decodeSessionVerdict(payload)
+		if err != nil {
+			return err
+		}
+		sess, err := pending.resolve(id)
+		if err != nil {
+			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		}
+		switch outcome {
+		case sessionAccepted:
+			// The verdict frame carries no trajectory: the chunks
+			// already journaled every point bit-exact. Reassemble and
+			// replay through the same path a batch accept takes, in
+			// frame (= ingestion) order.
+			st.Uploads = append(st.Uploads, &wifi.Upload{
+				Traj: &trajectory.T{
+					ID: sess.ID, Mode: sess.Mode, Points: sess.Points,
+				},
+				Scans:       sess.Scans,
+				Contributor: sess.Contributor,
+			})
+			st.UploadScores = append(st.UploadScores, pFake)
+			st.Accepted++
+		case sessionRejected:
+			st.Rejected++
+		case sessionAborted:
+			// Expired or refused on restart: drop without a verdict.
+		default:
+			return fmt.Errorf("%w: unknown session outcome %d", wal.ErrCorrupt, outcome)
+		}
+	default:
+		return fmt.Errorf("%w: unknown frame type %d", wal.ErrCorrupt, typ)
+	}
 	return nil
 }
 
@@ -599,9 +575,9 @@ func (p *Persistence) maybeAutoCompact() {
 	}
 }
 
-// compact writes a snapshot of the full provider state and resets the log
-// to the snapshot's generation. It runs on the appender goroutine (or on
-// Close's, once the appender has exited), so it is the sole WAL writer.
+// compact checkpoints the lineage with a snapshot of the full provider
+// state. It runs on the appender goroutine (or on Close's, once the appender
+// has exited), so it is the sole WAL writer.
 func (p *Persistence) compact() error {
 	if p.svc == nil {
 		return errors.New("server: persistence not bound to a service")
@@ -617,7 +593,6 @@ func (p *Persistence) compact() error {
 	// holds exactly the frames the captured state accounts for.
 	p.drainQueue()
 	st := p.svc.snapshotLocked()
-	gen := p.log.Generation() + 1
 	p.svc.mu.Unlock()
 	// Phase 3: persist outside the lock. Uploads accepted from here on sit
 	// in the queue until compaction finishes, so their frames land after
@@ -626,10 +601,7 @@ func (p *Persistence) compact() error {
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return fmt.Errorf("server: encode snapshot: %w", err)
 	}
-	if err := wal.WriteSnapshotFS(p.opts.FS, p.snapPath, gen, buf.Bytes()); err != nil {
-		return err
-	}
-	if err := p.log.Reset(gen); err != nil {
+	if err := p.log.Checkpoint(buf.Bytes()); err != nil {
 		return err
 	}
 	p.lastSnapshot.Store(time.Now().UnixNano())

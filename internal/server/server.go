@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trajforge/internal/binenc"
 	"trajforge/internal/cluster"
 	"trajforge/internal/detect"
 	"trajforge/internal/geo"
@@ -468,7 +469,10 @@ func (s *Service) decode(req *UploadRequest) (*wifi.Upload, error) {
 // the shared half of batch and streaming decoding. Trajectory-level rules
 // (length, timing) stay with the callers: the batch decoder validates the
 // whole trajectory at once, while the stream manager enforces them
-// incrementally across chunk boundaries.
+// incrementally across chunk boundaries. Every scan must pass the encoders'
+// own range check here, whatever wire form it arrived in: a reading the WAL
+// or the shard transport cannot carry is a bad request, not a persistence
+// failure to be discovered after the upload was accepted.
 func (s *Service) decodePoints(points []uploadPoint) ([]trajectory.Point, []wifi.Scan, bool, error) {
 	pts := make([]trajectory.Point, len(points))
 	scans := make([]wifi.Scan, len(points))
@@ -481,6 +485,9 @@ func (s *Service) decodePoints(points []uploadPoint) ([]trajectory.Point, []wifi
 		pts[i] = trajectory.Point{
 			Pos:  s.cfg.Projection.ToPlane(ll),
 			Time: time.UnixMilli(p.Time).UTC(),
+		}
+		if err := binenc.CheckScan(p.Scan); err != nil {
+			return nil, nil, false, fmt.Errorf("point %d: %w", i, err)
 		}
 		if len(p.Scan) > 0 {
 			scans[i] = wifi.Scan(p.Scan)

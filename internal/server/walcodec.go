@@ -1,11 +1,10 @@
 package server
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
+	"trajforge/internal/binenc"
 	"trajforge/internal/trajectory"
 	"trajforge/internal/wifi"
 )
@@ -34,43 +33,81 @@ import (
 
 const uploadCodecVersion = 2
 
+// walPointSize is the fixed per-point cost (X, Y, nanos) plus the point's
+// scan count: the least a claimed point occupies.
+const walPointSize = 24 + 2
+
 // appendUpload encodes u onto buf and returns the extended slice.
 func appendUpload(buf []byte, u *wifi.Upload, pFake float64) ([]byte, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
-	if len(u.Traj.ID) > math.MaxUint16 {
-		return nil, fmt.Errorf("server: upload id of %d bytes too long to persist", len(u.Traj.ID))
-	}
-	if len(u.Contributor) > math.MaxUint16 {
-		return nil, fmt.Errorf("server: contributor of %d bytes too long to persist", len(u.Contributor))
-	}
 	buf = append(buf, uploadCodecVersion, byte(u.Traj.Mode))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(u.Traj.ID)))
-	buf = append(buf, u.Traj.ID...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(u.Traj.Len()))
+	buf, err := binenc.AppendStr16(buf, u.Traj.ID)
+	if err != nil {
+		return nil, fmt.Errorf("server: upload id: %w", err)
+	}
+	buf = binenc.AppendU32(buf, uint32(u.Traj.Len()))
 	for _, pt := range u.Traj.Points {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pt.Pos.X))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pt.Pos.Y))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(pt.Time.UnixNano()))
+		buf = binenc.AppendF64(buf, pt.Pos.X)
+		buf = binenc.AppendF64(buf, pt.Pos.Y)
+		buf = binenc.AppendU64(buf, uint64(pt.Time.UnixNano()))
 	}
-	for _, scan := range u.Scans {
-		if len(scan) > math.MaxUint16 {
-			return nil, fmt.Errorf("server: scan of %d observations too large to persist", len(scan))
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(scan)))
-		for _, obs := range scan {
-			if len(obs.MAC) > math.MaxUint8 {
-				return nil, fmt.Errorf("server: MAC %q too long to persist", obs.MAC)
-			}
-			buf = append(buf, byte(len(obs.MAC)))
-			buf = append(buf, obs.MAC...)
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(obs.RSSI)))
+	for i, scan := range u.Scans {
+		if buf, err = binenc.AppendScan(buf, scan); err != nil {
+			return nil, fmt.Errorf("server: scan %d: %w", i, err)
 		}
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(u.Contributor)))
-	buf = append(buf, u.Contributor...)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pFake))
+	if buf, err = binenc.AppendStr16(buf, u.Contributor); err != nil {
+		return nil, fmt.Errorf("server: contributor: %w", err)
+	}
+	return binenc.AppendF64(buf, pFake), nil
+}
+
+// decodeUpload parses one frame payload back into an upload.
+func decodeUpload(data []byte) (*wifi.Upload, float64, error) {
+	r := binenc.NewReader(data)
+	ver := r.U8()
+	if r.Err() == nil && ver != 1 && ver != uploadCodecVersion {
+		return nil, 0, fmt.Errorf("server: unknown upload frame version %d", ver)
+	}
+	t := &trajectory.T{}
+	t.Mode = trajectory.Mode(r.U8())
+	t.ID = r.Str16()
+	t.Points = make([]trajectory.Point, r.Count(r.U32(), walPointSize))
+	for i := 0; i < len(t.Points) && r.Err() == nil; i++ {
+		t.Points[i].Pos.X = r.F64()
+		t.Points[i].Pos.Y = r.F64()
+		t.Points[i].Time = time.Unix(0, int64(r.U64())).UTC()
+	}
+	u := &wifi.Upload{Traj: t, Scans: make([]wifi.Scan, len(t.Points))}
+	for i := 0; i < len(u.Scans) && r.Err() == nil; i++ {
+		// The ingest path hands the store empty, non-nil scans for points
+		// that heard nothing; replay rebuilds exactly that.
+		if u.Scans[i] = r.Scan(); u.Scans[i] == nil {
+			u.Scans[i] = wifi.Scan{}
+		}
+	}
+	var pFake float64
+	if ver >= 2 {
+		u.Contributor = r.Str16()
+		pFake = r.F64()
+	}
+	if err := r.Done(); err != nil {
+		return nil, 0, fmt.Errorf("server: upload frame: %w", err)
+	}
+	return u, pFake, nil
+}
+
+// appendSessionID starts a session frame payload: `u16 len(id) | id`.
+func appendSessionID(buf []byte, id string) ([]byte, error) {
+	if id == "" {
+		return nil, fmt.Errorf("server: session frame without an id")
+	}
+	buf, err := binenc.AppendStr16(buf, id)
+	if err != nil {
+		return nil, fmt.Errorf("server: session id: %w", err)
+	}
 	return buf, nil
 }
 
@@ -82,59 +119,28 @@ func appendUpload(buf []byte, u *wifi.Upload, pFake float64) ([]byte, error) {
 // anonymous sessions) end after the mode byte, so pre-provenance WALs
 // still decode.
 func appendSessionOpen(buf []byte, id string, mode trajectory.Mode, contributor string) ([]byte, error) {
-	if id == "" {
-		return nil, fmt.Errorf("server: session open without an id")
+	buf, err := appendSessionID(buf, id)
+	if err != nil {
+		return nil, err
 	}
-	if len(id) > math.MaxUint16 {
-		return nil, fmt.Errorf("server: session id of %d bytes too long to persist", len(id))
-	}
-	if len(contributor) > math.MaxUint16 {
-		return nil, fmt.Errorf("server: contributor of %d bytes too long to persist", len(contributor))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(id)))
-	buf = append(buf, id...)
 	buf = append(buf, byte(mode))
 	if contributor != "" {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(contributor)))
-		buf = append(buf, contributor...)
+		if buf, err = binenc.AppendStr16(buf, contributor); err != nil {
+			return nil, fmt.Errorf("server: contributor: %w", err)
+		}
 	}
 	return buf, nil
 }
 
 // decodeSessionOpen parses a frameSessionOpen payload.
 func decodeSessionOpen(data []byte) (string, trajectory.Mode, string, error) {
-	r := &frameReader{data: data}
-	idLen, err := r.u16()
-	if err != nil {
-		return "", 0, "", err
+	r := binenc.NewReader(data)
+	id, mode := r.Str16(), trajectory.Mode(r.U8())
+	contributor := readContributorBlock(r)
+	if err := r.Done(); err != nil {
+		return "", 0, "", fmt.Errorf("server: session open frame: %w", err)
 	}
-	id, err := r.take(int(idLen))
-	if err != nil {
-		return "", 0, "", err
-	}
-	mode, err := r.u8()
-	if err != nil {
-		return "", 0, "", err
-	}
-	var contributor string
-	if r.off != len(data) {
-		cLen, err := r.u16()
-		if err != nil {
-			return "", 0, "", err
-		}
-		c, err := r.take(int(cLen))
-		if err != nil {
-			return "", 0, "", err
-		}
-		if len(c) == 0 {
-			return "", 0, "", fmt.Errorf("server: empty contributor block in session open frame")
-		}
-		contributor = string(c)
-	}
-	if r.off != len(data) {
-		return "", 0, "", fmt.Errorf("server: %d trailing bytes in session open frame", len(data)-r.off)
-	}
-	return string(id), trajectory.Mode(mode), contributor, nil
+	return id, mode, contributor, nil
 }
 
 // appendSessionVerdict encodes a frameSessionVerdict payload:
@@ -146,224 +152,44 @@ func decodeSessionOpen(data []byte) (string, trajectory.Mode, string, error) {
 // sessions reach the trust pipeline. Old frames (and rejects/aborts) end
 // after the outcome byte, so pre-provenance WALs still decode.
 func appendSessionVerdict(buf []byte, id string, outcome byte, pFake float64) ([]byte, error) {
-	if id == "" {
-		return nil, fmt.Errorf("server: session verdict without an id")
+	buf, err := appendSessionID(buf, id)
+	if err != nil {
+		return nil, err
 	}
-	if len(id) > math.MaxUint16 {
-		return nil, fmt.Errorf("server: session id of %d bytes too long to persist", len(id))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(id)))
-	buf = append(buf, id...)
 	buf = append(buf, outcome)
 	if outcome == sessionAccepted {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pFake))
+		buf = binenc.AppendF64(buf, pFake)
 	}
 	return buf, nil
 }
 
 // decodeSessionVerdict parses a frameSessionVerdict payload.
 func decodeSessionVerdict(data []byte) (string, byte, float64, error) {
-	r := &frameReader{data: data}
-	idLen, err := r.u16()
-	if err != nil {
-		return "", 0, 0, err
-	}
-	id, err := r.take(int(idLen))
-	if err != nil {
-		return "", 0, 0, err
-	}
-	outcome, err := r.u8()
-	if err != nil {
-		return "", 0, 0, err
-	}
+	r := binenc.NewReader(data)
+	id, outcome := r.Str16(), r.U8()
 	var pFake float64
-	if r.off != len(data) {
-		bits, err := r.u64()
-		if err != nil {
-			return "", 0, 0, err
-		}
-		pFake = math.Float64frombits(bits)
+	if r.Len() > 0 {
+		pFake = r.F64()
 	}
-	if r.off != len(data) {
-		return "", 0, 0, fmt.Errorf("server: %d trailing bytes in session verdict frame", len(data)-r.off)
+	if err := r.Done(); err != nil {
+		return "", 0, 0, fmt.Errorf("server: session verdict frame: %w", err)
 	}
-	return string(id), outcome, pFake, nil
+	return id, outcome, pFake, nil
 }
 
 // appendSessionReject encodes a frameSessionReject payload:
 //
 //	u16 len(id) | id
 func appendSessionReject(buf []byte, id string) ([]byte, error) {
-	if id == "" {
-		return nil, fmt.Errorf("server: session reject without an id")
-	}
-	if len(id) > math.MaxUint16 {
-		return nil, fmt.Errorf("server: session id of %d bytes too long to persist", len(id))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(id)))
-	buf = append(buf, id...)
-	return buf, nil
+	return appendSessionID(buf, id)
 }
 
 // decodeSessionReject parses a frameSessionReject payload.
 func decodeSessionReject(data []byte) (string, error) {
-	r := &frameReader{data: data}
-	idLen, err := r.u16()
-	if err != nil {
-		return "", err
+	r := binenc.NewReader(data)
+	id := r.Str16()
+	if err := r.Done(); err != nil {
+		return "", fmt.Errorf("server: session reject frame: %w", err)
 	}
-	id, err := r.take(int(idLen))
-	if err != nil {
-		return "", err
-	}
-	if r.off != len(data) {
-		return "", fmt.Errorf("server: %d trailing bytes in session reject frame", len(data)-r.off)
-	}
-	return string(id), nil
-}
-
-// frameReader is a bounds-checked cursor over one frame payload.
-type frameReader struct {
-	data []byte
-	off  int
-}
-
-func (r *frameReader) take(n int) ([]byte, error) {
-	if r.off+n > len(r.data) {
-		return nil, fmt.Errorf("server: truncated upload frame at byte %d", r.off)
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *frameReader) u8() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *frameReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *frameReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *frameReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-// decodeUpload parses one frame payload back into an upload.
-func decodeUpload(data []byte) (*wifi.Upload, float64, error) {
-	r := &frameReader{data: data}
-	ver, err := r.u8()
-	if err != nil {
-		return nil, 0, err
-	}
-	if ver != 1 && ver != uploadCodecVersion {
-		return nil, 0, fmt.Errorf("server: unknown upload frame version %d", ver)
-	}
-	mode, err := r.u8()
-	if err != nil {
-		return nil, 0, err
-	}
-	idLen, err := r.u16()
-	if err != nil {
-		return nil, 0, err
-	}
-	id, err := r.take(int(idLen))
-	if err != nil {
-		return nil, 0, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return nil, 0, err
-	}
-	if int64(n)*24 > int64(len(data)) {
-		return nil, 0, fmt.Errorf("server: upload frame claims %d points in %d bytes", n, len(data))
-	}
-	t := &trajectory.T{
-		ID:     string(id),
-		Mode:   trajectory.Mode(mode),
-		Points: make([]trajectory.Point, n),
-	}
-	for i := range t.Points {
-		xb, err := r.u64()
-		if err != nil {
-			return nil, 0, err
-		}
-		yb, err := r.u64()
-		if err != nil {
-			return nil, 0, err
-		}
-		ns, err := r.u64()
-		if err != nil {
-			return nil, 0, err
-		}
-		t.Points[i].Pos.X = math.Float64frombits(xb)
-		t.Points[i].Pos.Y = math.Float64frombits(yb)
-		t.Points[i].Time = time.Unix(0, int64(ns)).UTC()
-	}
-	scans := make([]wifi.Scan, n)
-	for i := range scans {
-		nObs, err := r.u16()
-		if err != nil {
-			return nil, 0, err
-		}
-		scan := make(wifi.Scan, 0, nObs)
-		for j := 0; j < int(nObs); j++ {
-			macLen, err := r.u8()
-			if err != nil {
-				return nil, 0, err
-			}
-			mac, err := r.take(int(macLen))
-			if err != nil {
-				return nil, 0, err
-			}
-			rssi, err := r.u16()
-			if err != nil {
-				return nil, 0, err
-			}
-			scan = append(scan, wifi.Observation{MAC: string(mac), RSSI: int(int16(rssi))})
-		}
-		scans[i] = scan
-	}
-	var contributor string
-	var pFake float64
-	if ver >= 2 {
-		cLen, err := r.u16()
-		if err != nil {
-			return nil, 0, err
-		}
-		c, err := r.take(int(cLen))
-		if err != nil {
-			return nil, 0, err
-		}
-		contributor = string(c)
-		bits, err := r.u64()
-		if err != nil {
-			return nil, 0, err
-		}
-		pFake = math.Float64frombits(bits)
-	}
-	if r.off != len(data) {
-		return nil, 0, fmt.Errorf("server: %d trailing bytes in upload frame", len(data)-r.off)
-	}
-	return &wifi.Upload{Traj: t, Scans: scans, Contributor: contributor}, pFake, nil
+	return id, nil
 }

@@ -1,13 +1,12 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 
+	"trajforge/internal/binenc"
 	"trajforge/internal/trajectory"
-	"trajforge/internal/wifi"
 )
 
 // Binary request codec for the upload and session-append endpoints,
@@ -62,101 +61,37 @@ const (
 	wirePointSize = 24
 )
 
-// Typed decode failures, distinguishable with errors.Is.
+// Typed decode failures, distinguishable with errors.Is. Truncated,
+// oversized and value are binenc's sentinels under the names this package
+// has always exported; version and kind belong to this frame format.
 var (
 	// ErrWireTruncated: the frame ends before a declared field.
-	ErrWireTruncated = errors.New("server: truncated binary frame")
+	ErrWireTruncated = binenc.ErrTruncated
 	// ErrWireOversized: a declared count cannot fit the frame's bytes, or
 	// the payload length disagrees with the body.
-	ErrWireOversized = errors.New("server: oversized binary frame")
+	ErrWireOversized = binenc.ErrOversized
 	// ErrWireVersion: the version byte is not a version this server speaks.
 	ErrWireVersion = errors.New("server: unsupported binary frame version")
 	// ErrWireKind: the kind byte does not match the endpoint.
 	ErrWireKind = errors.New("server: wrong binary frame kind")
 	// ErrWireValue: a field holds a value with no wire meaning (an unknown
 	// travel mode, an RSSI outside int16).
-	ErrWireValue = errors.New("server: invalid binary frame value")
+	ErrWireValue = binenc.ErrValue
 )
 
-// wireReader is a bounds-checked cursor over one binary request frame —
-// the frameReader idiom with typed errors, since wire decode failures are
-// client-visible (400) and tested for identity.
-type wireReader struct {
-	data []byte
-	off  int
-}
-
-func (r *wireReader) take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.data) || r.off+n < 0 {
-		return nil, fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrWireTruncated, n, r.off, len(r.data))
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *wireReader) u8() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *wireReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *wireReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *wireReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
 // wireHeader parses and checks the three-field frame header, returning the
-// payload cursor.
-func wireHeader(data []byte, wantKind byte) (*wireReader, error) {
-	r := &wireReader{data: data}
-	ver, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if ver != wireVersion {
+// payload cursor. Version and kind are judged as soon as they are read, so
+// a frame from another version is named as that, not as truncated.
+func wireHeader(data []byte, wantKind byte) (*binenc.Reader, error) {
+	r := binenc.NewReader(data)
+	if ver := r.U8(); r.Err() == nil && ver != wireVersion {
 		return nil, fmt.Errorf("%w: got version %d, speak %d", ErrWireVersion, ver, wireVersion)
 	}
-	kind, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if kind != wantKind {
+	if kind := r.U8(); r.Err() == nil && kind != wantKind {
 		return nil, fmt.Errorf("%w: got kind %d, endpoint takes %d", ErrWireKind, kind, wantKind)
 	}
-	plen, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	rest := len(data) - r.off
-	if int64(plen) > int64(rest) {
-		return nil, fmt.Errorf("%w: header declares %d payload bytes, %d present", ErrWireTruncated, plen, rest)
-	}
-	if int(plen) < rest {
-		return nil, fmt.Errorf("%w: header declares %d payload bytes, %d present", ErrWireOversized, plen, rest)
-	}
-	return r, nil
+	r.PayloadLen()
+	return r, r.Err()
 }
 
 // wireMode maps a mode byte to the wire (JSON) mode string; 0 is the
@@ -186,122 +121,75 @@ func wireModeByte(mode string) (byte, error) {
 	return byte(m), nil
 }
 
-// wirePoints parses n points and their scans off the cursor.
-func wirePoints(r *wireReader, n uint32) ([]uploadPoint, error) {
-	if int64(n)*wirePointSize > int64(len(r.data)-r.off) {
-		return nil, fmt.Errorf("%w: claims %d points in %d payload bytes", ErrWireOversized, n, len(r.data)-r.off)
+// wirePoints parses a point count, that many points, and their scans off
+// the cursor. An empty scan decodes as nil, as JSON's absent "scan" does.
+func wirePoints(r *binenc.Reader) []uploadPoint {
+	pts := make([]uploadPoint, r.Count(r.U32(), wirePointSize))
+	for i := 0; i < len(pts) && r.Err() == nil; i++ {
+		pts[i].Lat = r.F64()
+		pts[i].Lon = r.F64()
+		pts[i].Time = int64(r.U64())
 	}
-	pts := make([]uploadPoint, n)
-	for i := range pts {
-		lat, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		lon, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		ms, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		pts[i].Lat = math.Float64frombits(lat)
-		pts[i].Lon = math.Float64frombits(lon)
-		pts[i].Time = int64(ms)
+	for i := 0; i < len(pts) && r.Err() == nil; i++ {
+		pts[i].Scan = r.Scan()
 	}
-	for i := range pts {
-		nObs, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		if nObs == 0 {
-			continue // nil scan, as JSON's absent "scan" field decodes
-		}
-		scan := make([]wifi.Observation, 0, nObs)
-		for j := 0; j < int(nObs); j++ {
-			macLen, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			mac, err := r.take(int(macLen))
-			if err != nil {
-				return nil, err
-			}
-			rssi, err := r.u16()
-			if err != nil {
-				return nil, err
-			}
-			scan = append(scan, wifi.Observation{MAC: string(mac), RSSI: int(int16(rssi))})
-		}
-		pts[i].Scan = scan
-	}
-	return pts, nil
+	return pts
 }
 
-// appendWirePoints encodes points and scans onto buf — the encoder wirePoints
-// inverts.
+// appendWirePoints encodes the point count, the points and their scans onto
+// buf — the encoder wirePoints inverts.
 func appendWirePoints(buf []byte, pts []uploadPoint) ([]byte, error) {
+	buf = binenc.AppendU32(buf, uint32(len(pts)))
 	for _, p := range pts {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Lat))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Lon))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Time))
+		buf = binenc.AppendF64(buf, p.Lat)
+		buf = binenc.AppendF64(buf, p.Lon)
+		buf = binenc.AppendU64(buf, uint64(p.Time))
 	}
+	var err error
 	for i, p := range pts {
-		if len(p.Scan) > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: point %d scan has %d observations", ErrWireValue, i, len(p.Scan))
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Scan)))
-		for _, obs := range p.Scan {
-			if len(obs.MAC) > math.MaxUint8 {
-				return nil, fmt.Errorf("%w: MAC %q longer than 255 bytes", ErrWireValue, obs.MAC)
-			}
-			if obs.RSSI < math.MinInt16 || obs.RSSI > math.MaxInt16 {
-				return nil, fmt.Errorf("%w: RSSI %d outside int16", ErrWireValue, obs.RSSI)
-			}
-			buf = append(buf, byte(len(obs.MAC)))
-			buf = append(buf, obs.MAC...)
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(obs.RSSI)))
+		if buf, err = binenc.AppendScan(buf, p.Scan); err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
 	}
 	return buf, nil
-}
-
-// finishWireFrame stamps the payload length into the header slot reserved
-// by the encoders.
-func finishWireFrame(buf []byte) []byte {
-	binary.LittleEndian.PutUint32(buf[2:6], uint32(len(buf)-6))
-	return buf
 }
 
 // EncodeUploadBinary renders an upload request as a binary frame for
 // Content-Type ContentTypeBinary. It is the exact inverse of
 // ParseUploadBinary on every frame the parser accepts.
 func EncodeUploadBinary(req *UploadRequest) ([]byte, error) {
-	if len(req.ID) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: id of %d bytes", ErrWireValue, len(req.ID))
-	}
 	mode, err := wireModeByte(req.Mode)
 	if err != nil {
 		return nil, err
 	}
-	if len(req.Contributor) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: contributor of %d bytes", ErrWireValue, len(req.Contributor))
+	buf := binenc.NewFrame(wireVersion, wireKindUpload, 2+len(req.ID)+1+4+len(req.Points)*wirePointSize)
+	if buf, err = binenc.AppendStr16(buf, req.ID); err != nil {
+		return nil, err
 	}
-	buf := make([]byte, 6, 6+2+len(req.ID)+1+4+len(req.Points)*wirePointSize)
-	buf[0], buf[1] = wireVersion, wireKindUpload
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(req.ID)))
-	buf = append(buf, req.ID...)
 	buf = append(buf, mode)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(req.Points)))
-	buf, err = appendWirePoints(buf, req.Points)
-	if err != nil {
+	if buf, err = appendWirePoints(buf, req.Points); err != nil {
 		return nil, err
 	}
 	if req.Contributor != "" {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(req.Contributor)))
-		buf = append(buf, req.Contributor...)
+		if buf, err = binenc.AppendStr16(buf, req.Contributor); err != nil {
+			return nil, err
+		}
 	}
-	return finishWireFrame(buf), nil
+	return binenc.FinishFrame(buf), nil
+}
+
+// readContributorBlock reads the optional trailing `u16 len | contributor`
+// block. An empty contributor must be encoded by omission, else two frames
+// would decode to the same value and canonicity breaks.
+func readContributorBlock(r *binenc.Reader) string {
+	if r.Err() != nil || r.Len() == 0 {
+		return ""
+	}
+	c := r.Str16()
+	if c == "" {
+		r.Fail(fmt.Errorf("%w: empty contributor block", ErrWireValue))
+	}
+	return c
 }
 
 // ParseUploadBinary parses a binary upload frame into the same
@@ -313,72 +201,36 @@ func ParseUploadBinary(data []byte) (*UploadRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	idLen, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	id, err := r.take(int(idLen))
-	if err != nil {
-		return nil, err
-	}
-	modeByte, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	mode, err := wireMode(modeByte)
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := wirePoints(r, n)
-	if err != nil {
-		return nil, err
-	}
-	var contributor string
-	if r.off != len(data) {
-		cLen, err := r.u16()
-		if err != nil {
+	req := &UploadRequest{ID: r.Str16()}
+	modeByte := r.U8()
+	if r.Err() == nil {
+		if req.Mode, err = wireMode(modeByte); err != nil {
 			return nil, err
 		}
-		c, err := r.take(int(cLen))
-		if err != nil {
-			return nil, err
-		}
-		if len(c) == 0 {
-			// An empty contributor must be encoded by omission, else two
-			// frames would decode to the same request and canonicity breaks.
-			return nil, fmt.Errorf("%w: empty contributor block", ErrWireValue)
-		}
-		contributor = string(c)
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWireOversized, len(data)-r.off)
+	req.Points = wirePoints(r)
+	req.Contributor = readContributorBlock(r)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	return &UploadRequest{ID: string(id), Mode: mode, Points: pts, Contributor: contributor}, nil
+	return req, nil
 }
 
 // EncodeSessionAppendBinary renders a session append as a binary frame.
 func EncodeSessionAppendBinary(req *SessionAppendRequest) ([]byte, error) {
-	if len(req.SessionID) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: session id of %d bytes", ErrWireValue, len(req.SessionID))
-	}
 	if req.Seq < 0 || int64(req.Seq) > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: seq %d outside uint32", ErrWireValue, req.Seq)
 	}
-	buf := make([]byte, 6, 6+2+len(req.SessionID)+8+len(req.Points)*wirePointSize)
-	buf[0], buf[1] = wireVersion, wireKindSessionAppend
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(req.SessionID)))
-	buf = append(buf, req.SessionID...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(req.Seq))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(req.Points)))
-	buf, err := appendWirePoints(buf, req.Points)
+	buf := binenc.NewFrame(wireVersion, wireKindSessionAppend, 2+len(req.SessionID)+8+len(req.Points)*wirePointSize)
+	buf, err := binenc.AppendStr16(buf, req.SessionID)
 	if err != nil {
 		return nil, err
 	}
-	return finishWireFrame(buf), nil
+	buf = binenc.AppendU32(buf, uint32(req.Seq))
+	if buf, err = appendWirePoints(buf, req.Points); err != nil {
+		return nil, err
+	}
+	return binenc.FinishFrame(buf), nil
 }
 
 // ParseSessionAppendBinary parses a binary session-append frame.
@@ -387,28 +239,9 @@ func ParseSessionAppendBinary(data []byte) (*SessionAppendRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	idLen, err := r.u16()
-	if err != nil {
+	req := &SessionAppendRequest{SessionID: r.Str16(), Seq: int(r.U32()), Points: wirePoints(r)}
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	id, err := r.take(int(idLen))
-	if err != nil {
-		return nil, err
-	}
-	seq, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := wirePoints(r, n)
-	if err != nil {
-		return nil, err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWireOversized, len(data)-r.off)
-	}
-	return &SessionAppendRequest{SessionID: string(id), Seq: int(seq), Points: pts}, nil
+	return req, nil
 }

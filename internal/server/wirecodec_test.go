@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"testing"
 
+	"trajforge/internal/binenc"
 	"trajforge/internal/detect"
 	"trajforge/internal/geo"
 	"trajforge/internal/rssimap"
@@ -150,7 +151,7 @@ func TestBinaryTypedErrors(t *testing.T) {
 	huge[6], huge[7] = 0, 0 // id len 0
 	huge[8] = 0             // mode
 	huge[9], huge[10], huge[11], huge[12] = 0xff, 0xff, 0xff, 0xff
-	finishWireFrame(huge)
+	binenc.FinishFrame(huge)
 	if _, err := ParseUploadBinary(huge); !errors.Is(err, ErrWireOversized) {
 		t.Fatalf("4G points claim: %v", err)
 	}

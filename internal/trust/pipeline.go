@@ -253,6 +253,11 @@ type TileStat struct {
 
 // Stats is the pipeline summary surfaced in /v1/stats.
 type Stats struct {
+	// WeightingActive reports whether ledger weights reach the serving
+	// store's θ2 term. False means the backend is not rssimap.TrustWeighted
+	// (the cluster store): quarantine and drift still run, re-weighting
+	// does not.
+	WeightingActive  bool       `json:"weighting_active"`
 	Contributors     int        `json:"contributors"`
 	AcceptedUploads  int        `json:"accepted_uploads"`
 	Promoted         int        `json:"promoted"`
@@ -272,6 +277,7 @@ func (p *Pipeline) Stats(maxTiles int) Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := Stats{
+		WeightingActive:  p.weighted != nil,
 		Contributors:     p.ledger.Len(),
 		AcceptedUploads:  p.accepted,
 		Promoted:         p.quarantine.PromotedTotal(),
