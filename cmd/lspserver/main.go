@@ -72,12 +72,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"strings"
 	"syscall"
 	"time"
-
-	"flag"
 
 	"trajforge"
 	"trajforge/internal/cluster"
@@ -99,87 +95,14 @@ func main() {
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("lspserver", flag.ContinueOnError)
-	addr := fs.String("addr", ":8742", "listen address")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	uploads := fs.Int("uploads", 300, "crowdsourced uploads to bootstrap the detector")
-	dataDir := fs.String("data-dir", "", "directory for the WAL and snapshots (empty = in-memory only)")
-	sharded := fs.Bool("sharded", false, "partition the RSSI store by geographic tile")
-	nodeID := fs.String("node-id", "", "run as a cluster shard node with this member id (requires -cluster-listen)")
-	clusterListen := fs.String("cluster-listen", "", "shard-transport listen address for node mode")
-	join := fs.String("join", "", "run as a cluster coordinator over these nodes (comma-separated id=addr pairs)")
-	replicate := fs.Bool("replicate", false, "place a follower replica of every tile (requires -join with >= 2 nodes)")
-	clusterDataDir := fs.String("cluster-data-dir", "", "directory for the coordinator's own WAL/snapshots (requires -join)")
-	repairEvery := fs.Duration("repair-every", 0,
-		"re-replicate dead nodes' tiles in the background at this interval (0 = off; requires -replicate)")
-	rebalanceEvery := fs.Duration("rebalance-every", 0,
-		"migrate the hottest tile off the most-loaded node at this interval (0 = off; requires -join)")
-	leasePath := fs.String("lease", "", "coordinator lease file shared between active and standby (requires -join)")
-	leaseTTL := fs.Duration("lease-ttl", 5*time.Second, "coordinator lease time-to-live")
-	coordID := fs.String("coord-id", "coord1", "coordinator identity written to the lease file")
-	standby := fs.Bool("standby", false, "wait for the active coordinator's lease to lapse before taking over")
-	maxInflight := fs.Int("max-inflight", 4*runtime.NumCPU(),
-		"concurrent uploads admitted to the pipeline (0 = unbounded)")
-	queueDepth := fs.Int("queue-depth", 0,
-		"admission wait-queue bound (0 = 2x max-inflight)")
-	uploadTimeout := fs.Duration("upload-timeout", 10*time.Second,
-		"per-upload processing deadline (0 = none)")
-	breakerCooldown := fs.Duration("breaker-cooldown", time.Second,
-		"persistence breaker open period before a half-open heal probe")
-	maxSessions := fs.Int("max-sessions", 1024,
-		"concurrently open streaming verification sessions")
-	sessionTTL := fs.Duration("session-ttl", 10*time.Minute,
-		"absolute streaming session lifetime")
-	sessionWindow := fs.Int("session-window", 16,
-		"sliding-window length (points) of the provisional streaming verdict")
-	trustOn := fs.Bool("trust", false,
-		"route accepted uploads through the poisoning-resistant trust pipeline")
-	quarantineK := fs.Int("quarantine-k", 3,
-		"distinct contributors required to promote a quarantined point (<=1 disables staging)")
-	trustFloor := fs.Float64("trust-floor", 0.05,
-		"minimum contributor trust weight in the store's density term")
-	trustPromote := fs.Float64("trust-promote", 0.8,
-		"trust weight above which a contributor's points skip quarantine")
-	trustRefresh := fs.Int("trust-refresh", 32,
-		"accepted uploads between pushes of the trust-weight table into the store")
-	driftWindow := fs.Int("drift-window", 64,
-		"records per tile between drift-alarm histogram rotations")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	// Node mode: no HTTP service, no bootstrap simulation — just the shard
-	// node serving tiles until signalled.
-	if *nodeID != "" {
-		if *clusterListen == "" {
-			return errors.New("-node-id requires -cluster-listen")
-		}
-		return runNode(*nodeID, *clusterListen, *dataDir)
-	}
-	if *clusterListen != "" {
-		return errors.New("-cluster-listen requires -node-id")
-	}
-	clusterNodes, err := parseJoin(*join)
+	cfg, err := parseConfig(args)
 	if err != nil {
 		return err
 	}
-	if clusterNodes != nil && *sharded {
-		return errors.New("-join and -sharded are mutually exclusive backends")
-	}
-	if clusterNodes == nil {
-		switch {
-		case *replicate:
-			return errors.New("-replicate requires -join")
-		case *clusterDataDir != "":
-			return errors.New("-cluster-data-dir requires -join")
-		case *leasePath != "" || *standby:
-			return errors.New("-lease/-standby require -join")
-		case *repairEvery != 0 || *rebalanceEvery != 0:
-			return errors.New("-repair-every/-rebalance-every require -join")
-		}
-	}
-	if *repairEvery != 0 && !*replicate {
-		return errors.New("-repair-every requires -replicate")
+	// Node mode: no HTTP service, no bootstrap simulation — just the shard
+	// node serving tiles until signalled.
+	if cfg.nodeID != "" {
+		return runNode(cfg.nodeID, cfg.clusterListen, cfg.dataDir)
 	}
 
 	// The lease gates store creation: building the Store fences the previous
@@ -187,22 +110,22 @@ func run(args []string) error {
 	// active's claim has lapsed. Liveness only — safety is the epoch fence.
 	var lease *cluster.Lease
 	leaseLost := make(chan struct{})
-	if *leasePath != "" {
-		lease, err = cluster.NewLease(nil, *leasePath, *coordID, *leaseTTL)
+	if cfg.leasePath != "" {
+		lease, err = cluster.NewLease(nil, cfg.leasePath, cfg.coordID, cfg.leaseTTL)
 		if err != nil {
 			return err
 		}
-		if *standby {
-			fmt.Printf("standby %s: waiting for lease %s...\n", *coordID, *leasePath)
+		if cfg.standby {
+			fmt.Printf("standby %s: waiting for lease %s...\n", cfg.coordID, cfg.leasePath)
 			for {
 				if err := lease.Acquire(time.Now()); err == nil {
 					break
 				} else if !errors.Is(err, cluster.ErrLeaseHeld) {
 					return err
 				}
-				time.Sleep(*leaseTTL / 3)
+				time.Sleep(cfg.leaseTTL / 3)
 			}
-			fmt.Printf("standby %s: lease acquired, taking over\n", *coordID)
+			fmt.Printf("standby %s: lease acquired, taking over\n", cfg.coordID)
 		} else if err := lease.Acquire(time.Now()); err != nil {
 			return fmt.Errorf("another coordinator is active: %w", err)
 		}
@@ -212,11 +135,11 @@ func run(args []string) error {
 	// whether the store is seeded from disk or from the bootstrap corpus.
 	var persist *server.Persistence
 	var recovered *server.RecoveredState
-	if *dataDir != "" {
-		p, err := server.OpenPersistence(*dataDir, server.PersistOptions{
+	if cfg.dataDir != "" {
+		p, err := server.OpenPersistence(cfg.dataDir, server.PersistOptions{
 			// Fail closed on WAL trouble: shed uploads with 503 instead of
 			// issuing acks that would not survive a crash.
-			Breaker: &resilience.BreakerConfig{Cooldown: *breakerCooldown},
+			Breaker: &resilience.BreakerConfig{Cooldown: cfg.breakerCooldown},
 		})
 		if err != nil {
 			return err
@@ -225,7 +148,7 @@ func run(args []string) error {
 		recovered = p.Recovered()
 		if !recovered.Empty() {
 			fmt.Printf("recovered from %s: %d accepted, %d rejected, %d records, %d WAL uploads\n",
-				*dataDir, recovered.Accepted, recovered.Rejected,
+				cfg.dataDir, recovered.Accepted, recovered.Rejected,
 				len(recovered.Records), len(recovered.Uploads))
 		}
 	}
@@ -235,16 +158,16 @@ func run(args []string) error {
 	// the store itself comes from disk.
 	fmt.Println("bootstrapping provider state (area, history, detector)...")
 	city, err := trajforge.NewCity(trajforge.CityConfig{
-		Width: 300, Height: 240, BlockSize: 60, NumAPs: 350, Seed: *seed,
+		Width: 300, Height: 240, BlockSize: 60, NumAPs: 350, Seed: cfg.seed,
 	})
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(*seed + 1))
+	rng := rand.New(rand.NewSource(cfg.seed + 1))
 	start := time.Date(2022, 7, 1, 8, 0, 0, 0, time.UTC)
 
 	var hist []*trajforge.Upload
-	for tries := 0; len(hist) < *uploads && tries < *uploads*30; tries++ {
+	for tries := 0; len(hist) < cfg.uploads && tries < cfg.uploads*30; tries++ {
 		from := trajforge.PlanePoint{X: 10 + rng.Float64()*280, Y: 10 + rng.Float64()*220}
 		to := trajforge.PlanePoint{X: 10 + rng.Float64()*280, Y: 10 + rng.Float64()*220}
 		trip, err := city.Travel(trajforge.TripConfig{
@@ -256,8 +179,8 @@ func run(args []string) error {
 		}
 		hist = append(hist, trip.Upload)
 	}
-	if len(hist) < *uploads {
-		return fmt.Errorf("bootstrapped only %d/%d uploads", len(hist), *uploads)
+	if len(hist) < cfg.uploads {
+		return fmt.Errorf("bootstrapped only %d/%d uploads", len(hist), cfg.uploads)
 	}
 
 	// Seed the store: recovered records when the data directory holds a
@@ -272,12 +195,12 @@ func run(args []string) error {
 	var store trajforge.RSSIBackend
 	var cs *cluster.Store
 	switch {
-	case clusterNodes != nil:
+	case cfg.clusterNodes != nil:
 		cs, err = cluster.NewStore(cluster.Options{
 			Shard:     shardstore.DefaultConfig(),
-			Nodes:     clusterNodes,
-			Replicate: *replicate,
-			Dir:       *clusterDataDir,
+			Nodes:     cfg.clusterNodes,
+			Replicate: cfg.replicate,
+			Dir:       cfg.clusterDataDir,
 		})
 		if err != nil {
 			return err
@@ -297,12 +220,12 @@ func run(args []string) error {
 			fmt.Printf("cluster: coordinator WAL recovered %d records, skipping bootstrap feed\n", cs.Len())
 		}
 		mode := "primary-only"
-		if *replicate {
+		if cfg.replicate {
 			mode = "replicated"
 		}
-		fmt.Printf("cluster: %d nodes, epoch %d, %s\n", len(clusterNodes), cs.Assignment().Epoch, mode)
+		fmt.Printf("cluster: %d nodes, epoch %d, %s\n", len(cfg.clusterNodes), cs.Assignment().Epoch, mode)
 		store = cs
-	case *sharded:
+	case cfg.sharded:
 		store, err = shardstore.New(shardstore.DefaultConfig(), records)
 	default:
 		store, err = rssimap.NewStore(rssimap.DefaultConfig(), records)
@@ -331,13 +254,13 @@ func run(args []string) error {
 	}
 
 	var trustCfg *trust.Config
-	if *trustOn {
+	if cfg.trust {
 		tc := trust.DefaultConfig()
-		tc.Quarantine.K = *quarantineK
-		tc.Quarantine.PromoteTrust = *trustPromote
-		tc.Ledger.Floor = *trustFloor
-		tc.WeightRefresh = *trustRefresh
-		tc.Drift.Window = *driftWindow
+		tc.Quarantine.K = cfg.quarantineK
+		tc.Quarantine.PromoteTrust = cfg.trustPromote
+		tc.Ledger.Floor = cfg.trustFloor
+		tc.WeightRefresh = cfg.trustRefresh
+		tc.Drift.Window = cfg.driftWindow
 		trustCfg = &tc
 		if _, ok := store.(rssimap.TrustWeighted); !ok {
 			fmt.Println("trust: this store backend (-join) does not apply contributor weights: " +
@@ -352,14 +275,14 @@ func run(args []string) error {
 		WiFi:           det,
 		IngestAccepted: persist != nil || trustCfg != nil,
 		Persist:        persist,
-		MaxInFlight:    *maxInflight,
-		QueueDepth:     *queueDepth,
-		UploadTimeout:  *uploadTimeout,
+		MaxInFlight:    cfg.maxInflight,
+		QueueDepth:     cfg.queueDepth,
+		UploadTimeout:  cfg.uploadTimeout,
 		Trust:          trustCfg,
 		Stream: &stream.Config{
-			MaxSessions: *maxSessions,
-			TTL:         *sessionTTL,
-			Window:      *sessionWindow,
+			MaxSessions: cfg.maxSessions,
+			TTL:         cfg.sessionTTL,
+			Window:      cfg.sessionWindow,
 		},
 	})
 	if err != nil {
@@ -376,9 +299,9 @@ func run(args []string) error {
 		}
 	}
 	fmt.Printf("listening on %s (history: %d uploads, %d RSSI records)\n",
-		*addr, nStore, store.Len())
+		cfg.addr, nStore, store.Len())
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              cfg.addr,
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		// Body and response deadlines: a slow-loris body or a stalled
@@ -397,7 +320,7 @@ func run(args []string) error {
 	// standby fenced us off the nodes, so stop serving rather than answer
 	// from a store the cluster no longer listens to.
 	if lease != nil {
-		interval := *leaseTTL / 3
+		interval := cfg.leaseTTL / 3
 		if interval <= 0 {
 			interval = time.Millisecond
 		}
@@ -421,9 +344,9 @@ func run(args []string) error {
 	// Background repair: any node that stays unreachable gets its tiles
 	// re-replicated onto the surviving members; a node that merely lagged is
 	// healed in place with a resync from the canonical log.
-	if cs != nil && *repairEvery > 0 {
+	if cs != nil && cfg.repairEvery > 0 {
 		go func() {
-			t := time.NewTicker(*repairEvery)
+			t := time.NewTicker(cfg.repairEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -448,9 +371,9 @@ func run(args []string) error {
 	}
 	// Background rebalance: one bounded step per tick, each migrating the
 	// hottest tile off the most-loaded node when that narrows the spread.
-	if cs != nil && *rebalanceEvery > 0 {
+	if cs != nil && cfg.rebalanceEvery > 0 {
 		go func() {
-			t := time.NewTicker(*rebalanceEvery)
+			t := time.NewTicker(cfg.rebalanceEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -502,7 +425,7 @@ func run(args []string) error {
 		return fmt.Errorf("final snapshot: %w", err)
 	}
 	if persist != nil {
-		fmt.Printf("state persisted to %s\n", *dataDir)
+		fmt.Printf("state persisted to %s\n", cfg.dataDir)
 	}
 	// Hand the lease back so a standby takes over without waiting out the
 	// ttl. A lost lease was already someone else's to keep.
@@ -545,25 +468,6 @@ func runNode(id, listen, dataDir string) error {
 		}
 	}
 	return node.Close()
-}
-
-// parseJoin parses the -join value: comma-separated id=addr pairs.
-func parseJoin(join string) (map[string]string, error) {
-	if join == "" {
-		return nil, nil
-	}
-	nodes := make(map[string]string)
-	for _, pair := range strings.Split(join, ",") {
-		id, addr, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || id == "" || addr == "" {
-			return nil, fmt.Errorf("malformed -join entry %q (want id=addr)", pair)
-		}
-		if _, dup := nodes[id]; dup {
-			return nil, fmt.Errorf("duplicate node id %q in -join", id)
-		}
-		nodes[id] = addr
-	}
-	return nodes, nil
 }
 
 // printStats summarises the session: counters plus where verification time

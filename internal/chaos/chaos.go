@@ -1,456 +1,211 @@
-// Package chaos is a crash-point explorer for the verification server's
-// durability layer. It replays one fixed, seeded upload workload over and
-// over, each time crashing the filesystem (via fsx/faultfs) at a different
-// recorded mutation site — every write, fsync, truncate, rename, and
-// directory sync the workload performs — and then recovers from the
-// surviving files with a healthy filesystem.
-//
-// Two invariants are asserted at every crash point:
-//
-//  1. Acknowledged durability: every upload whose durability barrier
-//     (Persistence.Flush) returned success before the crash is present in
-//     the recovered state, and the recovered verdict ledger is a clean
-//     prefix of the workload's deterministic verdict sequence — recovery
-//     never invents, reorders, or partially applies verdicts.
-//
-//  2. Bit-identical features: the RSSI store rebuilt from the recovered
-//     snapshot and WAL answers the feature probe with float64 values
-//     bit-for-bit equal (math.Float64bits) to a reference store that
-//     ingested the same accepted-upload prefix and never crashed.
+// Package chaos is a crash-point explorer for the durability layers of the
+// verification server and the shard cluster. One engine (explore) replays a
+// scenario's fixed, seeded workload over and over, each time crashing one
+// victim's filesystem (via fsx/faultfs) at a different recorded mutation
+// site — every write, fsync, truncate, rename, and directory sync the
+// victim performs — and then hands the surviving files to the scenario's
+// recovery check on a healthy filesystem.
 //
 // Write faults use torn mode, so a crash mid-frame leaves the seeded
 // partial write a real power cut would — the torn-tail recovery path is
 // exercised, not just clean truncation.
+//
+// The scenarios stand on two fixtures. The single-process fixture
+// (single.go) is a verification service over one data directory: Run,
+// RunTrust, RunSessions and the scripted RunWedge drive it, and all of
+// them share one recovery check — the recovered verdict ledger is a prefix
+// of the reference sequence, every acknowledged verdict survived, and the
+// rebuilt RSSI store answers the feature probe with float64 bits equal to a
+// run that never crashed. The cluster fixture (cluster.go) is a coordinator
+// over loopback shard nodes: RunCluster and RunClusterReplicated kill a
+// node, RunCoordinator kills the coordinator's own journal.
 package chaos
 
 import (
+	"errors"
 	"fmt"
-	"math"
-	"math/rand"
-	"net/http/httptest"
 	"path/filepath"
-	"time"
 
-	"trajforge/internal/detect"
 	"trajforge/internal/fsx"
 	"trajforge/internal/fsx/faultfs"
-	"trajforge/internal/geo"
-	"trajforge/internal/mobility"
-	"trajforge/internal/rssimap"
-	"trajforge/internal/server"
-	"trajforge/internal/trajectory"
-	"trajforge/internal/wifi"
-	"trajforge/internal/xgb"
 )
 
 // Options configures one exploration run.
 type Options struct {
-	// Seed drives every random choice: the bootstrap store, the workload
-	// trajectories, and torn-write prefix lengths. Same seed, same sites,
-	// same outcome.
+	// Seed drives every random choice: the bootstrap store or record
+	// workload, the trajectories, and torn-write prefix lengths. Same seed,
+	// same sites, same outcome.
 	Seed int64
-	// Uploads is the workload length. Default 12.
-	Uploads int
-	// Points is the trajectory length per upload. Default 20.
-	Points int
 	// Dir is the scratch directory; each crash point gets a subdirectory.
 	Dir string
 	// Logf, when set, receives progress lines (e.g. testing.T.Logf).
 	Logf func(format string, args ...any)
 }
 
-// Report summarises an exploration.
+// logger refuses options without a scratch directory and returns the
+// progress logger, a no-op when Logf is unset.
+func (o Options) logger() (func(format string, args ...any), error) {
+	if o.Dir == "" {
+		return nil, errors.New("chaos: Options.Dir is required")
+	}
+	if o.Logf == nil {
+		return func(string, ...any) {}, nil
+	}
+	return o.Logf, nil
+}
+
+// Report summarises an exploration. Sites is tallied by the engine; every
+// other counter belongs to the scenarios named on it and stays zero for
+// the rest.
 type Report struct {
-	// Sites is the number of mutation sites the clean counting pass found;
-	// every one was explored as a crash point.
+	// Sites is the number of mutation sites the counting passes found,
+	// summed over victims; every one was explored as a crash point.
 	Sites int
+
+	// Single-process scenarios (Run, RunTrust, RunSessions, RunWedge).
+
 	// EmptyRecoveries counts crash points that recovered to an empty state
 	// (crash before the bootstrap snapshot committed).
 	EmptyRecoveries int
 	// FullRecoveries counts crash points that recovered the entire verdict
-	// ledger (crash after the last upload was acknowledged).
+	// ledger (crash after the last verdict was acknowledged).
 	FullRecoveries int
-	// MaxAcked is the largest acknowledged-upload count observed across
-	// crash points.
+	// MaxAcked is the largest acknowledged-verdict count observed across
+	// crash points; for RunWedge, the count its one run ended with.
 	MaxAcked int
+	// InFlightRecoveries counts crash points that recovered at least one
+	// streaming session still in flight: chunks journaled, no verdict yet.
+	InFlightRecoveries int
+
+	// RunWedge only.
+
+	// WedgedAccepted counts uploads still acknowledged with 200 between the
+	// wedge and the breaker trip — recorded in memory, their WAL frames
+	// lost, repaired by the heal compaction.
+	WedgedAccepted int
+	// Shed counts upload attempts refused with 503 while degraded.
+	Shed int
+	// Opens and Closes are the breaker's counters at the end of the run;
+	// Opens > Closes means the breaker re-opened on failed probes while the
+	// disk was still wedged.
+	Opens, Closes int64
+
+	// Node-crash scenarios (RunCluster, RunClusterReplicated).
+
+	// Committed and Aborted count how the mid-workload migration ended
+	// across crash points; both outcomes must appear, or the crash surface
+	// missed one side of the protocol.
+	Committed, Aborted int
+	// LiveProbeMatches counts crash points where the post-crash,
+	// pre-recovery probes all answered — served by surviving nodes, failing
+	// over to follower replicas when replicated — and matched the
+	// reference bits.
+	LiveProbeMatches int
+	// RepairMatches counts crash points where the post-Rereplicate probes
+	// all answered and matched the reference bits.
+	RepairMatches int
+	// Repairs counts completed Rereplicate calls across crash points.
+	Repairs uint64
+	// ReplicaReads totals follower-served queries across crash points —
+	// proof the failover path actually ran.
+	ReplicaReads uint64
+
+	// RunCoordinator only.
+
+	// FailedClosed counts sites where the dying journal caused at least one
+	// batch to be refused (acked < workload) — proof Add fails closed.
+	FailedClosed int
+	// BootstrapDeaths counts sites where the coordinator crashed before it
+	// even came up (NewStore failed); the standby must still take over.
+	BootstrapDeaths int
+	// DegradedProbeMatches counts sites where probes against the degraded
+	// coordinator answered and matched the acked-prefix reference bits.
+	DegradedProbeMatches int
+	// TailBatches totals the batches re-fed after takeover across sites —
+	// everything else came back from the coordinator WAL.
+	TailBatches int
 }
 
-var (
-	origin = geo.LatLon{Lat: 32.06, Lon: 118.79}
-	t0     = time.Date(2022, 7, 1, 9, 0, 0, 0, time.UTC)
-)
-
-// motionStub is a programmable motion detector; the workload scripts its
-// answer per upload so the verdict sequence mixes accepts and rejects
-// deterministically.
-type motionStub struct{ prob float64 }
-
-func (m *motionStub) Name() string                     { return "chaos-stub" }
-func (m *motionStub) ProbReal(t *trajectory.T) float64 { return m.prob }
-
-// fixture is everything shared across crash points: the trained detector
-// (training is the expensive part and is seed-deterministic), the workload
-// uploads, and the reference outcome of a crash-free run.
-type fixture struct {
-	opts      Options
-	proj      *geo.Projection
-	bootstrap []rssimap.Record
-	model     *xgb.Model
-	fcfg      rssimap.FeatureConfig
-	uploads   []*wifi.Upload
-	probs     []float64 // scripted motion answer per upload
-	probe     *wifi.Upload
-	verdicts  []bool      // reference verdict sequence
-	features  [][]float64 // probe features indexed by accepted-upload count
+// scenario is what an explorer supplies to the engine; O is whatever one
+// workload execution observed and its recovery check needs.
+type scenario[O any] interface {
+	// victims lists, in exploration order, whose filesystem gets crashed;
+	// a single-victim scenario returns one empty name.
+	victims() []string
+	// run executes the fixed workload under dir with the victim's storage
+	// on fs. Faults never abort the workload — a real server keeps serving
+	// from memory while its disk is gone — so run fails only on an
+	// invariant violation visible while the fault is live, or when fs never
+	// faulted and the workload still did not complete in full: that is what
+	// validates the counting pass. An observation that holds live
+	// resources has a Close method; the engine calls it after check.
+	run(dir, victim string, fs *faultfs.FS) (O, error)
+	// check recovers from dir on a healthy filesystem, asserts the
+	// recovery invariants against obs, and tallies the crash point.
+	check(dir string, obs O, rep *Report) error
 }
 
-// walkUpload builds one seeded walking upload along the fixture route with
-// a constant in-coverage scan per point.
-func walkUpload(seed int64, points int) (*wifi.Upload, error) {
-	tk, err := mobility.Simulate(rand.New(rand.NewSource(seed)), mobility.Options{
-		Route:     []geo.Point{{X: 0, Y: 0}, {X: 300, Y: 0}},
-		Mode:      trajectory.ModeWalking,
-		Start:     t0,
-		Interval:  time.Second,
-		MaxPoints: points,
-	})
+// explore is the crash-point engine. Per victim it enumerates the mutation
+// sites with a counting pass on a recording, fault-free filesystem, then
+// replays the workload once per site with a crashing torn-write fault
+// there and drives the scenario's recovery check. The first invariant
+// violation is returned, annotated with the fault site that provoked it.
+func explore[O any](name string, sc scenario[O], opts Options) (*Report, error) {
+	logf, err := opts.logger()
 	if err != nil {
 		return nil, err
 	}
-	traj := tk.Trajectory()
-	scans := make([]wifi.Scan, traj.Len())
-	for i := range scans {
-		scans[i] = wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -60}}
-	}
-	return &wifi.Upload{Traj: traj, Scans: scans}, nil
-}
-
-// trainFixture builds the seeded bootstrap history and trains the WiFi
-// detector shared by the batch and streaming explorers. Only the records,
-// the model, and the feature config are returned — every pass builds its
-// own store.
-func trainFixture(seed int64, points int) ([]rssimap.Record, *xgb.Model, rssimap.FeatureConfig, error) {
-	fcfg := rssimap.DefaultFeatureConfig()
-
-	// Bootstrap store: a dense crowdsourced history along the route.
-	rng := rand.New(rand.NewSource(seed))
-	bootstrap := make([]rssimap.Record, 400)
-	for i := range bootstrap {
-		m := map[string]int{"02:4e:00:00:00:01": -55 - rng.Intn(20)}
-		if rng.Intn(2) == 0 {
-			m["02:4e:00:00:00:02"] = -60 - rng.Intn(20)
+	rep := &Report{}
+	for _, victim := range sc.victims() {
+		where := name
+		if victim != "" {
+			where += " victim " + victim
 		}
-		bootstrap[i] = rssimap.Record{
-			Pos:  geo.Point{X: rng.Float64() * 300, Y: rng.NormFloat64() * 3},
-			RSSI: m,
-		}
-	}
-
-	trainStore, err := rssimap.NewStore(rssimap.DefaultConfig(), bootstrap)
-	if err != nil {
-		return nil, nil, fcfg, err
-	}
-	real := make([]*wifi.Upload, 4)
-	fake := make([]*wifi.Upload, 4)
-	for i := range real {
-		if real[i], err = walkUpload(seed+int64(700+i), points); err != nil {
-			return nil, nil, fcfg, err
-		}
-		fk, err := walkUpload(seed+int64(710+i), points)
+		counter := faultfs.New(fsx.OS, faultfs.Options{})
+		obs, err := sc.run(filepath.Join(opts.Dir, victim, "count"), victim, counter)
 		if err != nil {
-			return nil, nil, fcfg, err
+			return nil, fmt.Errorf("chaos: %s: counting pass: %w", where, err)
 		}
-		for j := range fk.Scans {
-			fk.Scans[j] = wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -30}}
-		}
-		fake[i] = fk
-	}
-	det, err := detect.TrainWiFiDetector(trainStore, real, fake, fcfg, xgb.DefaultConfig())
-	if err != nil {
-		return nil, nil, fcfg, fmt.Errorf("chaos: train detector: %w", err)
-	}
-	return bootstrap, det.Model, fcfg, nil
-}
+		release(obs)
+		plan := counter.Ops()
+		logf("chaos: %s: %d mutation sites", where, len(plan))
 
-// newFixture trains the detector and runs the crash-free reference pass
-// that fixes the verdict sequence and the per-prefix feature vectors.
-func newFixture(opts Options) (*fixture, error) {
-	f := &fixture{
-		opts: opts,
-		proj: geo.NewProjection(origin),
-	}
-	var err error
-	if f.bootstrap, f.model, f.fcfg, err = trainFixture(opts.Seed, opts.Points); err != nil {
-		return nil, err
-	}
-
-	// Workload: mostly-real uploads with a scripted rejection every 4th.
-	f.uploads = make([]*wifi.Upload, opts.Uploads)
-	f.probs = make([]float64, opts.Uploads)
-	for i := range f.uploads {
-		if f.uploads[i], err = walkUpload(opts.Seed+int64(800+i), opts.Points); err != nil {
-			return nil, err
-		}
-		f.probs[i] = 0.9
-		if i%4 == 3 {
-			f.probs[i] = 0.1
-		}
-	}
-	if f.probe, err = walkUpload(opts.Seed+999, 30); err != nil {
-		return nil, err
-	}
-
-	// Reference pass: same pipeline, no persistence, no faults. It fixes
-	// verdicts[i] and features[k] — the probe's feature vector once the
-	// store holds the bootstrap plus the first k accepted uploads.
-	store, err := rssimap.NewStore(rssimap.DefaultConfig(), f.bootstrap)
-	if err != nil {
-		return nil, err
-	}
-	_, client, cleanup, err := f.newService(nil, store)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	want, err := store.Features(f.probe, f.fcfg)
-	if err != nil {
-		return nil, err
-	}
-	f.features = append(f.features, want)
-	f.verdicts = make([]bool, opts.Uploads)
-	for i, u := range f.uploads {
-		v, err := f.uploadAs(client, u, f.probs[i])
-		if err != nil {
-			return nil, fmt.Errorf("chaos: reference upload %d: %w", i, err)
-		}
-		f.verdicts[i] = v.Accepted
-		if v.Accepted {
-			if want, err = store.Features(f.probe, f.fcfg); err != nil {
-				return nil, err
+		for site := 1; site <= len(plan); site++ {
+			fs := faultfs.New(fsx.OS, faultfs.Options{
+				Seed:   opts.Seed ^ int64(site),
+				FailAt: site,
+				Mode:   faultfs.FaultTorn, // writes tear; other kinds plain-fail
+				Crash:  true,
+			})
+			dir := filepath.Join(opts.Dir, victim, fmt.Sprintf("site-%03d", site))
+			if err := crashPoint(sc, dir, victim, fs, rep); err != nil {
+				op := plan[site-1]
+				return rep, fmt.Errorf("chaos: %s: site %d (%s %s): %w", where, site, op.Kind, filepath.Base(op.Path), err)
 			}
-			f.features = append(f.features, want)
+			rep.Sites++
 		}
 	}
-	if n := len(f.features) - 1; n == 0 || n == opts.Uploads {
-		return nil, fmt.Errorf("chaos: degenerate workload: %d/%d accepted", n, opts.Uploads)
-	}
-	return f, nil
-}
-
-// stub shared per service instance; uploadAs scripts it before each upload.
-type boundClient struct {
-	client *server.Client
-	stub   *motionStub
-}
-
-// newService wires a fresh verification service around the given store,
-// optionally persistent. The caller must invoke cleanup.
-func (f *fixture) newService(p *server.Persistence, store *rssimap.Store) (*server.Service, *boundClient, func(), error) {
-	stub := &motionStub{prob: 0.9}
-	rc, err := detect.NewReplayChecker(1.2)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	svc, err := server.New(server.Config{
-		Projection:     f.proj,
-		Motion:         stub,
-		Replay:         rc,
-		WiFi:           &detect.WiFiDetector{Store: store, Model: f.model, Features: f.fcfg},
-		IngestAccepted: true,
-		Persist:        p,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ts := httptest.NewServer(svc.Handler())
-	cleanup := func() {
-		ts.Close()
-		svc.Close() // on a crashed FS this fails; recovery is the real check
-	}
-	return svc, &boundClient{client: server.NewClient(ts.URL, f.proj), stub: stub}, cleanup, nil
-}
-
-func (f *fixture) uploadAs(c *boundClient, u *wifi.Upload, prob float64) (*server.Verdict, error) {
-	c.stub.prob = prob
-	return c.client.Upload(u)
-}
-
-// runWorkload executes the fixed workload against dir on the given
-// filesystem and reports how many uploads were acknowledged durable before
-// the filesystem died. Faults never abort the workload — a real server
-// keeps serving verdicts from memory while its disk is gone.
-func (f *fixture) runWorkload(dir string, fs fsx.FS) (acked int, err error) {
-	p, perr := server.OpenPersistence(dir, server.PersistOptions{FS: fs, SyncInterval: -1})
-	if perr != nil {
-		return 0, nil // crash during open: nothing was ever acknowledged
-	}
-	store, err := rssimap.NewStore(rssimap.DefaultConfig(), f.bootstrap)
-	if err != nil {
-		return 0, err
-	}
-	_, client, cleanup, err := f.newService(p, store)
-	if err != nil {
-		return 0, err
-	}
-	defer cleanup()
-	// The bootstrap store exists only in memory until this first snapshot.
-	compacted := p.Compact() == nil
-	alive := compacted
-	for i, u := range f.uploads {
-		v, uerr := f.uploadAs(client, u, f.probs[i])
-		if uerr != nil {
-			return acked, fmt.Errorf("chaos: workload upload %d: %w", i, uerr)
-		}
-		// The in-memory pipeline never sees the disk fault: verdicts must
-		// match the reference sequence on every crash run.
-		if v.Accepted != f.verdicts[i] {
-			return acked, fmt.Errorf("chaos: verdict %d = %v, want %v", i, v.Accepted, f.verdicts[i])
-		}
-		if alive && p.Flush() == nil {
-			acked = i + 1
-		} else {
-			alive = false
-		}
-	}
-	return acked, nil
-}
-
-// checkRecovery reopens dir with a healthy filesystem and asserts both
-// invariants for a crash point that acknowledged `acked` uploads.
-func (f *fixture) checkRecovery(dir string, acked int) (accepted int, empty bool, err error) {
-	p, err := server.OpenPersistence(dir, server.PersistOptions{SyncInterval: -1})
-	if err != nil {
-		return 0, false, fmt.Errorf("recovery open: %w", err)
-	}
-	state := p.Recovered()
-
-	// Invariant 1a: the recovered ledger is a prefix of the reference
-	// verdict sequence.
-	total := state.Accepted + state.Rejected
-	if total > len(f.verdicts) {
-		return 0, false, fmt.Errorf("recovered %d verdicts, workload has %d", total, len(f.verdicts))
-	}
-	wantAccepted := 0
-	for _, v := range f.verdicts[:total] {
-		if v {
-			wantAccepted++
-		}
-	}
-	if state.Accepted != wantAccepted {
-		return 0, false, fmt.Errorf("recovered %d accepted of %d verdicts, want %d (not a prefix)",
-			state.Accepted, total, wantAccepted)
-	}
-	// Invariant 1b: every acknowledged verdict survived.
-	if total < acked {
-		return 0, false, fmt.Errorf("recovered %d verdicts, %d were acknowledged durable", total, acked)
-	}
-
-	// Invariant 2: rebuild the store through the live recovery path —
-	// Restore pushes the WAL uploads through the same ingestion code a
-	// live accept takes — and compare the probe's features bit-for-bit
-	// with the reference prefix.
-	store, err := rssimap.NewStore(rssimap.DefaultConfig(), state.Records)
-	if err != nil {
-		return 0, false, fmt.Errorf("recovery store: %w", err)
-	}
-	svc, _, cleanup, err := f.newService(p, store)
-	if err != nil {
-		return 0, false, err
-	}
-	defer cleanup()
-	svc.Restore(state)
-	if state.Empty() {
-		return 0, true, nil
-	}
-	got, err := store.Features(f.probe, f.fcfg)
-	if err != nil {
-		return 0, false, fmt.Errorf("recovery features: %w", err)
-	}
-	want := f.features[state.Accepted]
-	if len(got) != len(want) {
-		return 0, false, fmt.Errorf("recovered feature dim %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return 0, false, fmt.Errorf("feature %d = %v, want %v (bits differ)", i, got[i], want[i])
-		}
-	}
-	return state.Accepted, false, nil
-}
-
-// Run explores every crash point of the fixed workload. It returns an
-// error describing the first invariant violation, annotated with the fault
-// site that provoked it.
-func Run(opts Options) (*Report, error) {
-	if opts.Uploads <= 0 {
-		opts.Uploads = 12
-	}
-	if opts.Points <= 0 {
-		opts.Points = 20
-	}
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("chaos: Options.Dir is required")
-	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-
-	f, err := newFixture(opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Counting pass: run the workload fault-free on a recording filesystem
-	// to enumerate the mutation sites.
-	counter := faultfs.New(fsx.OS, faultfs.Options{})
-	acked, err := f.runWorkload(filepath.Join(opts.Dir, "count"), counter)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: counting pass: %w", err)
-	}
-	if acked != opts.Uploads {
-		return nil, fmt.Errorf("chaos: counting pass acknowledged %d/%d uploads", acked, opts.Uploads)
-	}
-	plan := counter.Ops()
-	rep := &Report{Sites: len(plan)}
-	logf("chaos: %d fault sites, %d uploads (%d accepted in reference run)",
-		rep.Sites, opts.Uploads, len(f.features)-1)
-
-	for site := 1; site <= len(plan); site++ {
-		dir := filepath.Join(opts.Dir, fmt.Sprintf("site-%03d", site))
-		fs := faultfs.New(fsx.OS, faultfs.Options{
-			Seed:   opts.Seed ^ int64(site),
-			FailAt: site,
-			Mode:   faultfs.FaultTorn, // writes tear; other kinds plain-fail
-			Crash:  true,
-		})
-		acked, err := f.runWorkload(dir, fs)
-		if err != nil {
-			return rep, fmt.Errorf("chaos: site %d (%s %s): %w",
-				site, plan[site-1].Kind, filepath.Base(plan[site-1].Path), err)
-		}
-		if !fs.Faulted() {
-			return rep, fmt.Errorf("chaos: site %d (%s): fault never fired", site, plan[site-1].Kind)
-		}
-		accepted, empty, err := f.checkRecovery(dir, acked)
-		if err != nil {
-			return rep, fmt.Errorf("chaos: site %d (%s %s, acked %d): %w",
-				site, plan[site-1].Kind, filepath.Base(plan[site-1].Path), acked, err)
-		}
-		if empty {
-			rep.EmptyRecoveries++
-			if acked > 0 {
-				return rep, fmt.Errorf("chaos: site %d: empty recovery after %d acknowledged uploads", site, acked)
-			}
-		}
-		if accepted == len(f.features)-1 {
-			rep.FullRecoveries++
-		}
-		if acked > rep.MaxAcked {
-			rep.MaxAcked = acked
-		}
-	}
-	logf("chaos: explored %d crash points: %d empty recoveries, %d full, max acked %d",
-		rep.Sites, rep.EmptyRecoveries, rep.FullRecoveries, rep.MaxAcked)
+	logf("chaos: %s: explored %d crash points: %+v", name, rep.Sites, *rep)
 	return rep, nil
+}
+
+// crashPoint runs one site: the workload on the faulting filesystem, the
+// assertion that the planned fault fired, then the recovery check.
+func crashPoint[O any](sc scenario[O], dir, victim string, fs *faultfs.FS, rep *Report) error {
+	obs, err := sc.run(dir, victim, fs)
+	if err != nil {
+		return err
+	}
+	defer release(obs)
+	if !fs.Faulted() {
+		return errors.New("fault never fired")
+	}
+	return sc.check(dir, obs, rep)
+}
+
+// release closes an observation that holds live resources.
+func release(obs any) {
+	if c, ok := obs.(interface{ Close() }); ok {
+		c.Close()
+	}
 }

@@ -11,8 +11,8 @@ func TestCrashPointExploration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sites < 50 {
-		t.Fatalf("explored %d crash points, want >= 50", rep.Sites)
+	if rep.Sites != 77 {
+		t.Fatalf("explored %d crash points, want 77", rep.Sites)
 	}
 	// The crash surface must include both extremes: crashes early enough
 	// that nothing survives, and crashes late enough that the full ledger
@@ -28,22 +28,37 @@ func TestCrashPointExploration(t *testing.T) {
 	}
 }
 
-// TestExplorationDeterministic pins the property the explorer depends on:
-// same seed, same fault-site count.
+// TestExplorationDeterministic pins the property the explorers depend on:
+// same seed, same fault sites, same outcome at every one of them — for
+// every crash scenario, at its test seed.
 func TestExplorationDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("second full exploration pass")
 	}
-	a, err := Run(Options{Seed: 1, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(Options{Seed: 1, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Sites != b.Sites || a.MaxAcked != b.MaxAcked ||
-		a.EmptyRecoveries != b.EmptyRecoveries || a.FullRecoveries != b.FullRecoveries {
-		t.Fatalf("exploration not deterministic: %+v != %+v", a, b)
+	for _, tc := range []struct {
+		name string
+		seed int64
+		run  func(Options) (*Report, error)
+	}{
+		{"batch", 1, Run},
+		{"trust", 1, RunTrust},
+		{"sessions", 1, RunSessions},
+		{"cluster", 7, RunCluster},
+		{"replicated", 11, RunClusterReplicated},
+		{"coordinator", 13, RunCoordinator},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := tc.run(Options{Seed: tc.seed, Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := tc.run(Options{Seed: tc.seed, Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *a != *b {
+				t.Fatalf("exploration not deterministic: %+v != %+v", *a, *b)
+			}
+		})
 	}
 }

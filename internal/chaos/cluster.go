@@ -1,30 +1,42 @@
-// Cluster crash-point explorer: the distributed sibling of Run. One fixed,
-// seeded ingest workload runs against a two-node shard cluster while a
-// tile migrates between the nodes, and the explorer kills one node — via a
-// crashing faultfs under its WAL/snapshot lineage — at every mutation site
-// that node's storage performs, old owner and new owner alike. After each
-// crash the cluster recovers the way a real deployment does: the dead node
+package chaos
+
+// The cluster fixture and the node-crash scenario on it.
+//
+// RunCluster is the distributed sibling of Run. One fixed, seeded ingest
+// workload runs against a two-node shard cluster while a tile migrates
+// between the nodes, and the explorer kills one node — via a crashing
+// faultfs under its WAL/snapshot lineage — at every mutation site that
+// node's storage performs, old owner and new owner alike. After each crash
+// the cluster recovers the way a real deployment does: the dead node
 // restarts from its surviving files, a new coordinator incarnation fences
 // a higher epoch and replays the canonical record log, and resync heals
-// whatever tail the node lost.
-//
-// Three invariants hold at every crash point:
+// whatever tail the node lost. Three invariants hold at every crash point:
 //
 //  1. Acked data survives: every record acknowledged into the canonical
 //     log is served after recovery — the feature probes answer with
 //     float64 bits identical to a single-process store that ingested the
-//     same records and never crashed (recovered tiles are bit-identical,
-//     so verdicts computed from them are too).
+//     same records and never crashed.
 //
-//  2. No split-brain: any confidence query that *succeeds* during the
-//     crashed run is also bit-identical to the reference — epoch fencing
-//     means a node either answers correctly for a tile it owns or
-//     refuses; it never serves a stale copy.
+//  2. No split-brain: any query that *succeeds* during the crashed run is
+//     also bit-identical to the reference — epoch fencing means a node
+//     either answers correctly for a tile it owns or refuses; it never
+//     serves a stale copy. Errors are tolerated (a typed refusal is a
+//     correct answer); wrong or partial bits are not.
 //
 //  3. Epochs are monotonic: the journaled epoch of a recovered node never
 //     exceeds what the coordinator issued, and the next coordinator
 //     incarnation fences strictly above every surviving node epoch.
-package chaos
+//
+// RunClusterReplicated is the kill-a-replica sibling: THREE nodes with tile
+// replication on — every tile has a primary and a follower, and ingest
+// dual-writes both — while the migration moves the busiest tile onto the
+// node that is neither. The victims are that tile's primary, then its
+// follower. Invariant 2 then covers reads failed over to the follower, and
+// one more joins:
+//
+//  4. Re-replication restores redundancy without an operator: after
+//     Rereplicate(victim), probes are served entirely by survivors and
+//     still match the reference bits.
 
 import (
 	"errors"
@@ -46,49 +58,38 @@ import (
 	"trajforge/internal/wifi"
 )
 
-// ClusterOptions configures one cluster exploration run.
-type ClusterOptions struct {
-	// Seed drives the record workload and torn-write prefixes.
-	Seed int64
-	// Records is the workload length. Default 240.
-	Records int
-	// Dir is the scratch directory; each crash point gets a subdirectory.
-	Dir string
-	// Logf, when set, receives progress lines (e.g. testing.T.Logf).
-	Logf func(format string, args ...any)
-}
+// Record-workload lengths, and the batch index after which the tile
+// migration fires.
+const (
+	clusterRecordCount     = 240
+	replicatedRecordCount  = 200
+	coordinatorRecordCount = 200
+	recordBatch            = 40
+	migrateAt              = 3
+)
 
-// ClusterReport summarises a cluster exploration.
-type ClusterReport struct {
-	// Sites is the total number of crash points explored across both
-	// victim roles (migration source and migration target).
-	Sites int
-	// Committed and Aborted count how the mid-workload migration ended
-	// across crash points; both outcomes must appear, or the crash surface
-	// missed one side of the protocol.
-	Committed int
-	Aborted   int
-	// LiveProbeMatches counts crash points where the post-crash, pre-
-	// recovery probe still succeeded (served entirely by surviving nodes)
-	// and matched the reference bits.
-	LiveProbeMatches int
-}
-
-// clusterFixture is the deterministic workload shared by every crash point.
+// clusterFixture is the deterministic workload shared by every crash point
+// of the cluster scenarios: records in whole batches, feature probes with
+// bit-exact single-process references, and the mid-run migration.
 type clusterFixture struct {
-	opts    ClusterOptions
-	cfg     shardstore.Config
-	fcfg    rssimap.FeatureConfig
-	batches [][]rssimap.Record
-	probes  []*wifi.Upload
-	refFeat [][]float64 // probe features over the full record set, never crashed
-	migTile [2]int
-	fromID  string
-	toID    string
+	cfg       shardstore.Config
+	fcfg      rssimap.FeatureConfig
+	ids       []string
+	replicate bool
+	batches   [][]rssimap.Record
+	prefixLen []int // prefixLen[k] = records in the first k batches
+	probes    []*wifi.Upload
+	// refAt[k][i] is probe i's features over the first k batches on a
+	// single-process store that never crashed: the bits every answer must
+	// reproduce. A degraded coordinator serves a whole-batch prefix.
+	refAt [][][]float64
+	// The migration every run replays, fixed by the dry run: the busiest
+	// tile moves from its owner to the node holding no replica of it.
+	migTile  [2]int
+	owner    string
+	follower string // "" unless replicated
+	migTo    string
 }
-
-// migrateAt is the batch index after which the tile migration fires.
-const migrateAt = 3
 
 func clusterRecords(rng *rand.Rand, n int) []rssimap.Record {
 	recs := make([]rssimap.Record, n)
@@ -126,21 +127,23 @@ func clusterProbe(rng *rand.Rand, n int) *wifi.Upload {
 	return &wifi.Upload{Traj: traj, Scans: scans}
 }
 
-func newClusterFixture(opts ClusterOptions) (*clusterFixture, error) {
-	rng := rand.New(rand.NewSource(opts.Seed))
-	all := clusterRecords(rng, opts.Records)
+// newClusterFixture draws the records and probes, computes the reference
+// bits, and runs the workload once on memory-only nodes to fix the
+// migration every crash point replays.
+func newClusterFixture(seed int64, records int, ids []string, replicate bool) (*clusterFixture, error) {
 	f := &clusterFixture{
-		opts: opts,
-		cfg:  shardstore.DefaultConfig(),
-		fcfg: rssimap.DefaultFeatureConfig(),
+		cfg:       shardstore.DefaultConfig(),
+		fcfg:      rssimap.DefaultFeatureConfig(),
+		ids:       ids,
+		replicate: replicate,
+		prefixLen: []int{0},
 	}
-	const batch = 40
-	for off := 0; off < len(all); off += batch {
-		end := off + batch
-		if end > len(all) {
-			end = len(all)
-		}
+	rng := rand.New(rand.NewSource(seed))
+	all := clusterRecords(rng, records)
+	for off := 0; off < len(all); off += recordBatch {
+		end := min(off+recordBatch, len(all))
 		f.batches = append(f.batches, all[off:end])
+		f.prefixLen = append(f.prefixLen, end)
 	}
 	if len(f.batches) <= migrateAt+1 {
 		return nil, fmt.Errorf("chaos: workload of %d records too short for a mid-run migration", len(all))
@@ -148,194 +151,237 @@ func newClusterFixture(opts ClusterOptions) (*clusterFixture, error) {
 	for i := 0; i < 2; i++ {
 		f.probes = append(f.probes, clusterProbe(rng, 12))
 	}
+	for _, n := range f.prefixLen {
+		ref, err := shardstore.New(f.cfg, all[:n])
+		if err != nil {
+			return nil, err
+		}
+		var feats [][]float64
+		for _, u := range f.probes {
+			feat, err := ref.Features(u, f.fcfg)
+			if err != nil {
+				return nil, err
+			}
+			feats = append(feats, feat)
+		}
+		f.refAt = append(f.refAt, feats)
+	}
 
-	// Reference features from a single-process store that never crashed:
-	// the bits every recovery must reproduce.
-	ref, err := shardstore.New(f.cfg, all)
+	lb, err := cluster.StartLoopback(f.cfg, ids, nil)
 	if err != nil {
 		return nil, err
 	}
-	for _, u := range f.probes {
-		feat, err := ref.Features(u, f.fcfg)
-		if err != nil {
-			return nil, err
-		}
-		f.refFeat = append(f.refFeat, feat)
-	}
-
-	// Dry run on memory-only nodes to fix the migration (tile, from, to)
-	// every crash point replays.
-	res, err := f.run("", "", nil)
+	defer lb.Close()
+	store, err := f.coordinator(lb.Addrs, "", nil)
 	if err != nil {
-		return nil, fmt.Errorf("chaos: dry run: %w", err)
+		return nil, err
 	}
-	if res.migErr != nil {
-		return nil, fmt.Errorf("chaos: dry-run migration: %w", res.migErr)
+	defer store.Close()
+	if err := f.ingest(store); err != nil {
+		return nil, fmt.Errorf("chaos: dry-run migration: %w", err)
 	}
-	if res.probeErr != nil {
-		return nil, fmt.Errorf("chaos: dry-run probe: %w", res.probeErr)
+	if f.replicate && f.follower == "" {
+		return nil, errors.New("chaos: replicated dry run produced no follower")
 	}
-	f.migTile, f.fromID, f.toID = res.migTile, res.fromID, res.toID
+	if refused, err := f.probe(store, f.ref()); err != nil || refused != nil {
+		return nil, fmt.Errorf("chaos: dry-run probe: %w", errors.Join(err, refused))
+	}
 	return f, nil
 }
 
-// clusterRunResult is what one workload execution observed.
-type clusterRunResult struct {
-	migTile    [2]int
-	fromID     string
-	toID       string
-	migErr     error
-	probeErr   error
-	probeMatch bool
-	epoch      uint64 // coordinator epoch when the run finished
-}
+// ref is the reference for the full record set.
+func (f *clusterFixture) ref() [][]float64 { return f.refAt[len(f.batches)] }
 
-// run executes the fixed workload. With dir == "" the nodes are memory-only
-// (the dry run); otherwise each node journals under dir/<id>, and the
-// victim node's filesystem is vfs (nil = healthy).
-func (f *clusterFixture) run(dir, victim string, vfs fsx.FS) (*clusterRunResult, error) {
-	ids := []string{"a", "b"}
-	nodes := make(map[string]*cluster.Node, 2)
-	addrs := make(map[string]string, 2)
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	for _, id := range ids {
-		var nopts cluster.NodeOptions
-		if dir != "" {
-			nopts.Dir = filepath.Join(dir, id)
-			if id == victim {
-				nopts.FS = vfs
-			}
-		}
-		node, err := cluster.NewNode(id, f.cfg, nopts)
-		if err != nil {
-			// The victim crashed before its storage even opened. Reserve a
-			// dead address so the coordinator sees connection-refused and
-			// the workload proceeds degraded.
-			if id == victim {
-				ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-				if lerr != nil {
-					return nil, lerr
-				}
-				addrs[id] = ln.Addr().String()
-				ln.Close()
-				continue
-			}
-			return nil, err
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		nodes[id] = node
-		addrs[id] = addr.String()
-	}
-
-	store, err := cluster.NewStore(cluster.Options{
+// coordinator builds a coordinator over addrs in the fixture's
+// configuration; dir, when set, makes it durable there on fs (nil = the
+// real filesystem).
+func (f *clusterFixture) coordinator(addrs map[string]string, dir string, fs fsx.FS) (*cluster.Store, error) {
+	return cluster.NewStore(cluster.Options{
 		Shard: f.cfg, Nodes: addrs, CallTimeout: 5 * time.Second,
+		Replicate: f.replicate,
+		Dir:       dir, FS: fs,
 		// Retries would only re-dial the deliberately-dead victim; one
 		// attempt keeps every crash point fast and deterministic.
 		Retry: &resilience.RetryPolicy{MaxAttempts: 1},
 	})
+}
+
+// ingest feeds every batch and fires the mid-run migration, returning how
+// that ended. The first call — the fixture's dry run — picks the migration.
+func (f *clusterFixture) ingest(store *cluster.Store) (migErr error) {
+	for i, b := range f.batches {
+		store.Add(b)
+		if i != migrateAt {
+			continue
+		}
+		if f.migTo == "" {
+			tile, ok := store.BusiestTile()
+			if !ok {
+				return errors.New("no busiest tile")
+			}
+			assign := store.Assignment()
+			f.migTile, f.owner, f.follower = tile, assign.Owner(tile), assign.Follower(tile)
+			for _, id := range f.ids {
+				if id != f.owner && id != f.follower {
+					f.migTo = id
+				}
+			}
+		}
+		migErr = store.Migrate(f.migTile, f.migTo)
+	}
+	return migErr
+}
+
+// probe answers every fixture probe from store. A probe the store refuses
+// ends the round and is reported as refused — legal inside a failure
+// window; an answer whose bits differ from want is the error.
+func (f *clusterFixture) probe(store *cluster.Store, want [][]float64) (refused, err error) {
+	for i, u := range f.probes {
+		feat, err := store.Features(u, f.fcfg)
+		if err != nil {
+			return fmt.Errorf("probe %d: %w", i, err), nil
+		}
+		if !sameBits(feat, want[i]) {
+			return nil, fmt.Errorf("probe %d diverged from reference bits", i)
+		}
+	}
+	return nil, nil
+}
+
+// startNodes boots the fixture's nodes journaling under dir/<id>, the
+// victim's storage on vfs. The victim may crash before its storage even
+// opens: then a reserved dead address stands in for it, so the coordinator
+// sees connection-refused and the workload proceeds degraded.
+func (f *clusterFixture) startNodes(dir, victim string, vfs fsx.FS) (*cluster.Loopback, error) {
+	var survivors []string
+	for _, id := range f.ids {
+		if id != victim {
+			survivors = append(survivors, id)
+		}
+	}
+	opts := func(id string) cluster.NodeOptions {
+		nopts := cluster.NodeOptions{Dir: filepath.Join(dir, id)}
+		if id == victim {
+			nopts.FS = vfs
+		}
+		return nopts
+	}
+	lb, err := cluster.StartLoopback(f.cfg, survivors, opts)
+	if err != nil {
+		return nil, err
+	}
+	if v, err := cluster.StartLoopback(f.cfg, []string{victim}, opts); err == nil {
+		lb.Nodes[victim], lb.Addrs[victim] = v.Nodes[victim], v.Addrs[victim]
+		return lb, nil
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		lb.Close()
+		return nil, err
+	}
+	lb.Addrs[victim] = ln.Addr().String()
+	ln.Close()
+	return lb, nil
+}
+
+// nodeObs is what one node-crash workload execution observed.
+type nodeObs struct {
+	migErr       error
+	liveRefused  error // first refusal among the post-crash probes
+	repairedOK   bool  // replicated: the post-repair probes all answered
+	repairs      uint64
+	replicaReads uint64
+	epoch        uint64 // coordinator epoch when the run finished
+}
+
+// nodeCrash is the scenario on the fixture that kills a shard node.
+type nodeCrash struct{ *clusterFixture }
+
+func (sc nodeCrash) victims() []string {
+	if sc.replicate {
+		return []string{sc.owner, sc.follower}
+	}
+	return []string{sc.owner, sc.migTo}
+}
+
+// run executes the fixed workload: ingest, the mid-run migration, probes
+// against the degraded cluster and — replicated — a Rereplicate of the
+// victim and probes again against the repaired world.
+func (sc nodeCrash) run(dir, victim string, vfs *faultfs.FS) (*nodeObs, error) {
+	lb, err := sc.startNodes(dir, victim, vfs)
+	if err != nil {
+		return nil, err
+	}
+	defer lb.Close()
+	store, err := sc.coordinator(lb.Addrs, "", nil)
 	if err != nil {
 		return nil, err
 	}
 	defer store.Close()
 
-	res := &clusterRunResult{}
-	for i, b := range f.batches {
-		store.Add(b)
-		if i == migrateAt {
-			if f.fromID == "" {
-				// Dry run: discover the migration the crash points replay.
-				tile, ok := store.BusiestTile()
-				if !ok {
-					return nil, errors.New("no busiest tile")
-				}
-				res.migTile = tile
-				res.fromID = store.Assignment().Owner(tile)
-				for _, id := range ids {
-					if id != res.fromID {
-						res.toID = id
-					}
-				}
-				res.migErr = store.Migrate(tile, res.toID)
-			} else {
-				res.migTile, res.fromID, res.toID = f.migTile, f.fromID, f.toID
-				res.migErr = store.Migrate(f.migTile, f.toID)
-			}
-		}
+	obs := &nodeObs{migErr: sc.ingest(store)}
+	if obs.liveRefused, err = sc.probe(store, sc.ref()); err != nil {
+		return nil, fmt.Errorf("live %w", err)
 	}
-
-	// Post-workload probe: allowed to fail (a dead node can make tiles
-	// unreachable) but never allowed to answer with different bits.
-	res.probeMatch = true
-	for i, u := range f.probes {
-		feat, err := store.Features(u, f.fcfg)
+	if sc.replicate {
+		// Background repair: re-replicate the victim's tiles onto survivors,
+		// which alone must then serve reference bits. The outcome is
+		// unchecked — Stats counts the repairs that completed.
+		_ = store.Rereplicate(victim)
+		refused, err := sc.probe(store, sc.ref())
 		if err != nil {
-			res.probeErr = err
-			res.probeMatch = false
-			break
+			return nil, fmt.Errorf("post-repair %w", err)
 		}
-		if !sameBits(feat, f.refFeat[i]) {
-			return nil, fmt.Errorf("live probe %d diverged from reference bits", i)
+		obs.repairedOK = refused == nil
+	}
+	st := store.Stats()
+	obs.repairs, obs.replicaReads, obs.epoch = st.Repairs, st.ReplicaReads, st.Epoch
+	if !vfs.Faulted() {
+		if obs.migErr != nil {
+			return nil, fmt.Errorf("fault-free migration: %w", obs.migErr)
+		}
+		if obs.liveRefused != nil {
+			return nil, fmt.Errorf("fault-free %w", obs.liveRefused)
 		}
 	}
-	res.epoch = store.Assignment().Epoch
-	return res, nil
+	return obs, nil
 }
 
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// recover restarts both nodes from their surviving files on a healthy
+// check restarts every node from its surviving files on a healthy
 // filesystem, fences a fresh coordinator above every journaled epoch,
 // replays the canonical log, and asserts the recovery invariants.
-func (f *clusterFixture) recoverAndCheck(dir string, crashed *clusterRunResult) error {
-	ids := []string{"a", "b"}
-	nodes := make(map[string]*cluster.Node, 2)
-	addrs := make(map[string]string, 2)
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	var maxNodeEpoch uint64
-	for _, id := range ids {
-		node, err := cluster.NewNode(id, f.cfg, cluster.NodeOptions{Dir: filepath.Join(dir, id)})
-		if err != nil {
-			return fmt.Errorf("restart node %s: %w", id, err)
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		nodes[id] = node
-		addrs[id] = addr.String()
-		// Invariant 3a: a node can only know epochs the coordinator issued.
-		if e := node.Epoch(); e > crashed.epoch {
-			return fmt.Errorf("node %s recovered epoch %d above the coordinator's last issued %d", id, e, crashed.epoch)
-		} else if e > maxNodeEpoch {
-			maxNodeEpoch = e
-		}
+func (sc nodeCrash) check(dir string, obs *nodeObs, rep *Report) error {
+	if obs.migErr != nil {
+		rep.Aborted++
+	} else {
+		rep.Committed++
 	}
+	if obs.liveRefused == nil {
+		rep.LiveProbeMatches++
+	}
+	if obs.repairedOK {
+		rep.RepairMatches++
+	}
+	rep.Repairs += obs.repairs
+	rep.ReplicaReads += obs.replicaReads
 
-	store, err := cluster.NewStore(cluster.Options{
-		Shard: f.cfg, Nodes: addrs, CallTimeout: 5 * time.Second,
-		Retry: &resilience.RetryPolicy{MaxAttempts: 1},
+	lb, err := cluster.StartLoopback(sc.cfg, sc.ids, func(id string) cluster.NodeOptions {
+		return cluster.NodeOptions{Dir: filepath.Join(dir, id)}
 	})
+	if err != nil {
+		return fmt.Errorf("migration err %v: restart: %w", obs.migErr, err)
+	}
+	defer lb.Close()
+	var maxNodeEpoch uint64
+	for id, node := range lb.Nodes {
+		// Invariant 3a: a node can only know epochs the coordinator issued.
+		e := node.Epoch()
+		if e > obs.epoch {
+			return fmt.Errorf("node %s recovered epoch %d above the coordinator's last issued %d", id, e, obs.epoch)
+		}
+		maxNodeEpoch = max(maxNodeEpoch, e)
+	}
+	store, err := sc.coordinator(lb.Addrs, "", nil)
 	if err != nil {
 		return err
 	}
@@ -349,101 +395,33 @@ func (f *clusterFixture) recoverAndCheck(dir string, crashed *clusterRunResult) 
 
 	// Canonical-log replay (what the server's WAL recovery drives); the
 	// per-tile seq gate deduplicates against whatever the nodes kept.
-	for _, b := range f.batches {
+	for _, b := range sc.batches {
 		store.Add(b)
 	}
 
 	// Invariants 1 + 2: every probe answers, with reference bits.
-	for i, u := range f.probes {
-		feat, err := store.Features(u, f.fcfg)
-		if err != nil {
-			return fmt.Errorf("recovered probe %d: %w", i, err)
-		}
-		if !sameBits(feat, f.refFeat[i]) {
-			return fmt.Errorf("recovered probe %d diverged from reference bits", i)
-		}
+	if refused, err := sc.probe(store, sc.ref()); err != nil || refused != nil {
+		return fmt.Errorf("migration err %v: recovered %w", obs.migErr, errors.Join(err, refused))
 	}
 	return nil
 }
 
-// RunCluster explores kill-node-mid-migration crash points: for each victim
-// role (migration source, then target), it records every storage mutation
-// the victim performs during the fixed workload, then re-runs the workload
-// once per site with a crashing torn-write fault at that site and drives
-// recovery through the invariants above.
-func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
-	if opts.Records == 0 {
-		opts.Records = 240
-	}
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("chaos: ClusterOptions.Dir is required")
-	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	f, err := newClusterFixture(opts)
+// RunCluster explores kill-node-mid-migration crash points: the victims are
+// the migration's source, then its target.
+func RunCluster(opts Options) (*Report, error) {
+	f, err := newClusterFixture(opts.Seed, clusterRecordCount, []string{"a", "b"}, false)
 	if err != nil {
 		return nil, err
 	}
-	logf("chaos: cluster workload: %d records in %d batches, migrating tile %v from %s to %s",
-		opts.Records, len(f.batches), f.migTile, f.fromID, f.toID)
+	return explore("cluster", nodeCrash{f}, opts)
+}
 
-	rep := &ClusterReport{}
-	for _, victim := range []string{f.fromID, f.toID} {
-		role := "source"
-		if victim == f.toID {
-			role = "target"
-		}
-		// Counting pass: the victim runs on a recording, fault-free
-		// filesystem to enumerate its mutation sites.
-		counter := faultfs.New(fsx.OS, faultfs.Options{})
-		countDir := filepath.Join(opts.Dir, "count-"+victim)
-		res, err := f.run(countDir, victim, counter)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: counting pass (victim %s): %w", victim, err)
-		}
-		if res.migErr != nil {
-			return nil, fmt.Errorf("chaos: counting-pass migration (victim %s): %w", victim, res.migErr)
-		}
-		if res.probeErr != nil {
-			return nil, fmt.Errorf("chaos: counting-pass probe (victim %s): %w", victim, res.probeErr)
-		}
-		plan := counter.Ops()
-		logf("chaos: victim %s (%s): %d mutation sites", victim, role, len(plan))
-
-		for site := 1; site <= len(plan); site++ {
-			dir := filepath.Join(opts.Dir, fmt.Sprintf("%s-site-%03d", victim, site))
-			vfs := faultfs.New(fsx.OS, faultfs.Options{
-				Seed:   opts.Seed ^ int64(site),
-				FailAt: site,
-				Mode:   faultfs.FaultTorn,
-				Crash:  true,
-			})
-			res, err := f.run(dir, victim, vfs)
-			if err != nil {
-				return rep, fmt.Errorf("chaos: victim %s site %d (%s %s): %w",
-					victim, site, plan[site-1].Kind, filepath.Base(plan[site-1].Path), err)
-			}
-			if !vfs.Faulted() {
-				return rep, fmt.Errorf("chaos: victim %s site %d: fault never fired", victim, site)
-			}
-			rep.Sites++
-			if res.migErr != nil {
-				rep.Aborted++
-			} else {
-				rep.Committed++
-			}
-			if res.probeErr == nil && res.probeMatch {
-				rep.LiveProbeMatches++
-			}
-			if err := f.recoverAndCheck(dir, res); err != nil {
-				return rep, fmt.Errorf("chaos: victim %s site %d (%s %s, migration err %v): %w",
-					victim, site, plan[site-1].Kind, filepath.Base(plan[site-1].Path), res.migErr, err)
-			}
-		}
+// RunClusterReplicated explores kill-a-replica crash points: the victims
+// are the busiest tile's primary, then its follower.
+func RunClusterReplicated(opts Options) (*Report, error) {
+	f, err := newClusterFixture(opts.Seed, replicatedRecordCount, []string{"a", "b", "c"}, true)
+	if err != nil {
+		return nil, err
 	}
-	logf("chaos: explored %d cluster crash points: %d migrations committed, %d aborted, %d live probes matched",
-		rep.Sites, rep.Committed, rep.Aborted, rep.LiveProbeMatches)
-	return rep, nil
+	return explore("replicated", nodeCrash{f}, opts)
 }

@@ -9,12 +9,12 @@ import "testing"
 // split-brain answers, monotonic epochs); the test asserts the exploration
 // covered both sides of the migration protocol.
 func TestClusterCrashPointExploration(t *testing.T) {
-	rep, err := RunCluster(ClusterOptions{Seed: 7, Dir: t.TempDir(), Logf: t.Logf})
+	rep, err := RunCluster(Options{Seed: 7, Dir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sites < 30 {
-		t.Fatalf("explored %d cluster crash points, want >= 30", rep.Sites)
+	if rep.Sites != 68 {
+		t.Fatalf("explored %d cluster crash points, want 68", rep.Sites)
 	}
 	// The crash surface must exercise both migration outcomes: sites where
 	// the handoff still committed despite the dead node, and sites where

@@ -1,7 +1,9 @@
-// Coordinator crash-point explorer. The coordinator is the cluster's
-// remaining single point of durability: it owns the canonical record log.
-// This explorer puts THAT log on a crashing faultfs and kills the
-// coordinator at every mutation site its own WAL performs — mid-batch,
+package chaos
+
+// The coordinator-crash scenario on the cluster fixture. The coordinator is
+// the cluster's remaining single point of durability: it owns the canonical
+// record log. This scenario puts THAT log on a crashing faultfs and kills
+// the coordinator at every mutation site its own WAL performs — mid-batch,
 // mid-checkpoint, mid-assignment-journal — while the shard nodes stay
 // alive, then drives a standby takeover:
 //
@@ -20,118 +22,39 @@
 //  3. Epochs are monotonic across the takeover: the standby's epoch is
 //     strictly above every epoch the crashed incarnation journaled or any
 //     node accepted.
-package chaos
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"trajforge/internal/cluster"
-	"trajforge/internal/fsx"
 	"trajforge/internal/fsx/faultfs"
-	"trajforge/internal/resilience"
-	"trajforge/internal/rssimap"
-	"trajforge/internal/shardstore"
-	"trajforge/internal/wifi"
 )
 
-// CoordinatorOptions configures one coordinator exploration run.
-type CoordinatorOptions struct {
-	// Seed drives the record workload and torn-write prefixes.
-	Seed int64
-	// Records is the workload length. Default 200.
-	Records int
-	// Dir is the scratch directory; each crash point gets a subdirectory.
-	Dir string
-	// Logf, when set, receives progress lines (e.g. testing.T.Logf).
-	Logf func(format string, args ...any)
+// coordinatorObs is what one coordinator-crash execution observed. The
+// memory-only nodes stay live across the crash for the standby to take
+// over, so the observation owns them.
+type coordinatorObs struct {
+	*cluster.Loopback
+	bootstrapDeath bool   // NewStore failed: the coordinator never came up
+	acked          int    // records the crashed incarnation acknowledged
+	degradedMatch  bool   // the degraded-window probes all answered
+	crashedEpoch   uint64 // last epoch the crashed incarnation issued
 }
 
-// CoordinatorReport summarises a coordinator exploration.
-type CoordinatorReport struct {
-	// Sites is the number of coordinator-WAL crash points explored.
-	Sites int
-	// FailedClosed counts sites where the dying journal caused at least one
-	// batch to be refused (acked < workload) — proof Add fails closed.
-	FailedClosed int
-	// BootstrapDeaths counts sites where the coordinator crashed before it
-	// even came up (NewStore failed); the standby must still take over.
-	BootstrapDeaths int
-	// DegradedProbeMatches counts sites where probes against the degraded
-	// coordinator succeeded and matched the acked-prefix reference bits.
-	DegradedProbeMatches int
-	// TailBatches totals the batches re-fed after takeover across sites —
-	// everything else came back from the coordinator WAL.
-	TailBatches int
-}
+// coordinatorCrash is the scenario on the fixture that kills the
+// coordinator's journal.
+type coordinatorCrash struct{ *clusterFixture }
 
-// coordinatorFixture is the deterministic workload shared by every crash
-// point, with a bit-exact reference for every whole-batch prefix (the
-// degraded coordinator serves a prefix, and its answers must match the
-// reference for exactly that prefix).
-type coordinatorFixture struct {
-	opts      CoordinatorOptions
-	cfg       shardstore.Config
-	fcfg      rssimap.FeatureConfig
-	batches   [][]rssimap.Record
-	prefixLen []int // prefixLen[k] = records in the first k batches
-	probes    []*wifi.Upload
-	refAt     [][][]float64 // refAt[k][i] = probe i's features over the first k batches
-	migTile   [2]int
-	migTo     string
-}
-
-func newCoordinatorFixture(opts CoordinatorOptions) (*coordinatorFixture, error) {
-	f := &coordinatorFixture{
-		opts: opts,
-		cfg:  shardstore.DefaultConfig(),
-		fcfg: rssimap.DefaultFeatureConfig(),
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	all := clusterRecords(rng, opts.Records)
-	const batch = 40
-	f.prefixLen = []int{0}
-	for off := 0; off < len(all); off += batch {
-		end := off + batch
-		if end > len(all) {
-			end = len(all)
-		}
-		f.batches = append(f.batches, all[off:end])
-		f.prefixLen = append(f.prefixLen, end)
-	}
-	if len(f.batches) <= migrateAt+1 {
-		return nil, fmt.Errorf("chaos: workload of %d records too short for a mid-run migration", len(all))
-	}
-	for i := 0; i < 2; i++ {
-		f.probes = append(f.probes, clusterProbe(rng, 12))
-	}
-	for k := 0; k <= len(f.batches); k++ {
-		ref, err := shardstore.New(f.cfg, all[:f.prefixLen[k]])
-		if err != nil {
-			return nil, err
-		}
-		var feats [][]float64
-		for _, u := range f.probes {
-			feat, err := ref.Features(u, f.fcfg)
-			if err != nil {
-				return nil, err
-			}
-			feats = append(feats, feat)
-		}
-		f.refAt = append(f.refAt, feats)
-	}
-	return f, nil
-}
+func (sc coordinatorCrash) victims() []string { return []string{""} }
 
 // ackedBatches maps an acked record count back to a whole-batch prefix
 // index, or errors: a partial batch in the canonical log would mean the
 // coordinator acked half an ingest.
-func (f *coordinatorFixture) ackedBatches(n int) (int, error) {
-	for k, plen := range f.prefixLen {
+func (sc coordinatorCrash) ackedBatches(n int) (int, error) {
+	for k, plen := range sc.prefixLen {
 		if plen == n {
 			return k, nil
 		}
@@ -139,255 +62,119 @@ func (f *coordinatorFixture) ackedBatches(n int) (int, error) {
 	return 0, fmt.Errorf("acked record count %d is not a whole-batch prefix", n)
 }
 
-// coordinatorSite runs one crash point: live nodes, a durable coordinator
-// on the faulting filesystem, the workload, degraded-window probes, then a
-// standby takeover over the same directory on a healthy filesystem.
-func (f *coordinatorFixture) coordinatorSite(dir string, vfs fsx.FS, rep *CoordinatorReport) error {
-	nodes := make(map[string]*cluster.Node, 2)
-	addrs := make(map[string]string, 2)
+// run starts live nodes and a durable coordinator on the faulting
+// filesystem, feeds the workload, and probes the degraded window.
+func (sc coordinatorCrash) run(dir, _ string, vfs *faultfs.FS) (obs *coordinatorObs, err error) {
+	lb, err := cluster.StartLoopback(sc.cfg, sc.ids, nil)
+	if err != nil {
+		return nil, err
+	}
 	defer func() {
-		for _, n := range nodes {
-			n.Close()
+		if err != nil {
+			lb.Close()
 		}
 	}()
-	for _, id := range []string{"a", "b"} {
-		node, err := cluster.NewNode(id, f.cfg, cluster.NodeOptions{})
-		if err != nil {
-			return err
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		nodes[id] = node
-		addrs[id] = addr.String()
-	}
-	coordDir := filepath.Join(dir, "coord")
-	retry := &resilience.RetryPolicy{MaxAttempts: 1}
-
-	acked := 0
-	var crashedEpoch uint64
-	store, err := cluster.NewStore(cluster.Options{
-		Shard: f.cfg, Nodes: addrs, CallTimeout: 5 * time.Second,
-		Dir: coordDir, FS: vfs, Retry: retry,
-	})
+	obs = &coordinatorObs{Loopback: lb}
+	store, err := sc.coordinator(lb.Addrs, filepath.Join(dir, "coord"), vfs)
 	if err != nil {
+		if !vfs.Faulted() {
+			return nil, err
+		}
 		// The coordinator died at bootstrap — before serving anything. The
-		// standby takeover below must still come up over whatever survived.
-		rep.BootstrapDeaths++
-	} else {
-		for i, b := range f.batches {
-			store.Add(b)
-			if i == migrateAt && f.migTo != "" {
-				// Outcome intentionally unchecked: a dying journal degrades
-				// the coordinator but must never corrupt the handoff.
-				_ = store.Migrate(f.migTile, f.migTo)
-			}
-		}
-		acked = store.Len()
-		k, err := f.ackedBatches(acked)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		if acked < f.prefixLen[len(f.batches)] {
-			rep.FailedClosed++
-			if deg, reason := store.HealthStatus(); !deg || !strings.Contains(reason, "wal") {
-				store.Close()
-				return fmt.Errorf("coordinator refused batches but health is not wal-degraded (degraded=%v reason=%q)", deg, reason)
-			}
-		}
-		// Degraded-window probes: answers must match the ACKED prefix
-		// reference exactly, or refuse. Never partial, never the full-set
-		// bits for records that were refused.
-		match := true
-		for i, u := range f.probes {
-			feat, err := store.Features(u, f.fcfg)
-			if err != nil {
-				match = false
-				break
-			}
-			if !sameBits(feat, f.refAt[k][i]) {
-				store.Close()
-				return fmt.Errorf("degraded probe %d diverged from acked-prefix reference bits (acked %d)", i, acked)
-			}
-		}
-		if match {
-			rep.DegradedProbeMatches++
-		}
-		crashedEpoch = store.Assignment().Epoch
-		store.Close()
+		// standby takeover must still come up over whatever survived.
+		obs.bootstrapDeath = true
+		return obs, nil
 	}
+	defer store.Close()
+	// Migration outcome intentionally unchecked under a fault: a dying
+	// journal degrades the coordinator but must never corrupt the handoff.
+	migErr := sc.ingest(store)
+	obs.acked = store.Len()
+	k, err := sc.ackedBatches(obs.acked)
+	if err != nil {
+		return nil, err
+	}
+	if !vfs.Faulted() && (migErr != nil || k != len(sc.batches)) {
+		return nil, fmt.Errorf("fault-free run acked %d/%d batches, migration: %v", k, len(sc.batches), migErr)
+	}
+	if k < len(sc.batches) {
+		if deg, reason := store.HealthStatus(); !deg || !strings.Contains(reason, "wal") {
+			return nil, fmt.Errorf("coordinator refused batches but health is not wal-degraded (degraded=%v reason=%q)", deg, reason)
+		}
+	}
+	// Degraded-window probes: answers must match the ACKED prefix reference
+	// exactly, or refuse. Never partial, never the full-set bits for
+	// records that were refused.
+	refused, err := sc.probe(store, sc.refAt[k])
+	if err != nil {
+		return nil, fmt.Errorf("degraded (acked %d) %w", obs.acked, err)
+	}
+	if refused != nil && !vfs.Faulted() {
+		return nil, fmt.Errorf("fault-free %w", refused)
+	}
+	obs.degradedMatch = refused == nil
+	obs.crashedEpoch = store.Assignment().Epoch
+	return obs, nil
+}
 
+// check is the standby takeover: same directory, healthy filesystem, nodes
+// still live. Recovery must come from the coordinator WAL, not the seed
+// corpus — only batches the journal never captured are re-fed.
+func (sc coordinatorCrash) check(dir string, obs *coordinatorObs, rep *Report) error {
+	if obs.bootstrapDeath {
+		rep.BootstrapDeaths++
+	} else if obs.acked < sc.prefixLen[len(sc.batches)] {
+		rep.FailedClosed++
+	}
+	if obs.degradedMatch {
+		rep.DegradedProbeMatches++
+	}
 	// Epochs the live nodes accepted from the crashed incarnation — the
 	// floor the standby must fence above. Read before the standby pushes
 	// its own assignment.
 	var maxNodeEpoch uint64
-	for _, n := range nodes {
-		if e := n.Epoch(); e > maxNodeEpoch {
-			maxNodeEpoch = e
-		}
+	for _, n := range obs.Nodes {
+		maxNodeEpoch = max(maxNodeEpoch, n.Epoch())
 	}
-
-	// Standby takeover: same directory, healthy filesystem, nodes still
-	// live. Recovery must come from the coordinator WAL, not the seed
-	// corpus — only batches the journal never captured are re-fed.
-	standby, err := cluster.NewStore(cluster.Options{
-		Shard: f.cfg, Nodes: addrs, CallTimeout: 5 * time.Second,
-		Dir: coordDir, Retry: retry,
-	})
+	standby, err := sc.coordinator(obs.Addrs, filepath.Join(dir, "coord"), nil)
 	if err != nil {
 		return fmt.Errorf("standby takeover: %w", err)
 	}
 	defer standby.Close()
 
 	recovered := standby.Len()
-	if recovered < acked {
-		return fmt.Errorf("standby recovered %d records from the coordinator WAL, below the %d acked", recovered, acked)
+	if recovered < obs.acked {
+		return fmt.Errorf("standby recovered %d records from the coordinator WAL, below the %d acked", recovered, obs.acked)
 	}
-	k, err := f.ackedBatches(recovered)
+	k, err := sc.ackedBatches(recovered)
 	if err != nil {
 		return fmt.Errorf("standby recovery: %w", err)
 	}
-	if e := standby.Assignment().Epoch; e <= maxNodeEpoch || (crashedEpoch > 0 && e <= crashedEpoch) {
-		return fmt.Errorf("standby epoch %d does not fence above node epoch %d and crashed epoch %d", e, maxNodeEpoch, crashedEpoch)
+	if e := standby.Assignment().Epoch; e <= maxNodeEpoch || e <= obs.crashedEpoch {
+		return fmt.Errorf("standby epoch %d does not fence above node epoch %d and crashed epoch %d", e, maxNodeEpoch, obs.crashedEpoch)
 	}
 
 	// Re-feed ONLY the un-journaled tail.
-	for _, b := range f.batches[k:] {
+	for _, b := range sc.batches[k:] {
 		standby.Add(b)
 		rep.TailBatches++
 	}
-	if standby.Len() != f.prefixLen[len(f.batches)] {
-		return fmt.Errorf("standby serves %d records after tail feed, want %d", standby.Len(), f.prefixLen[len(f.batches)])
+	if standby.Len() != sc.prefixLen[len(sc.batches)] {
+		return fmt.Errorf("standby serves %d records after tail feed, want %d", standby.Len(), sc.prefixLen[len(sc.batches)])
 	}
-	for i, u := range f.probes {
-		feat, err := standby.Features(u, f.fcfg)
-		if err != nil {
-			return fmt.Errorf("standby probe %d: %w", i, err)
-		}
-		if !sameBits(feat, f.refAt[len(f.batches)][i]) {
-			return fmt.Errorf("standby probe %d diverged from reference bits", i)
-		}
+	if refused, err := sc.probe(standby, sc.ref()); err != nil || refused != nil {
+		return fmt.Errorf("standby %w", errors.Join(err, refused))
 	}
 	return nil
 }
 
-// RunCoordinator explores coordinator-WAL crash points: a counting pass on
-// a recording filesystem enumerates every mutation the coordinator's own
-// durability performs, then each site is replayed with a crashing
-// torn-write fault and driven through fail-closed, degraded-window, and
-// standby-takeover invariants.
-func RunCoordinator(opts CoordinatorOptions) (*CoordinatorReport, error) {
-	if opts.Records == 0 {
-		opts.Records = 200
-	}
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("chaos: CoordinatorOptions.Dir is required")
-	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	f, err := newCoordinatorFixture(opts)
+// RunCoordinator explores coordinator-WAL crash points: each site is
+// replayed with a crashing torn-write fault and driven through fail-closed,
+// degraded-window, and standby-takeover invariants.
+func RunCoordinator(opts Options) (*Report, error) {
+	f, err := newClusterFixture(opts.Seed, coordinatorRecordCount, []string{"a", "b"}, false)
 	if err != nil {
 		return nil, err
 	}
-
-	// Dry pass on a recording, fault-free filesystem: fixes the mid-run
-	// migration every site replays and enumerates the mutation plan.
-	counter := faultfs.New(fsx.OS, faultfs.Options{})
-	if err := f.dryRun(filepath.Join(opts.Dir, "count"), counter); err != nil {
-		return nil, fmt.Errorf("chaos: coordinator counting pass: %w", err)
-	}
-	plan := counter.Ops()
-	logf("chaos: coordinator workload: %d records in %d batches, %d coordinator mutation sites, migrating tile %v to %s",
-		opts.Records, len(f.batches), len(plan), f.migTile, f.migTo)
-
-	rep := &CoordinatorReport{}
-	for site := 1; site <= len(plan); site++ {
-		dir := filepath.Join(opts.Dir, fmt.Sprintf("site-%03d", site))
-		vfs := faultfs.New(fsx.OS, faultfs.Options{
-			Seed:   opts.Seed ^ int64(site),
-			FailAt: site,
-			Mode:   faultfs.FaultTorn,
-			Crash:  true,
-		})
-		if err := f.coordinatorSite(dir, vfs, rep); err != nil {
-			return rep, fmt.Errorf("chaos: coordinator site %d (%s %s): %w",
-				site, plan[site-1].Kind, filepath.Base(plan[site-1].Path), err)
-		}
-		if !vfs.Faulted() {
-			return rep, fmt.Errorf("chaos: coordinator site %d: fault never fired", site)
-		}
-		rep.Sites++
-	}
-	logf("chaos: explored %d coordinator crash points: %d failed closed, %d bootstrap deaths, %d degraded probes matched, %d tail batches re-fed",
-		rep.Sites, rep.FailedClosed, rep.BootstrapDeaths, rep.DegradedProbeMatches, rep.TailBatches)
-	return rep, nil
-}
-
-// dryRun executes the workload once against a healthy durable coordinator
-// to fix the migration target and record the coordinator's mutation plan.
-func (f *coordinatorFixture) dryRun(dir string, vfs fsx.FS) error {
-	nodes := make(map[string]*cluster.Node, 2)
-	addrs := make(map[string]string, 2)
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	for _, id := range []string{"a", "b"} {
-		node, err := cluster.NewNode(id, f.cfg, cluster.NodeOptions{})
-		if err != nil {
-			return err
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		nodes[id] = node
-		addrs[id] = addr.String()
-	}
-	store, err := cluster.NewStore(cluster.Options{
-		Shard: f.cfg, Nodes: addrs, CallTimeout: 5 * time.Second,
-		Dir: filepath.Join(dir, "coord"), FS: vfs,
-		Retry: &resilience.RetryPolicy{MaxAttempts: 1},
-	})
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	for i, b := range f.batches {
-		store.Add(b)
-		if i == migrateAt {
-			tile, ok := store.BusiestTile()
-			if !ok {
-				return errors.New("no busiest tile")
-			}
-			f.migTile = tile
-			owner := store.Assignment().Owner(tile)
-			for _, id := range []string{"a", "b"} {
-				if id != owner {
-					f.migTo = id
-				}
-			}
-			if err := store.Migrate(tile, f.migTo); err != nil {
-				return fmt.Errorf("dry-run migration: %w", err)
-			}
-		}
-	}
-	if store.Len() != f.prefixLen[len(f.batches)] {
-		return fmt.Errorf("dry run acked %d records, want %d", store.Len(), f.prefixLen[len(f.batches)])
-	}
-	for i, u := range f.probes {
-		feat, err := store.Features(u, f.fcfg)
-		if err != nil {
-			return err
-		}
-		if !sameBits(feat, f.refAt[len(f.batches)][i]) {
-			return fmt.Errorf("dry-run probe %d diverged from reference bits", i)
-		}
-	}
-	return nil
+	return explore("coordinator", coordinatorCrash{f}, opts)
 }

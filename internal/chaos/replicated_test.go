@@ -10,12 +10,12 @@ import "testing"
 // single-process reference, recovery bit-identical, monotonic epochs); the
 // test asserts the exploration actually drove the replication machinery.
 func TestReplicatedCrashPointExploration(t *testing.T) {
-	rep, err := RunClusterReplicated(ReplicatedOptions{Seed: 11, Dir: t.TempDir(), Logf: t.Logf})
+	rep, err := RunClusterReplicated(Options{Seed: 11, Dir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sites < 30 {
-		t.Fatalf("explored %d replicated crash points, want >= 30", rep.Sites)
+	if rep.Sites != 65 {
+		t.Fatalf("explored %d replicated crash points, want 65", rep.Sites)
 	}
 	if rep.Committed == 0 {
 		t.Fatal("no crash point left the migration committed")
@@ -25,7 +25,7 @@ func TestReplicatedCrashPointExploration(t *testing.T) {
 	}
 	// A dead primary must not take the failure window down with it: the
 	// follower replica serves, and serves the right bits.
-	if rep.FailoverMatches == 0 {
+	if rep.LiveProbeMatches == 0 {
 		t.Fatal("no crash point served matching probes during the failover window")
 	}
 	if rep.ReplicaReads == 0 {
@@ -48,12 +48,12 @@ func TestReplicatedCrashPointExploration(t *testing.T) {
 // the takeover; the test asserts the exploration covered the interesting
 // regimes.
 func TestCoordinatorCrashPointExploration(t *testing.T) {
-	rep, err := RunCoordinator(CoordinatorOptions{Seed: 13, Dir: t.TempDir(), Logf: t.Logf})
+	rep, err := RunCoordinator(Options{Seed: 13, Dir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sites < 10 {
-		t.Fatalf("explored %d coordinator crash points, want >= 10", rep.Sites)
+	if rep.Sites != 28 {
+		t.Fatalf("explored %d coordinator crash points, want 28", rep.Sites)
 	}
 	// Mid-ingest journal deaths must refuse batches (fail closed) at some
 	// sites, and bootstrap deaths must appear at the early sites.

@@ -3,94 +3,55 @@ package chaos
 import (
 	"fmt"
 	"math"
-	"net/http/httptest"
-	"path/filepath"
 	"time"
 
-	"trajforge/internal/detect"
-	"trajforge/internal/fsx"
 	"trajforge/internal/fsx/faultfs"
-	"trajforge/internal/geo"
-	"trajforge/internal/rssimap"
-	"trajforge/internal/server"
 	"trajforge/internal/stream"
 	"trajforge/internal/wifi"
-	"trajforge/internal/xgb"
 )
 
-// This file is the streaming-session counterpart of the batch explorer:
-// the fixed workload opens concurrent verification sessions, appends their
-// chunks interleaved (one batch upload mixed in mid-stream), and closes
-// them in order, flushing the WAL after every operation so each open,
-// chunk, and verdict has a definite acknowledged-durable point. Every
-// filesystem mutation site of that workload is then explored as a torn
-// crash, and recovery must show:
+// This file is the streaming-session scenario on the single-process
+// fixture: the fixed workload opens concurrent verification sessions,
+// appends their chunks interleaved (one batch upload mixed in mid-stream),
+// and closes them in order, flushing the WAL after every operation so each
+// open, chunk, and verdict has a definite acknowledged-durable point. On
+// top of the fixture's recovery check (ledger prefix covering every
+// flushed verdict, bit-identical probe after Service.Restore), recovery
+// must show:
 //
-//  1. No acknowledged operation lost: the recovered verdict ledger is a
-//     prefix of the reference journal-order verdict sequence covering at
-//     least every flushed verdict, every flushed-but-unresolved session is
-//     recovered in flight with at least its flushed chunks, and a session
-//     whose close verdict was recovered is never also in flight.
+//  1. No acknowledged operation lost: every flushed-but-unresolved session
+//     is recovered in flight with at least its flushed chunks, and a
+//     session whose close verdict was recovered is never also in flight.
 //
-//  2. Bit-identical state: every recovered in-flight session's buffered
-//     points and scans equal the reference trajectory prefix bit-for-bit,
-//     and after Service.Restore the store answers the feature probe
-//     bit-identical to a crash-free run with the same accepted prefix.
-
-// SessionReport summarises a streaming-session exploration.
-type SessionReport struct {
-	// Sites is the number of mutation sites the clean counting pass found;
-	// every one was explored as a crash point.
-	Sites int
-	// EmptyRecoveries counts crash points that recovered to an empty state.
-	EmptyRecoveries int
-	// FullRecoveries counts crash points that recovered the entire verdict
-	// ledger.
-	FullRecoveries int
-	// MaxAckedVerdicts is the largest acknowledged-verdict count observed.
-	MaxAckedVerdicts int
-	// InFlightRecoveries counts crash points that recovered at least one
-	// session still in flight (chunks journaled, no verdict yet).
-	InFlightRecoveries int
-}
-
-// sessionScript is one scripted session of the workload: its full upload,
-// the chunk boundaries, and the reference outcome (how many chunks the
-// crash-free run applied before an early exit, and the close verdict).
-type sessionScript struct {
-	id       string
-	upload   *wifi.Upload
-	chunks   [][2]int // [lo, hi) per chunk
-	applied  int      // chunks applied in the reference run
-	accepted bool     // close verdict of the reference run
-}
-
-// sessionFixture is everything shared across crash points.
-type sessionFixture struct {
-	opts      Options
-	proj      *geo.Projection
-	bootstrap []rssimap.Record
-	model     *xgb.Model
-	fcfg      rssimap.FeatureConfig
-
-	scripts []*sessionScript
-	batch   *wifi.Upload // one batch upload interleaved between chunk rounds
-	probe   *wifi.Upload
-
-	// verdicts is the journal-order verdict sequence: the batch upload's
-	// verdict first (it lands in the WAL between chunk rounds), then the
-	// session closes in close order.
-	verdicts []bool
-	// features[k] is the probe's feature vector once the store holds the
-	// bootstrap plus the first k accepted uploads in ingestion order.
-	features [][]float64
-}
+//  2. Bit-identical buffers: every recovered in-flight session's buffered
+//     points and scans equal the reference trajectory prefix bit-for-bit.
 
 const (
 	sessionCount  = 4
 	chunksPerSess = 3
 	forgedSession = 2 // this session streams the forged RSSI signature
+	sessionPoints = 18
 )
+
+// sessionScript is one scripted session of the workload: its full upload,
+// the chunk boundaries, and the reference outcome (how many chunks the
+// crash-free run applied before an early exit).
+type sessionScript struct {
+	id      string
+	upload  *wifi.Upload
+	chunks  [][2]int // [lo, hi) per chunk
+	applied int      // chunks applied in the reference run
+}
+
+// sessionScenario is the session workload on the fixture. The fixture's
+// verdict sequence is in journal order: the batch upload's verdict first
+// (it lands in the WAL between chunk rounds), then the session closes in
+// close order.
+type sessionScenario struct {
+	*fixture
+	scripts []*sessionScript
+	batch   *wifi.Upload // one batch upload interleaved between chunk rounds
+}
 
 // sessionAcks records which operations of one crash run were acknowledged
 // durable (journaled and flushed) before the filesystem died.
@@ -100,127 +61,55 @@ type sessionAcks struct {
 	verdicts int    // journal-order verdicts flushed (batch + closes)
 }
 
-// streamConfig is the session config every pass uses. The thresholds are
-// low enough that the forged session's early exit fires mid-stream, so the
-// rejected-without-pipeline close path is part of the crash surface.
-func streamConfig() *stream.Config {
-	return &stream.Config{Window: 8, EarlyExit: 0.5, EarlyExitAfter: 8}
-}
-
-// newService wires a streaming-enabled verification service around the
-// given store, optionally persistent. The caller must invoke cleanup.
-func (f *sessionFixture) newService(p *server.Persistence, store *rssimap.Store) (*server.Service, *boundClient, func(), error) {
-	stub := &motionStub{prob: 0.9}
-	rc, err := detect.NewReplayChecker(1.2)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	svc, err := server.New(server.Config{
-		Projection:     f.proj,
-		Motion:         stub,
-		Replay:         rc,
-		WiFi:           &detect.WiFiDetector{Store: store, Model: f.model, Features: f.fcfg},
-		IngestAccepted: true,
-		Persist:        p,
-		Stream:         streamConfig(),
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ts := httptest.NewServer(svc.Handler())
-	cleanup := func() {
-		ts.Close()
-		svc.Close() // on a crashed FS this fails; recovery is the real check
-	}
-	return svc, &boundClient{client: server.NewClient(ts.URL, f.proj), stub: stub}, cleanup, nil
-}
-
-// newSessionFixture trains the detector, scripts the workload, and runs
+// newSessionScenario trains the detector, scripts the workload, and runs
 // the crash-free reference pass that fixes per-session outcomes, the
-// verdict sequence, and the per-prefix feature vectors.
-func newSessionFixture(opts Options) (*sessionFixture, error) {
-	f := &sessionFixture{opts: opts, proj: geo.NewProjection(origin)}
-	var err error
-	if f.bootstrap, f.model, f.fcfg, err = trainFixture(opts.Seed, opts.Points); err != nil {
+// verdict sequence, and the per-prefix feature vectors. The stream
+// thresholds are low enough that the forged session's early exit fires
+// mid-stream, so the rejected-without-pipeline close path is part of the
+// crash surface.
+func newSessionScenario(seed int64) (*sessionScenario, error) {
+	f, err := newFixture(seed, sessionPoints, &stream.Config{Window: 8, EarlyExit: 0.5, EarlyExitAfter: 8}, nil)
+	if err != nil {
 		return nil, err
 	}
-
-	f.scripts = make([]*sessionScript, sessionCount)
-	for i := range f.scripts {
-		u, err := walkUpload(opts.Seed+int64(850+i), opts.Points)
+	sc := &sessionScenario{fixture: f, scripts: make([]*sessionScript, sessionCount)}
+	for i := range sc.scripts {
+		u, err := walkUpload(seed+int64(850+i), sessionPoints)
 		if err != nil {
 			return nil, err
 		}
 		if i == forgedSession {
-			for j := range u.Scans {
-				u.Scans[j] = wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -30}}
-			}
+			forgeScans(u)
 		}
 		n := u.Traj.Len()
-		sc := &sessionScript{id: fmt.Sprintf("chaos-sess-%02d", i), upload: u}
+		s := &sessionScript{id: fmt.Sprintf("chaos-sess-%02d", i), upload: u}
 		for c := 0; c < chunksPerSess; c++ {
-			lo, hi := c*n/chunksPerSess, (c+1)*n/chunksPerSess
-			sc.chunks = append(sc.chunks, [2]int{lo, hi})
+			s.chunks = append(s.chunks, [2]int{c * n / chunksPerSess, (c + 1) * n / chunksPerSess})
 		}
-		f.scripts[i] = sc
+		sc.scripts[i] = s
 	}
-	if f.batch, err = walkUpload(opts.Seed+920, opts.Points); err != nil {
-		return nil, err
-	}
-	if f.probe, err = walkUpload(opts.Seed+999, 30); err != nil {
+	if sc.batch, err = walkUpload(seed+920, sessionPoints); err != nil {
 		return nil, err
 	}
 
-	// Reference pass: same pipeline, no persistence, no faults.
-	store, err := rssimap.NewStore(rssimap.DefaultConfig(), f.bootstrap)
-	if err != nil {
-		return nil, err
-	}
-	_, client, cleanup, err := f.newService(nil, store)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	want, err := store.Features(f.probe, f.fcfg)
-	if err != nil {
-		return nil, err
-	}
-	f.features = append(f.features, want)
-	err = f.runOps(client, true, func(op string, sess int, accepted bool) error {
-		switch op {
-		case "chunk":
-			f.scripts[sess].applied++
-		case "batch", "close":
-			if op == "close" {
-				f.scripts[sess].accepted = accepted
+	err = f.reference(func(c *boundClient, verdict func(bool) error) error {
+		return sc.runOps(c, true, func(op string, sess int, accepted bool) error {
+			switch op {
+			case "chunk":
+				sc.scripts[sess].applied++
+			case "batch", "close":
+				return verdict(accepted)
 			}
-			f.verdicts = append(f.verdicts, accepted)
-			if accepted {
-				w, err := store.Features(f.probe, f.fcfg)
-				if err != nil {
-					return err
-				}
-				f.features = append(f.features, w)
-			}
-		}
-		return nil
+			return nil
+		})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("chaos: reference session pass: %w", err)
+		return nil, err
 	}
-	accepts := 0
-	for _, v := range f.verdicts {
-		if v {
-			accepts++
-		}
-	}
-	if accepts == 0 || accepts == len(f.verdicts) {
-		return nil, fmt.Errorf("chaos: degenerate session workload: %d/%d accepted", accepts, len(f.verdicts))
-	}
-	if f.scripts[forgedSession].applied == chunksPerSess {
+	if sc.scripts[forgedSession].applied == chunksPerSess {
 		return nil, fmt.Errorf("chaos: forged session never early-exited")
 	}
-	return f, nil
+	return sc, nil
 }
 
 // runOps executes the fixed operation sequence against one service and
@@ -228,28 +117,28 @@ func newSessionFixture(opts Options) (*sessionFixture, error) {
 // pass (ref=true) records outcomes into the scripts; crash runs check the
 // live answers against them — the in-memory pipeline never sees the disk
 // fault, so any deviation is an invariant violation in itself.
-func (f *sessionFixture) runOps(client *boundClient, ref bool, ack func(op string, sess int, accepted bool) error) error {
+func (sc *sessionScenario) runOps(client *boundClient, ref bool, ack func(op string, sess int, accepted bool) error) error {
 	client.stub.prob = 0.9
-	for i, sc := range f.scripts {
-		got, err := client.client.OpenSession(sc.id, "")
+	for i, s := range sc.scripts {
+		got, err := client.client.OpenSession(s.id, "")
 		if err != nil {
 			return fmt.Errorf("open session %d: %w", i, err)
 		}
-		if got != sc.id {
-			return fmt.Errorf("open session %d: id %q, want %q", i, got, sc.id)
+		if got != s.id {
+			return fmt.Errorf("open session %d: id %q, want %q", i, got, s.id)
 		}
 		if err := ack("open", i, false); err != nil {
 			return err
 		}
 	}
-	rejected := make([]bool, len(f.scripts))
+	rejected := make([]bool, len(sc.scripts))
 	for round := 0; round < chunksPerSess; round++ {
-		for i, sc := range f.scripts {
+		for i, s := range sc.scripts {
 			if rejected[i] {
 				continue
 			}
-			c := sc.chunks[round]
-			a, err := client.client.AppendSession(sc.id, round, sc.upload, c[0], c[1])
+			c := s.chunks[round]
+			a, err := client.client.AppendSession(s.id, round, s.upload, c[0], c[1])
 			if err != nil {
 				return fmt.Errorf("append session %d chunk %d: %w", i, round, err)
 			}
@@ -262,32 +151,32 @@ func (f *sessionFixture) runOps(client *boundClient, ref bool, ack func(op strin
 			// The reference pass fixed where the early exit fires; a crash
 			// run deviating means the disk fault leaked into scoring.
 			if !ref {
-				wantRejected := round+1 == sc.applied && sc.applied < chunksPerSess
+				wantRejected := round+1 == s.applied && s.applied < chunksPerSess
 				if a.Rejected != wantRejected {
 					return fmt.Errorf("session %d chunk %d: rejected=%v deviates from reference", i, round, a.Rejected)
 				}
 			}
 		}
 		if round == 0 {
-			v, err := client.client.Upload(f.batch)
+			v, err := client.client.Upload(sc.batch)
 			if err != nil {
 				return fmt.Errorf("interleaved batch upload: %w", err)
 			}
-			if !ref && v.Accepted != f.verdicts[0] {
-				return fmt.Errorf("batch verdict %v, want %v", v.Accepted, f.verdicts[0])
+			if !ref && v.Accepted != sc.verdicts[0] {
+				return fmt.Errorf("batch verdict %v, want %v", v.Accepted, sc.verdicts[0])
 			}
 			if err := ack("batch", -1, v.Accepted); err != nil {
 				return err
 			}
 		}
 	}
-	for i, sc := range f.scripts {
-		v, err := client.client.CloseSession(sc.id)
+	for i, s := range sc.scripts {
+		v, err := client.client.CloseSession(s.id)
 		if err != nil {
 			return fmt.Errorf("close session %d: %w", i, err)
 		}
-		if !ref && v.Accepted != f.verdicts[1+i] {
-			return fmt.Errorf("session %d verdict %v, want %v", i, v.Accepted, f.verdicts[1+i])
+		if !ref && v.Accepted != sc.verdicts[1+i] {
+			return fmt.Errorf("session %d verdict %v, want %v", i, v.Accepted, sc.verdicts[1+i])
 		}
 		if err := ack("close", i, v.Accepted); err != nil {
 			return err
@@ -296,241 +185,112 @@ func (f *sessionFixture) runOps(client *boundClient, ref bool, ack func(op strin
 	return nil
 }
 
-// runWorkload executes the fixed session workload against dir on the given
-// filesystem and reports which operations were acknowledged durable before
-// the filesystem died. Faults never abort the workload.
-func (f *sessionFixture) runWorkload(dir string, fs fsx.FS) (acks sessionAcks, err error) {
-	acks = sessionAcks{opens: make([]bool, len(f.scripts)), chunks: make([]int, len(f.scripts))}
-	p, perr := server.OpenPersistence(dir, server.PersistOptions{FS: fs, SyncInterval: -1})
-	if perr != nil {
-		return acks, nil // crash during open: nothing was ever acknowledged
-	}
-	store, err := rssimap.NewStore(rssimap.DefaultConfig(), f.bootstrap)
-	if err != nil {
-		return acks, err
-	}
-	_, client, cleanup, err := f.newService(p, store)
-	if err != nil {
-		return acks, err
-	}
-	defer cleanup()
-	// The bootstrap store exists only in memory until this first snapshot.
-	alive := p.Compact() == nil
-	err = f.runOps(client, false, func(op string, sess int, _ bool) error {
-		if !alive || p.Flush() != nil {
-			alive = false
+func (sc *sessionScenario) victims() []string { return []string{""} }
+
+func (sc *sessionScenario) run(dir, _ string, fs *faultfs.FS) (sessionAcks, error) {
+	acks := sessionAcks{opens: make([]bool, len(sc.scripts)), chunks: make([]int, len(sc.scripts))}
+	err := sc.workload(dir, fs, func(c *boundClient, durable func() bool) error {
+		return sc.runOps(c, false, func(op string, sess int, _ bool) error {
+			if !durable() {
+				return nil
+			}
+			switch op {
+			case "open":
+				acks.opens[sess] = true
+			case "chunk":
+				acks.chunks[sess]++
+			case "batch", "close":
+				acks.verdicts++
+			}
 			return nil
-		}
-		switch op {
-		case "open":
-			acks.opens[sess] = true
-		case "chunk":
-			acks.chunks[sess]++
-		case "batch", "close":
-			acks.verdicts++
-		}
-		return nil
+		})
 	})
+	if err == nil && !fs.Faulted() && acks.verdicts != len(sc.verdicts) {
+		err = fmt.Errorf("fault-free run acknowledged %d/%d verdicts", acks.verdicts, len(sc.verdicts))
+	}
 	return acks, err
 }
 
-// checkRecovery reopens dir with a healthy filesystem and asserts both
-// invariants for a crash point with the given acknowledged operations.
-func (f *sessionFixture) checkRecovery(dir string, acks sessionAcks) (accepted, inflight int, empty bool, err error) {
-	p, err := server.OpenPersistence(dir, server.PersistOptions{SyncInterval: -1})
+func (sc *sessionScenario) check(dir string, acks sessionAcks, rep *Report) error {
+	state, err := sc.recover(dir, acks.verdicts, rep)
 	if err != nil {
-		return 0, 0, false, fmt.Errorf("recovery open: %w", err)
+		return fmt.Errorf("acked %d verdicts: %w", acks.verdicts, err)
 	}
-	state := p.Recovered()
-
-	// Invariant 1a: the recovered ledger is a prefix of the journal-order
-	// verdict sequence, covering at least every flushed verdict.
-	total := state.Accepted + state.Rejected
-	if total > len(f.verdicts) {
-		return 0, 0, false, fmt.Errorf("recovered %d verdicts, workload has %d", total, len(f.verdicts))
-	}
-	wantAccepted := 0
-	for _, v := range f.verdicts[:total] {
-		if v {
-			wantAccepted++
-		}
-	}
-	if state.Accepted != wantAccepted {
-		return 0, 0, false, fmt.Errorf("recovered %d accepted of %d verdicts, want %d (not a prefix)",
-			state.Accepted, total, wantAccepted)
-	}
-	if total < acks.verdicts {
-		return 0, 0, false, fmt.Errorf("recovered %d verdicts, %d were acknowledged durable", total, acks.verdicts)
+	if len(state.Sessions) > 0 {
+		rep.InFlightRecoveries++
 	}
 
-	// Invariant 1b: acknowledged chunks of unresolved sessions survived,
-	// and resolved sessions are not also in flight. Session i's close is
+	// Invariant 1: acknowledged chunks of unresolved sessions survived, and
+	// resolved sessions are not also in flight. Session i's close is
 	// journal verdict 1+i (the batch verdict is verdict 0).
+	total := state.Accepted + state.Rejected
 	byID := make(map[string]stream.SessionState, len(state.Sessions))
 	for _, ss := range state.Sessions {
 		byID[ss.ID] = ss
 	}
-	for i, sc := range f.scripts {
-		ss, live := byID[sc.id]
+	for i, s := range sc.scripts {
+		ss, live := byID[s.id]
 		if closed := total >= 2+i; closed {
 			if live {
-				return 0, 0, false, fmt.Errorf("session %d resolved by verdict %d yet recovered in flight", i, 1+i)
+				return fmt.Errorf("session %d resolved by verdict %d yet recovered in flight", i, 1+i)
 			}
 			continue
 		}
 		if acks.opens[i] && !live {
-			return 0, 0, false, fmt.Errorf("session %d acknowledged open lost", i)
+			return fmt.Errorf("session %d acknowledged open lost", i)
 		}
 		if !live {
 			continue
 		}
 		if ss.Chunks < acks.chunks[i] {
-			return 0, 0, false, fmt.Errorf("session %d recovered %d chunks, %d were acknowledged durable",
+			return fmt.Errorf("session %d recovered %d chunks, %d were acknowledged durable",
 				i, ss.Chunks, acks.chunks[i])
 		}
-		if ss.Chunks > sc.applied {
-			return 0, 0, false, fmt.Errorf("session %d recovered %d chunks, workload applied %d",
-				i, ss.Chunks, sc.applied)
+		if ss.Chunks > s.applied {
+			return fmt.Errorf("session %d recovered %d chunks, workload applied %d",
+				i, ss.Chunks, s.applied)
 		}
-		// Invariant 2a: the recovered buffer is the reference trajectory
+		// Invariant 2: the recovered buffer is the reference trajectory
 		// prefix, bit-for-bit.
 		n := 0
-		for _, c := range sc.chunks[:ss.Chunks] {
+		for _, c := range s.chunks[:ss.Chunks] {
 			n += c[1] - c[0]
 		}
 		if len(ss.Points) != n || len(ss.Scans) != n {
-			return 0, 0, false, fmt.Errorf("session %d recovered %d points / %d scans, want %d",
+			return fmt.Errorf("session %d recovered %d points / %d scans, want %d",
 				i, len(ss.Points), len(ss.Scans), n)
 		}
 		for j := 0; j < n; j++ {
 			// The buffered point is what the wire delivered: the plane
 			// coordinate after a lat/lon round trip, at millisecond time
 			// resolution — deterministic, so still an exact-bits check.
-			want := sc.upload.Traj.Points[j]
-			wantPos := f.proj.ToPlane(f.proj.ToLatLon(want.Pos))
+			want := s.upload.Traj.Points[j]
+			wantPos := sc.proj.ToPlane(sc.proj.ToLatLon(want.Pos))
 			wantTime := time.UnixMilli(want.Time.UnixMilli())
 			if math.Float64bits(ss.Points[j].Pos.X) != math.Float64bits(wantPos.X) ||
 				math.Float64bits(ss.Points[j].Pos.Y) != math.Float64bits(wantPos.Y) ||
 				!ss.Points[j].Time.Equal(wantTime) {
-				return 0, 0, false, fmt.Errorf("session %d point %d differs from reference", i, j)
+				return fmt.Errorf("session %d point %d differs from reference", i, j)
 			}
-			if len(ss.Scans[j]) != len(sc.upload.Scans[j]) {
-				return 0, 0, false, fmt.Errorf("session %d scan %d differs from reference", i, j)
+			if len(ss.Scans[j]) != len(s.upload.Scans[j]) {
+				return fmt.Errorf("session %d scan %d differs from reference", i, j)
 			}
 			for k, ob := range ss.Scans[j] {
-				if ob != sc.upload.Scans[j][k] {
-					return 0, 0, false, fmt.Errorf("session %d scan %d observation %d differs", i, j, k)
+				if ob != s.upload.Scans[j][k] {
+					return fmt.Errorf("session %d scan %d observation %d differs", i, j, k)
 				}
 			}
 		}
 	}
-
-	// Invariant 2b: the store rebuilt through the live recovery path —
-	// Restore resumes in-flight sessions and re-ingests accepted uploads —
-	// answers the probe bit-identical to the reference accepted prefix.
-	store, err := rssimap.NewStore(rssimap.DefaultConfig(), state.Records)
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("recovery store: %w", err)
-	}
-	svc, _, cleanup, err := f.newService(p, store)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	defer cleanup()
-	svc.Restore(state)
-	if state.Empty() {
-		return 0, 0, true, nil
-	}
-	got, err := store.Features(f.probe, f.fcfg)
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("recovery features: %w", err)
-	}
-	want := f.features[state.Accepted]
-	if len(got) != len(want) {
-		return 0, 0, false, fmt.Errorf("recovered feature dim %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return 0, 0, false, fmt.Errorf("feature %d = %v, want %v (bits differ)", i, got[i], want[i])
-		}
-	}
-	return state.Accepted, len(state.Sessions), false, nil
+	return nil
 }
 
 // RunSessions explores every crash point of the fixed streaming-session
-// workload. It returns an error describing the first invariant violation,
-// annotated with the fault site that provoked it.
-func RunSessions(opts Options) (*SessionReport, error) {
-	if opts.Points <= 0 {
-		opts.Points = 18
-	}
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("chaos: Options.Dir is required")
-	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-
-	f, err := newSessionFixture(opts)
+// workload.
+func RunSessions(opts Options) (*Report, error) {
+	sc, err := newSessionScenario(opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	// Counting pass: run the workload fault-free on a recording filesystem
-	// to enumerate the mutation sites.
-	counter := faultfs.New(fsx.OS, faultfs.Options{})
-	acks, err := f.runWorkload(filepath.Join(opts.Dir, "count"), counter)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: session counting pass: %w", err)
-	}
-	if acks.verdicts != len(f.verdicts) {
-		return nil, fmt.Errorf("chaos: counting pass acknowledged %d/%d verdicts", acks.verdicts, len(f.verdicts))
-	}
-	plan := counter.Ops()
-	rep := &SessionReport{Sites: len(plan)}
-	logf("chaos: %d fault sites, %d sessions + 1 batch upload (%d verdicts, %d accepted in reference run)",
-		rep.Sites, len(f.scripts), len(f.verdicts), len(f.features)-1)
-
-	for site := 1; site <= len(plan); site++ {
-		dir := filepath.Join(opts.Dir, fmt.Sprintf("site-%03d", site))
-		fs := faultfs.New(fsx.OS, faultfs.Options{
-			Seed:   opts.Seed ^ int64(site),
-			FailAt: site,
-			Mode:   faultfs.FaultTorn,
-			Crash:  true,
-		})
-		acks, err := f.runWorkload(dir, fs)
-		if err != nil {
-			return rep, fmt.Errorf("chaos: session site %d (%s %s): %w",
-				site, plan[site-1].Kind, filepath.Base(plan[site-1].Path), err)
-		}
-		if !fs.Faulted() {
-			return rep, fmt.Errorf("chaos: session site %d (%s): fault never fired", site, plan[site-1].Kind)
-		}
-		accepted, inflight, empty, err := f.checkRecovery(dir, acks)
-		if err != nil {
-			return rep, fmt.Errorf("chaos: session site %d (%s %s, acked %d verdicts): %w",
-				site, plan[site-1].Kind, filepath.Base(plan[site-1].Path), acks.verdicts, err)
-		}
-		if empty {
-			rep.EmptyRecoveries++
-			if acks.verdicts > 0 {
-				return rep, fmt.Errorf("chaos: session site %d: empty recovery after %d acknowledged verdicts",
-					site, acks.verdicts)
-			}
-		}
-		if accepted == len(f.features)-1 {
-			rep.FullRecoveries++
-		}
-		if inflight > 0 {
-			rep.InFlightRecoveries++
-		}
-		if acks.verdicts > rep.MaxAckedVerdicts {
-			rep.MaxAckedVerdicts = acks.verdicts
-		}
-	}
-	logf("chaos: explored %d session crash points: %d empty, %d full, %d with in-flight sessions, max acked verdicts %d",
-		rep.Sites, rep.EmptyRecoveries, rep.FullRecoveries, rep.InFlightRecoveries, rep.MaxAckedVerdicts)
-	return rep, nil
+	return explore("sessions", sc, opts)
 }

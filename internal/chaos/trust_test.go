@@ -14,8 +14,8 @@ func TestTrustCrashPointExploration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sites < 50 {
-		t.Fatalf("explored %d crash points, want >= 50", rep.Sites)
+	if rep.Sites != 77 {
+		t.Fatalf("explored %d crash points, want 77", rep.Sites)
 	}
 	if rep.EmptyRecoveries == 0 {
 		t.Fatal("no crash point recovered to the empty state")

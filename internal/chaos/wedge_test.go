@@ -16,8 +16,8 @@ func TestWedgeMidWorkload(t *testing.T) {
 	if rep.Shed == 0 {
 		t.Fatal("wedge produced no degraded sheds")
 	}
-	if rep.Acked != 12 {
-		t.Fatalf("acked %d of 12 uploads after heal", rep.Acked)
+	if rep.MaxAcked != 12 {
+		t.Fatalf("acked %d of 12 uploads after heal", rep.MaxAcked)
 	}
 	if rep.Opens < 1 || rep.Closes < 1 {
 		t.Fatalf("breaker never cycled: %+v", rep)

@@ -73,29 +73,21 @@ type testCluster struct {
 // everything but Shard and Nodes.
 func bootCluster(t testing.TB, n int, durable bool, opts Options) *testCluster {
 	t.Helper()
-	tc := &testCluster{
-		nodes: make(map[string]*Node),
-		addrs: make(map[string]string),
-		dirs:  make(map[string]string),
-	}
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("n%d", i+1)
-		var nopts NodeOptions
+	ids := make([]string, n)
+	dirs := make(map[string]string)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("n%d", i+1)
 		if durable {
-			tc.dirs[id] = t.TempDir()
-			nopts.Dir = tc.dirs[id]
+			dirs[ids[i]] = t.TempDir()
 		}
-		node, err := NewNode(id, shardstore.DefaultConfig(), nopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.nodes[id] = node
-		tc.addrs[id] = addr.String()
 	}
+	lb, err := StartLoopback(shardstore.DefaultConfig(), ids, func(id string) NodeOptions {
+		return NodeOptions{Dir: dirs[id]}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &testCluster{nodes: lb.Nodes, addrs: lb.Addrs, dirs: dirs}
 	opts.Shard, opts.Nodes = shardstore.DefaultConfig(), tc.addrs
 	store, err := NewStore(opts)
 	if err != nil {

@@ -90,6 +90,15 @@ type ClusterResult struct {
 	Digest       string         `json:"workload_digest"`
 }
 
+// nodeIDs names n loopback shard nodes n1..nN.
+func nodeIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("n%d", i+1)
+	}
+	return ids
+}
+
 // RunCluster builds a workload, spins opts.Nodes in-process shard nodes
 // plus a coordinator over loopback, points a self-hosted provider's WiFi
 // detector at the cluster store (same trained model as a flat run — only
@@ -111,27 +120,12 @@ func RunCluster(opts ClusterOptions) (*ClusterResult, error) {
 	records := dataset.Records(w.Hist[:nStore])
 
 	shardCfg := shardstore.DefaultConfig()
-	nodes := make(map[string]*cluster.Node, opts.Nodes)
-	addrs := make(map[string]string, opts.Nodes)
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	for i := 1; i <= opts.Nodes; i++ {
-		id := fmt.Sprintf("n%d", i)
-		node, err := cluster.NewNode(id, shardCfg, cluster.NodeOptions{})
-		if err != nil {
-			return nil, err
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		nodes[id] = node
-		addrs[id] = addr.String()
+	lb, err := cluster.StartLoopback(shardCfg, nodeIDs(opts.Nodes), nil)
+	if err != nil {
+		return nil, err
 	}
-	cs, err := cluster.NewStore(cluster.Options{Shard: shardCfg, Nodes: addrs})
+	defer lb.Close()
+	cs, err := cluster.NewStore(cluster.Options{Shard: shardCfg, Nodes: lb.Addrs})
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +152,7 @@ func RunCluster(opts ClusterOptions) (*ClusterResult, error) {
 	}
 	migFrom := cs.Assignment().Owner(migTile)
 	var migTo string
-	for id := range nodes {
+	for id := range lb.Nodes {
 		if id != migFrom {
 			migTo = id
 			break

@@ -68,27 +68,12 @@ func RunClusterReplicated(opts ClusterOptions) (*ClusterReplicatedResult, error)
 	records := dataset.Records(w.Hist[:nStore])
 
 	shardCfg := shardstore.DefaultConfig()
-	nodes := make(map[string]*cluster.Node, opts.Nodes)
-	addrs := make(map[string]string, opts.Nodes)
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	for i := 1; i <= opts.Nodes; i++ {
-		id := fmt.Sprintf("n%d", i)
-		node, err := cluster.NewNode(id, shardCfg, cluster.NodeOptions{})
-		if err != nil {
-			return nil, err
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		nodes[id] = node
-		addrs[id] = addr.String()
+	lb, err := cluster.StartLoopback(shardCfg, nodeIDs(opts.Nodes), nil)
+	if err != nil {
+		return nil, err
 	}
-	cs, err := cluster.NewStore(cluster.Options{Shard: shardCfg, Nodes: addrs, Replicate: true})
+	defer lb.Close()
+	cs, err := cluster.NewStore(cluster.Options{Shard: shardCfg, Nodes: lb.Addrs, Replicate: true})
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +148,7 @@ func RunClusterReplicated(opts ClusterOptions) (*ClusterReplicatedResult, error)
 	}
 	start := time.Now()
 	runPhase(0, killAt)
-	if err := nodes[victim].Close(); err != nil {
+	if err := lb.Nodes[victim].Close(); err != nil {
 		return nil, fmt.Errorf("loadgen: mid-run node kill: %w", err)
 	}
 	runPhase(killAt, repairAt)

@@ -480,40 +480,20 @@ func RunOpenLoop(opts OpenLoopOptions) (*OpenLoopResult, error) {
 // store over loopback and seeds it with the provider's records.
 func buildLoopbackCluster(n int, records []rssimap.Record) (rssimap.Backend, func(), error) {
 	shardCfg := shardstore.DefaultConfig()
-	nodes := make([]*cluster.Node, 0, n)
-	addrs := make(map[string]string, n)
-	cleanup := func() {
-		for _, node := range nodes {
-			node.Close()
-		}
-	}
-	for i := 1; i <= n; i++ {
-		id := fmt.Sprintf("n%d", i)
-		node, err := cluster.NewNode(id, shardCfg, cluster.NodeOptions{})
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			node.Close()
-			cleanup()
-			return nil, nil, err
-		}
-		nodes = append(nodes, node)
-		addrs[id] = addr.String()
-	}
-	cs, err := cluster.NewStore(cluster.Options{Shard: shardCfg, Nodes: addrs})
+	lb, err := cluster.StartLoopback(shardCfg, nodeIDs(n), nil)
 	if err != nil {
-		cleanup()
+		return nil, nil, err
+	}
+	cs, err := cluster.NewStore(cluster.Options{Shard: shardCfg, Nodes: lb.Addrs})
+	if err != nil {
+		lb.Close()
 		return nil, nil, err
 	}
 	cs.Add(records)
-	all := func() {
+	return cs, func() {
 		cs.Close()
-		cleanup()
-	}
-	return cs, all, nil
+		lb.Close()
+	}, nil
 }
 
 // host builds a fresh provider for one calibration run or load point:

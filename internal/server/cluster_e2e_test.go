@@ -33,31 +33,16 @@ func TestClusterBackendVerdictsBitIdentical(t *testing.T) {
 	}
 
 	// Three shard nodes + coordinator over the same records.
-	addrs := make(map[string]string, 3)
-	nodes := make(map[string]*cluster.Node, 3)
-	for i := 1; i <= 3; i++ {
-		id := fmt.Sprintf("n%d", i)
-		node, err := cluster.NewNode(id, shardstore.DefaultConfig(), cluster.NodeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[id] = node
-		addrs[id] = addr.String()
-	}
-	clusterStore, err := cluster.NewStore(cluster.Options{Shard: shardstore.DefaultConfig(), Nodes: addrs})
+	lb, err := cluster.StartLoopback(shardstore.DefaultConfig(), []string{"n1", "n2", "n3"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		clusterStore.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	})
+	t.Cleanup(lb.Close)
+	clusterStore, err := cluster.NewStore(cluster.Options{Shard: shardstore.DefaultConfig(), Nodes: lb.Addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { clusterStore.Close() })
 	clusterStore.Add(recs)
 
 	// One model, two backends: the verdict difference, if any, can only
@@ -120,7 +105,7 @@ func TestClusterBackendVerdictsBitIdentical(t *testing.T) {
 	}
 	from := clusterStore.Assignment().Owner(tile)
 	var to string
-	for id := range nodes {
+	for id := range lb.Nodes {
 		if id != from {
 			to = id
 			break
@@ -179,34 +164,19 @@ func TestClusterHealthDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := make(map[string]string, 2)
-	nodes := make(map[string]*cluster.Node, 2)
-	for i := 1; i <= 2; i++ {
-		id := fmt.Sprintf("n%d", i)
-		node, err := cluster.NewNode(id, shardstore.DefaultConfig(), cluster.NodeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[id] = node
-		addrs[id] = addr.String()
+	lb, err := cluster.StartLoopback(shardstore.DefaultConfig(), []string{"n1", "n2"}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(lb.Close)
 	clusterStore, err := cluster.NewStore(cluster.Options{
-		Shard: shardstore.DefaultConfig(), Nodes: addrs, Replicate: true,
+		Shard: shardstore.DefaultConfig(), Nodes: lb.Addrs, Replicate: true,
 		Retry: &resilience.RetryPolicy{MaxAttempts: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		clusterStore.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	})
+	t.Cleanup(func() { clusterStore.Close() })
 	clusterStore.Add(recs)
 
 	det := trainTestDetector(t, single)
@@ -233,7 +203,7 @@ func TestClusterHealthDegraded(t *testing.T) {
 
 	// Kill every node, then probe so the coordinator notices the deaths:
 	// with both replicas of every tile dark, readiness must drop.
-	for _, n := range nodes {
+	for _, n := range lb.Nodes {
 		n.Close()
 	}
 	clusterStore.ConfidenceTol(recs[0].Pos, "02:4e:00:00:00:01", -50, 5, 2)
@@ -266,24 +236,16 @@ func TestTrustStatsSayWhetherWeightingIsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := cluster.NewNode("n1", shardstore.DefaultConfig(), cluster.NodeOptions{})
+	lb, err := cluster.StartLoopback(shardstore.DefaultConfig(), []string{"n1"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := node.Listen("127.0.0.1:0")
+	t.Cleanup(lb.Close)
+	clustered, err := cluster.NewStore(cluster.Options{Shard: shardstore.DefaultConfig(), Nodes: lb.Addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clustered, err := cluster.NewStore(cluster.Options{
-		Shard: shardstore.DefaultConfig(), Nodes: map[string]string{"n1": addr.String()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		clustered.Close()
-		node.Close()
-	})
+	t.Cleanup(func() { clustered.Close() })
 	det := trainTestDetector(t, global)
 	for _, tc := range []struct {
 		name  string

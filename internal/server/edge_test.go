@@ -18,9 +18,12 @@ import (
 
 // TestUnencodableReadingsRefusedAtTheEdge: a reading no codec can carry (an
 // RSSI outside int16, a MAC over 255 bytes) is a 400 on the batch and the
-// session-append endpoints, in JSON — the wire form that can express one.
-// Before the edge check such an upload could be accepted, after which its
-// WAL append failed and walked the persistence breaker open for everyone.
+// session-append endpoints, and so is an identity no codec can carry (an
+// id over 65535 bytes, a contributor over 255) on the batch and
+// session-open endpoints — in JSON, the wire form that can express one.
+// Before the edge checks such an upload could be accepted, after which its
+// WAL append failed and walked the persistence breaker open for everyone,
+// or the cluster record codec dropped the whole accepted batch.
 func TestUnencodableReadingsRefusedAtTheEdge(t *testing.T) {
 	store, err := rssimap.NewStore(rssimap.DefaultConfig(), persistRecords(rand.New(rand.NewSource(151)), 200))
 	if err != nil {
@@ -83,6 +86,24 @@ func TestUnencodableReadingsRefusedAtTheEdge(t *testing.T) {
 		app := &SessionAppendRequest{SessionID: sessID, Seq: 0, Points: req.Points[:12]}
 		if code, body := post("/v1/session/append", app); code != http.StatusBadRequest || !strings.Contains(body, "point 7") {
 			t.Errorf("%s on /v1/session/append: %d %s", name, code, body)
+		}
+	}
+	for name, req := range map[string]UploadRequest{
+		"id of 70000 bytes":          {ID: strings.Repeat("i", 70000)},
+		"contributor of 300 bytes":   {Contributor: strings.Repeat("c", 300)},
+		"contributor of 70000 bytes": {Contributor: strings.Repeat("c", 70000)},
+	} {
+		honest, err := client.BuildRequest(uploadFor(t, 1500, 24))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Points = honest.Points
+		if code, body := post("/v1/trajectory", req); code != http.StatusBadRequest || !strings.Contains(body, "limit") {
+			t.Errorf("%s on /v1/trajectory: %d %s", name, code, body)
+		}
+		open := SessionOpenRequest{ID: req.ID, Mode: "walking", Contributor: req.Contributor}
+		if code, body := post("/v1/session/open", open); code != http.StatusBadRequest || !strings.Contains(body, "limit") {
+			t.Errorf("%s on /v1/session/open: %d %s", name, code, body)
 		}
 	}
 

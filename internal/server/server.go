@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -435,8 +436,26 @@ type UploadRequest struct {
 	Points      []uploadPoint `json:"points"`
 }
 
+// checkIdentity bounds an upload's or session's id and contributor by the
+// narrowest codec that must carry each: the WAL writes both as str16, and
+// the shard transport's record codec writes the contributor as str8. Like
+// a scan, an identity no codec can carry is a bad request, not a
+// persistence or ingest failure discovered after the upload was accepted.
+func checkIdentity(id, contributor string) error {
+	if len(id) > math.MaxUint16 {
+		return fmt.Errorf("id is %d bytes, limit %d", len(id), math.MaxUint16)
+	}
+	if len(contributor) > math.MaxUint8 {
+		return fmt.Errorf("contributor is %d bytes, limit %d", len(contributor), math.MaxUint8)
+	}
+	return nil
+}
+
 // decode converts the wire request into internal types.
 func (s *Service) decode(req *UploadRequest) (*wifi.Upload, error) {
+	if err := checkIdentity(req.ID, req.Contributor); err != nil {
+		return nil, err
+	}
 	if len(req.Points) < 2 {
 		return nil, fmt.Errorf("trajectory needs >= 2 points, got %d", len(req.Points))
 	}

@@ -84,6 +84,10 @@ func (s *Service) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	if err := checkIdentity(req.ID, req.Contributor); err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		return
+	}
 	var mode trajectory.Mode
 	if req.Mode != "" {
 		m, err := trajectory.ParseMode(req.Mode)

@@ -65,31 +65,16 @@ func TestGrownMigratedClusterBitIdenticalToRebuilt(t *testing.T) {
 
 	// Three shard nodes over loopback, one coordinator.
 	cfg := shardstore.DefaultConfig()
-	nodes := make(map[string]*cluster.Node, 3)
-	addrs := make(map[string]string, 3)
-	for i := 1; i <= 3; i++ {
-		id := fmt.Sprintf("n%d", i)
-		node, err := cluster.NewNode(id, cfg, cluster.NodeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[id] = node
-		addrs[id] = addr.String()
-	}
-	grown, err := cluster.NewStore(cluster.Options{Shard: cfg, Nodes: addrs})
+	lb, err := cluster.StartLoopback(cfg, []string{"n1", "n2", "n3"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		grown.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	})
+	t.Cleanup(lb.Close)
+	grown, err := cluster.NewStore(cluster.Options{Shard: cfg, Nodes: lb.Addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { grown.Close() })
 	grown.Add(seed)
 
 	uploads := make([]*wifi.Upload, 10)
@@ -139,7 +124,7 @@ func TestGrownMigratedClusterBitIdenticalToRebuilt(t *testing.T) {
 			}
 			from := grown.Assignment().Owner(tile)
 			var to string
-			for id := range nodes {
+			for id := range lb.Nodes {
 				if id != from {
 					to = id
 					break
