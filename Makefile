@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-hot bench-store bench-kernel \
+.PHONY: build test race vet lint bench bench-hot bench-store bench-kernel bench-ingest \
 	check fuzz-short chaos chaos-single chaos-cluster loadgen bench-loadgen \
 	loadgen-stream bench-openloop bench-openloop-short loadgen-openloop-race \
-	bench-poison bench-test bench-run loc
+	bench-poison bench-test bench-run bench-pairs loc
 
 build:
 	$(GO) build ./...
@@ -40,16 +40,22 @@ bench-hot:
 		-bench 'StoreConfidence|StoreFeatures|EvaluateWiFi$$'
 
 # Storage backends: sharded vs global store under concurrent ingestion and
-# batch feature extraction, plus WAL append/replay throughput.
+# batch feature extraction, the global store's upload ingest (ns/record),
+# plus WAL append/replay throughput.
 bench-store:
 	$(GO) test . -run NONE -benchmem \
-		-bench 'ShardedVsGlobal|WAL'
+		-bench 'ShardedVsGlobal|StoreAddUploads|WAL'
 
 # Verify-kernel microbenchmarks: pointer-tree baseline vs the flattened
 # compiled forest (single-row and batched), in go-bench form. The loadgen
 # "kernel" section reports the same comparison in points/sec.
 bench-kernel:
 	$(GO) test ./internal/xgb/ -run NONE -benchmem -bench 'BenchmarkKernel'
+
+# The replicated cluster's write path: a seeded 5k-record city into a fresh
+# 3-node cluster, in ns/record, allocs/record and live B/replica-record.
+bench-ingest:
+	$(GO) test ./internal/cluster/ -run NONE -bench 'BenchmarkClusterIngest' -benchtime 3x
 
 # Short coverage-guided fuzzing of the shared byte reader, the WAL frame
 # decoder and the WAL payload codecs, the trajectory codecs, the binary
@@ -127,6 +133,15 @@ bench-test:
 # (served_json, served_binary, deep_single, deep_cluster, deep_stream).
 bench-run:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 15 --trace 0
+
+# Paired comparison of this checkout against a parent revision, the way a
+# performance claim must be measured: make bench-pairs W=deep_cluster
+# PARENT=HEAD~1 [N=10] [TRACE=1]. Exports PARENT with git archive, runs
+# bench/run.sh alternately on both trees with seeds 1…N and prints each
+# metric's medians, quartiles, wins and the nine-in-ten / beyond-the-parent's-
+# spread verdict (scripts/benchpairs).
+bench-pairs:
+	$(GO) run ./scripts/benchpairs -workload $(W) -parent $(PARENT) -n $(or $(N),10) -trace $(or $(TRACE),0)
 
 # Non-test Go lines per package directory and in total (find, wc and awk
 # only), so a PR's line delta is one diff of two outputs.

@@ -33,6 +33,7 @@ import (
 	"trajforge/internal/dtw"
 	"trajforge/internal/experiments"
 	"trajforge/internal/geo"
+	"trajforge/internal/loadgen"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/shardstore"
 	"trajforge/internal/trajectory"
@@ -569,6 +570,34 @@ func BenchmarkShardedVsGlobalAdd(b *testing.B) {
 		}
 		run(b, store)
 	})
+}
+
+// BenchmarkStoreAddUploads measures the crowdsourcing write path of the
+// global store: a store seeded with half of a seeded city's trips ingests the
+// other half one accepted upload at a time, as the server does. Building the
+// city and the seeded store stays outside ns/record.
+func BenchmarkStoreAddUploads(b *testing.B) {
+	city, err := loadgen.BuildCity(loadgen.CityOptions{Seed: 7, Hist: 600, Points: 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed, live := rssimap.UploadRecords(city.Hist[:300]), city.Hist[300:]
+	records := len(rssimap.UploadScans(live))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var elapsed time.Duration
+	for i := 0; i < b.N; i++ {
+		store, err := rssimap.NewStore(rssimap.DefaultConfig(), seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		for _, u := range live {
+			store.AddUploads([]*wifi.Upload{u})
+		}
+		elapsed += time.Since(start)
+	}
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N*records), "ns/record")
 }
 
 // BenchmarkShardedVsGlobalFeaturesBatch runs the identical Eq. 8 batch

@@ -81,6 +81,19 @@ func (r *Reader) Take(n int) []byte {
 	return b
 }
 
+// Mark returns the cursor position, for Since.
+func (r *Reader) Mark() int { return r.off }
+
+// Since returns the bytes read since mark, aliasing the input (capacity
+// clipped, so an append to the result copies), or nil after a failure — how
+// a decoder keeps the encoding of an element it has just validated.
+func (r *Reader) Since(mark int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.data[mark:r.off:r.off]
+}
+
 // U8 reads one byte.
 func (r *Reader) U8() byte {
 	if b := r.Take(1); len(b) == 1 {

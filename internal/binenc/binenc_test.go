@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -276,4 +277,83 @@ func FuzzBinencReader(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 		}
 	})
+}
+
+// TestSortedObs: AppendSortedScan writes what Reader.SortedObs accepts —
+// ascending MACs, the last reading of a repeated MAC — and SortedObs refuses
+// any other order, with Since keeping exactly the bytes it checked.
+func TestSortedObs(t *testing.T) {
+	scan := wifi.Scan{
+		{MAC: "bb", RSSI: -40}, {MAC: "a", RSSI: 1 << 20}, {MAC: "", RSSI: math.MinInt16},
+		{MAC: "bb", RSSI: -41}, {MAC: "a", RSSI: -7}, {MAC: "ab", RSSI: math.MaxInt16},
+	}
+	buf, scratch, err := AppendSortedScan([]byte{0xee}, scan, nil)
+	if err != nil {
+		t.Fatal(err) // the unencodable first reading of "a" is overridden, so it is not judged
+	}
+	if scan[0].MAC != "bb" || cap(scratch) < len(scan) {
+		t.Fatal("AppendSortedScan sorted the caller's scan, or did not hand its buffer back")
+	}
+	r := NewReader(append(buf, 0xff))
+	r.U8()
+	mark := r.Mark()
+	obs := r.SortedObs()
+	enc := r.Since(mark)
+	if r.Err() != nil || r.Len() != 1 || !bytes.Equal(enc, buf[1:]) || cap(enc) != len(enc) {
+		t.Fatalf("SortedObs: err %v, %d unread, kept %x", r.Err(), r.Len(), enc)
+	}
+	var got wifi.Scan
+	for obs.Len() > 0 {
+		mac, rssi := obs.Next()
+		got = append(got, wifi.Observation{MAC: string(mac), RSSI: int(rssi)})
+	}
+	want := wifi.Scan{{MAC: "", RSSI: math.MinInt16}, {MAC: "a", RSSI: -7}, {MAC: "ab", RSSI: math.MaxInt16}, {MAC: "bb", RSSI: -41}}
+	if len(got) != len(want) {
+		t.Fatalf("read back %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("read back %v, want %v", got, want)
+		}
+	}
+
+	if _, _, err := AppendSortedScan(nil, wifi.Scan{{MAC: "a", RSSI: -7}, {MAC: "b", RSSI: 1 << 20}}, scratch); !errors.Is(err, ErrValue) {
+		t.Fatalf("a kept reading outside int16: %v", err)
+	}
+	// The u16 count limits the readings kept, not the scan's length.
+	long := make(wifi.Scan, math.MaxUint16+1)
+	for i := range long {
+		long[i] = wifi.Observation{MAC: strconv.Itoa(i % math.MaxUint16), RSSI: -i % 100}
+	}
+	if buf, _, err = AppendSortedScan(nil, long, scratch); err != nil {
+		t.Fatalf("%d observations of %d MACs: %v", len(long), math.MaxUint16, err)
+	}
+	if r = NewReader(buf); r.SortedObs().Len() != math.MaxUint16 || r.Done() != nil {
+		t.Fatalf("long scan read back: %v", r.Err())
+	}
+	long[0].MAC = "one more"
+	if _, _, err := AppendSortedScan(nil, long, scratch); !errors.Is(err, ErrValue) {
+		t.Fatalf("%d distinct MACs: %v", len(long), err)
+	}
+	for name, c := range map[string]struct {
+		scan wifi.Scan
+		want error
+	}{
+		"descending": {wifi.Scan{{MAC: "b"}, {MAC: "a"}}, ErrValue},
+		"repeated":   {wifi.Scan{{MAC: "a"}, {MAC: "a"}}, ErrValue},
+		"prefix":     {wifi.Scan{{MAC: "ab"}, {MAC: "a"}}, ErrValue},
+	} {
+		raw, err := AppendScan(nil, c.scan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewReader(raw)
+		if obs := r.SortedObs(); !errors.Is(r.Err(), c.want) || obs.Len() != 0 || r.Since(0) != nil {
+			t.Fatalf("%s: err %v, %d observations", name, r.Err(), obs.Len())
+		}
+		r = NewReader(raw[:len(raw)-1])
+		if r.SortedObs(); !errors.Is(r.Err(), ErrTruncated) {
+			t.Fatalf("%s cut short: %v", name, r.Err())
+		}
+	}
 }

@@ -1,8 +1,12 @@
 package binenc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"trajforge/internal/wifi"
 )
@@ -98,4 +102,75 @@ func (r *Reader) Scan() wifi.Scan {
 		scan = append(scan, wifi.Observation{MAC: mac, RSSI: r.I16()})
 	}
 	return scan
+}
+
+// SortedObs is an observation block whose MACs are in strictly ascending
+// byte order — how a record's readings travel between the coordinator and
+// the shard nodes. It aliases the bytes it was read from. Only
+// Reader.SortedObs builds a non-empty one, so Next needs no error path.
+type SortedObs struct {
+	n int
+	b []byte // n × obs
+}
+
+// Len returns the number of observations left in the block.
+func (o SortedObs) Len() int { return o.n }
+
+// Next takes the block's first observation off it; call it only while Len is
+// positive.
+func (o *SortedObs) Next() (mac []byte, rssi int16) {
+	end := 1 + int(o.b[0])
+	mac = o.b[1:end]
+	rssi = int16(uint16(o.b[end]) | uint16(o.b[end+1])<<8)
+	o.n, o.b = o.n-1, o.b[end+2:]
+	return mac, rssi
+}
+
+// SortedObs reads a counted observation block, failing with ErrValue unless
+// every MAC sorts strictly after the one before it.
+func (r *Reader) SortedObs() SortedObs {
+	n := r.ObsCount()
+	start := r.off
+	var prev []byte
+	for i := 0; i < n && r.err == nil; i++ {
+		mac := r.Take(int(r.U8()))
+		r.Take(2)
+		if i > 0 && r.err == nil && bytes.Compare(mac, prev) <= 0 {
+			r.Fail(fmt.Errorf("%w: observations not in strict MAC order (%q after %q)", ErrValue, mac, prev))
+		}
+		prev = mac
+	}
+	if r.err != nil {
+		return SortedObs{}
+	}
+	return SortedObs{n: n, b: r.data[start:r.off]}
+}
+
+// AppendSortedScan appends a scan as the counted block Reader.SortedObs
+// accepts: ascending MAC order, and of a MAC the scan repeats only its last
+// reading — what a map filled from the scan in order would hold. scratch is
+// the sort buffer, handed back (grown if need be) for the next call.
+func AppendSortedScan(buf []byte, scan, scratch wifi.Scan) ([]byte, wifi.Scan, error) {
+	scratch = append(scratch[:0], scan...)
+	// Stable, so a repeated MAC's readings stay in scan order.
+	slices.SortStableFunc(scratch, func(a, b wifi.Observation) int { return strings.Compare(a.MAC, b.MAC) })
+	countAt := len(buf)
+	buf = append(buf, 0, 0)
+	n := 0
+	for i, obs := range scratch {
+		if i+1 < len(scratch) && scratch[i+1].MAC == obs.MAC {
+			continue
+		}
+		if !obsOK(obs.MAC, obs.RSSI) {
+			return nil, scratch, obsError(obs.MAC, obs.RSSI)
+		}
+		buf = putObs(buf, obs.MAC, obs.RSSI)
+		n++
+	}
+	// The limit is on the readings kept, as for a map filled from the scan.
+	if err := checkScanLen(n); err != nil {
+		return nil, scratch, err
+	}
+	binary.LittleEndian.PutUint16(buf[countAt:], uint16(n))
+	return buf, scratch, nil
 }

@@ -33,6 +33,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -116,15 +117,32 @@ type Ack struct {
 // sequence number. The sequence is the replication cursor: nodes apply an
 // entry only when Seq exceeds the tile's last applied sequence, which makes
 // batches, migration installs, and resyncs idempotent.
+//
+// The record travels as its canonical bytes. The coordinator encodes each
+// record once and every (tile, replica) entry it fans out splices those
+// bytes; the frame decoder checks an entry's record and keeps the slice of
+// the frame that holds it, so a node journals and applies what it received
+// without building a map. Rec is the map form for entries built in process —
+// a node's tile log rebuilt from its store, tests — and is empty on a decoded
+// entry: Record reads either kind.
 type Entry struct {
 	Tile [2]int
 	Seq  uint64
 	Rec  rssimap.Record
-	// enc, when set, is Rec's canonical encoding (appendRecord's output).
-	// The coordinator's ingest encodes each record once and every (tile,
-	// replica) entry it fans out splices these bytes instead of re-sorting
-	// the record's MACs.
-	enc []byte
+	// enc, when set, is the record's canonical encoding (appendRecord's
+	// output) and Rec is not consulted; wire is then readWire's answer for it,
+	// the views a tile store ingests.
+	enc  []byte
+	wire rssimap.WireRecord
+}
+
+// Record returns the entry's record in the map form.
+func (e Entry) Record() rssimap.Record {
+	if e.enc == nil {
+		return e.Rec
+	}
+	// enc passed readWire or came from an encoder, so this cannot fail.
+	return decodeRecord(binenc.NewReader(e.enc))
 }
 
 // AddReq ingests a batch of entries (kindAdd) or installs a handed-off tile
@@ -266,8 +284,15 @@ func readResponse(r *binenc.Reader) (status byte, epoch uint64, msg string) {
 
 // --- record / entry ---
 
-// appendRecord encodes one record with its RSSI map in ascending-MAC order,
-// the canonical form decodeRecord enforces.
+// A record's canonical encoding:
+//
+//	f64 x | f64 y | u16 nObs | nObs × obs, MACs strictly ascending | str8 contributor
+//
+// appendRecord writes it from the map form and appendScanRecord from an
+// upload's scan; readWire checks it and yields views over the bytes, and
+// decodeRecord reads those out as a map.
+
+// appendRecord encodes one record with its RSSI map in ascending-MAC order.
 func appendRecord(buf []byte, rec rssimap.Record) ([]byte, error) {
 	buf = binenc.AppendF64(buf, rec.Pos.X)
 	buf = binenc.AppendF64(buf, rec.Pos.Y)
@@ -289,49 +314,64 @@ func appendRecord(buf []byte, rec rssimap.Record) ([]byte, error) {
 	return binenc.AppendStr8(buf, rec.Contributor)
 }
 
+// appendScanRecord encodes an upload's point: the bytes appendRecord writes
+// for rec.Record(), straight from the scan. scratch is the sort buffer, handed
+// back for the next call.
+func appendScanRecord(buf []byte, rec rssimap.ScanRecord, scratch wifi.Scan) ([]byte, wifi.Scan, error) {
+	buf = binenc.AppendF64(buf, rec.Pos.X)
+	buf = binenc.AppendF64(buf, rec.Pos.Y)
+	buf, scratch, err := binenc.AppendSortedScan(buf, rec.Scan, scratch)
+	if err != nil {
+		return nil, scratch, err
+	}
+	buf, err = binenc.AppendStr8(buf, rec.Contributor)
+	return buf, scratch, err
+}
+
 // recMinBytes is the fixed per-record wire cost (pos + AP count +
 // contributor length byte).
 const recMinBytes = 8 + 8 + 2 + 1
 
+// readWire checks one encoded record and returns it as views over the
+// reader's input.
+func readWire(r *binenc.Reader) rssimap.WireRecord {
+	w := rssimap.WireRecord{Pos: geo.Point{X: r.F64(), Y: r.F64()}}
+	w.Obs = r.SortedObs()
+	w.Contributor = r.Take(int(r.U8()))
+	return w
+}
+
+// decodeRecord reads one encoded record out in the map form.
 func decodeRecord(r *binenc.Reader) rssimap.Record {
-	var rec rssimap.Record
-	rec.Pos.X = r.F64()
-	rec.Pos.Y = r.F64()
-	n := r.ObsCount()
-	rec.RSSI = make(map[string]int, n)
-	prev := ""
-	for i := 0; i < n && r.Err() == nil; i++ {
-		mac := r.Str8()
-		rssi := r.I16()
-		if i > 0 && mac <= prev {
-			r.Fail(fmt.Errorf("%w: RSSI map not in strict MAC order (%q after %q)", ErrValue, mac, prev))
-		}
-		prev = mac
-		rec.RSSI[mac] = rssi
+	w := readWire(r)
+	rec := rssimap.Record{Pos: w.Pos, RSSI: make(map[string]int, w.Obs.Len()), Contributor: string(w.Contributor)}
+	for obs := w.Obs; obs.Len() > 0; {
+		mac, rssi := obs.Next()
+		rec.RSSI[string(mac)] = int(rssi)
 	}
-	rec.Contributor = r.Str8()
 	return rec
 }
 
-// appendRecords encodes a counted record list: the coordinator journal's
-// ingest frame and the head of its checkpoint.
-func appendRecords(buf []byte, recs []rssimap.Record) ([]byte, error) {
-	buf = binenc.AppendU32(buf, uint32(len(recs)))
-	var err error
-	for _, rec := range recs {
-		if buf, err = appendRecord(buf, rec); err != nil {
-			return nil, err
-		}
+// recordPos reads the position off a record's canonical bytes.
+func recordPos(enc []byte) geo.Point {
+	return geo.Point{
+		X: math.Float64frombits(binary.LittleEndian.Uint64(enc)),
+		Y: math.Float64frombits(binary.LittleEndian.Uint64(enc[8:])),
 	}
-	return buf, nil
 }
 
-func decodeRecords(r *binenc.Reader) []rssimap.Record {
-	recs := make([]rssimap.Record, 0, r.Count(r.U32(), recMinBytes))
-	for i := 0; i < cap(recs) && r.Err() == nil; i++ {
-		recs = append(recs, decodeRecord(r))
+// readRecords checks a counted record list — the coordinator journal's ingest
+// frame and the head of its checkpoint. The records sit back to back in the
+// reader's input from off; ends[i] is where record i stops.
+func readRecords(r *binenc.Reader) (off int, ends []int) {
+	n := r.Count(r.U32(), recMinBytes)
+	off = r.Mark()
+	ends = make([]int, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		readWire(r)
+		ends = append(ends, r.Mark())
 	}
-	return recs
+	return off, ends
 }
 
 // entryMinBytes is the fixed per-entry wire cost (tile + seq + record min).
@@ -349,14 +389,28 @@ func appendEntry(buf []byte, e Entry) ([]byte, error) {
 	return appendRecord(buf, e.Rec)
 }
 
+// decodeEntries checks an entry list and keeps each record as the bytes of
+// the input that hold it.
 func decodeEntries(r *binenc.Reader) []Entry {
 	entries := make([]Entry, r.Count(r.U32(), entryMinBytes))
 	for i := 0; i < len(entries) && r.Err() == nil; i++ {
 		entries[i].Tile = readTile(r)
 		entries[i].Seq = r.U64()
-		entries[i].Rec = decodeRecord(r)
+		mark := r.Mark()
+		entries[i].wire = readWire(r)
+		entries[i].enc = r.Since(mark)
 	}
 	return entries
+}
+
+// entriesSize is the encoded size of an entry list whose records are all in
+// canonical bytes, and a floor for one that holds map-form records.
+func entriesSize(entries []Entry) int {
+	n := 4
+	for i := range entries {
+		n += 8 + 8 + max(len(entries[i].enc), recMinBytes)
+	}
+	return n
 }
 
 func appendEntries(buf []byte, entries []Entry) ([]byte, error) {
@@ -615,7 +669,7 @@ func EncodeFrame(msg any) ([]byte, error) {
 	case *DropReq:
 		buf, err = encodeTileReq(kindDrop, (*TileReq)(m))
 	case *TileState:
-		if buf, err = newResponse(kindTileState, 16+len(m.Entries)*entryMinBytes, m.Status, m.Epoch, m.Msg); err != nil {
+		if buf, err = newResponse(kindTileState, entriesSize(m.Entries), m.Status, m.Epoch, m.Msg); err != nil {
 			return nil, err
 		}
 		buf, err = appendEntries(buf, m.Entries)
@@ -679,7 +733,7 @@ type FetchTileReq TileReq
 type DropReq TileReq
 
 func encodeAddLike(kind byte, m *AddReq) ([]byte, error) {
-	buf := binenc.NewFrame(codecVersion, kind, 16+len(m.Entries)*(entryMinBytes+32))
+	buf := binenc.NewFrame(codecVersion, kind, 12+entriesSize(m.Entries))
 	buf = binenc.AppendU32(buf, m.Deadline)
 	buf = binenc.AppendU64(buf, m.Epoch)
 	return appendEntries(buf, m.Entries)

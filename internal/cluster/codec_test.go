@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"testing"
 
+	"trajforge/internal/binenc"
 	"trajforge/internal/geo"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/wifi"
@@ -253,6 +255,83 @@ func TestAssignmentOwnerStableAndComplete(t *testing.T) {
 	}
 }
 
+// refDecodeRecord is the map-form record decoder every entry went through
+// before records travelled as checked bytes, kept as the oracle for the
+// wire-form decoder: the two must read the same language.
+func refDecodeRecord(r *binenc.Reader) rssimap.Record {
+	var rec rssimap.Record
+	rec.Pos.X = r.F64()
+	rec.Pos.Y = r.F64()
+	n := r.ObsCount()
+	rec.RSSI = make(map[string]int, n)
+	prev := ""
+	for i := 0; i < n && r.Err() == nil; i++ {
+		mac := r.Str8()
+		rssi := r.I16()
+		if i > 0 && mac <= prev {
+			r.Fail(fmt.Errorf("%w: RSSI map not in strict MAC order (%q after %q)", ErrValue, mac, prev))
+		}
+		prev = mac
+		rec.RSSI[mac] = rssi
+	}
+	rec.Contributor = r.Str8()
+	return rec
+}
+
+// refDecodeEntries decodes the entry list of an add, install or tile-state
+// frame with refDecodeRecord; ok is false for every other kind.
+func refDecodeEntries(data []byte) (entries []Entry, ok bool, err error) {
+	kind, r, err := header(data)
+	if err != nil {
+		return nil, true, err
+	}
+	switch kind {
+	case kindAdd, kindInstall:
+		r.U32()
+		r.U64()
+	case kindTileState:
+		readResponse(r)
+	default:
+		return nil, false, nil
+	}
+	entries = make([]Entry, r.Count(r.U32(), entryMinBytes))
+	for i := 0; i < len(entries) && r.Err() == nil; i++ {
+		entries[i] = Entry{Tile: readTile(r), Seq: r.U64(), Rec: refDecodeRecord(r)}
+	}
+	return entries, true, r.Done()
+}
+
+// decodeSentinel names the typed failure an error wraps.
+func decodeSentinel(err error) error {
+	for _, s := range []error{ErrTruncated, ErrOversized, ErrValue, ErrVersion, ErrKind} {
+		if errors.Is(err, s) {
+			return s
+		}
+	}
+	return err
+}
+
+// messageEntries returns the entry list of a decoded message, if it has one.
+func messageEntries(msg any) []Entry {
+	switch m := msg.(type) {
+	case *AddReq:
+		return m.Entries
+	case *InstallReq:
+		return m.Entries
+	case *TileState:
+		return m.Entries
+	}
+	return nil
+}
+
+// sameWire compares two wire-form records by position bits (a NaN equals
+// itself) and view contents.
+func sameWire(a, b rssimap.WireRecord) bool {
+	return math.Float64bits(a.Pos.X) == math.Float64bits(b.Pos.X) &&
+		math.Float64bits(a.Pos.Y) == math.Float64bits(b.Pos.Y) &&
+		reflect.DeepEqual(a.Obs, b.Obs) && a.Contributor != nil && bytes.Equal(a.Contributor, b.Contributor)
+}
+
 func FuzzClusterCodec(f *testing.F) {
 	for _, msg := range sampleMessages() {
 		frame, err := EncodeFrame(msg)
@@ -264,11 +343,44 @@ func FuzzClusterCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{codecVersion, kindAdd})
 	f.Add([]byte{codecVersion, kindAdd, 0, 0, 0, 0})
+	// An add whose second MAC repeats the first, and one cut inside a MAC.
+	dup, _ := EncodeFrame(&AddReq{Epoch: 1, Entries: []Entry{{Seq: 1, Rec: rssimap.Record{RSSI: map[string]int{"aa": -50, "ab": -51}}}}})
+	dup[bytes.Index(dup, []byte("ab"))+1] = 'a'
+	f.Add(dup)
+	f.Add(dup[:bytes.Index(dup, []byte("aa"))+1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := DecodeFrame(data)
+		// The wire-form entry decoder and the map-form one accept or reject
+		// together, for the same typed reason, and agree on what they read.
+		if want, ok, refErr := refDecodeEntries(data); ok {
+			if decodeSentinel(err) != decodeSentinel(refErr) {
+				t.Fatalf("wire-form decode says %v, map-form decode says %v", err, refErr)
+			}
+			if err == nil {
+				got := messageEntries(msg)
+				if len(got) != len(want) {
+					t.Fatalf("wire-form decode reads %d entries, map-form %d", len(got), len(want))
+				}
+				for i := range got {
+					if got[i].enc == nil || len(got[i].Rec.RSSI) != 0 {
+						t.Fatalf("entry %d decoded without canonical bytes, or with a map", i)
+					}
+					// The views kept at decode time are the ones over enc.
+					if w := readWire(binenc.NewReader(got[i].enc)); !sameWire(got[i].wire, w) {
+						t.Fatalf("entry %d carries views %+v, its bytes read %+v", i, got[i].wire, w)
+					}
+					// Fingerprints compare position bits, so a NaN equals itself.
+					if g, w := entryFingerprint(got[i]), entryFingerprint(want[i]); got[i].Tile != want[i].Tile || g != w {
+						t.Fatalf("entry %d:\nwire-form %v %s\n map-form %v %s", i, got[i].Tile, g, want[i].Tile, w)
+					}
+				}
+			}
+		}
 		if err != nil {
 			return
 		}
+		// Decoded entries hold only their bytes, so this also shows an
+		// accepted add re-encodes to its input from Entry.enc alone.
 		re, err := EncodeFrame(msg)
 		if err != nil {
 			t.Fatalf("accepted frame refuses to re-encode: %v", err)

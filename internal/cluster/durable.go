@@ -7,12 +7,12 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 
 	"trajforge/internal/binenc"
 	"trajforge/internal/fsx"
-	"trajforge/internal/rssimap"
 	"trajforge/internal/wal"
 )
 
@@ -66,9 +66,10 @@ func (s *Store) replayCoordFrame(typ byte, payload []byte, recovered **Assignmen
 	r := binenc.NewReader(payload)
 	switch typ {
 	case coordFrameRecords:
-		recs := decodeRecords(r)
+		off, ends := readRecords(r)
 		if r.Done() == nil {
-			s.appendToLogLocked(recs)
+			// Replay reuses payload's storage; the log keeps what it is given.
+			s.appendEncodedLocked(bytes.Clone(payload), off, ends, nil)
 		}
 	case coordFrameAssign:
 		a := decodeAssignment(r)
@@ -84,37 +85,43 @@ func (s *Store) replayCoordFrame(typ byte, payload []byte, recovered **Assignmen
 	return nil
 }
 
-// appendToLogLocked appends recovered records to the canonical log and
-// rebuilds their tile-index rows (owner tile + halo, the same geometry the
-// ingest path uses). Recovery only — stats counters stay untouched.
-func (s *Store) appendToLogLocked(recs []rssimap.Record) {
+// appendEncodedLocked appends checked canonical records — back to back in buf
+// from off, record i stopping at ends[i] — to the canonical log and files
+// each under its tiles (owner + halo, shardstore's geometry). The log keeps
+// buf's bytes, not a copy: the caller hands buf over and never writes to it
+// again. each, when set, sees every record as it lands: its log index, its
+// bytes and its tiles (valid for the call). Recovery passes nil, so stats
+// counters stay untouched there. s.mu must be held.
+func (s *Store) appendEncodedLocked(buf []byte, off int, ends []int, each func(idx int, enc []byte, tiles [][2]int)) {
 	var tiles [][2]int
-	for _, rec := range recs {
+	for _, end := range ends {
+		enc := buf[off:end:end]
+		off = end
 		idx := len(s.log)
-		s.log = append(s.log, rec)
-		tiles = s.cfg.TilesFor(rec.Pos, tiles)
+		s.log = append(s.log, enc)
+		tiles = s.cfg.TilesFor(recordPos(enc), tiles)
 		for _, t := range tiles {
 			s.tileIndex[t] = append(s.tileIndex[t], idx)
+		}
+		if each != nil {
+			each(idx, enc, tiles)
 		}
 	}
 }
 
-// journalRecordsLocked journals one ingest batch ahead of any node fan-out.
-// A journal failure is fatal to ingestion: walErr is set and Add fails
-// closed from then on, so the coordinator never acks a record its own
-// durable log did not capture. s.mu must be held.
-func (s *Store) journalRecordsLocked(encs [][]byte) error {
+// journalRecordsLocked journals one ingest batch — frame is its u32 count and
+// the records' canonical bytes — ahead of any node fan-out. A journal failure
+// is fatal to ingestion: walErr is set and Add fails closed from then on, so
+// the coordinator never acks a record its own durable log did not capture.
+// s.mu must be held.
+func (s *Store) journalRecordsLocked(frame []byte) error {
 	if s.wlog == nil {
 		return nil
 	}
 	if s.walErr != nil {
 		return s.walErr
 	}
-	buf := binenc.AppendU32(nil, uint32(len(encs)))
-	for _, enc := range encs {
-		buf = append(buf, enc...)
-	}
-	if err := s.wlog.Append(coordFrameRecords, buf); err != nil {
+	if err := s.wlog.Append(coordFrameRecords, frame); err != nil {
 		s.walErr = fmt.Errorf("cluster: coordinator wal failed: %w", err)
 		return s.walErr
 	}
@@ -143,12 +150,12 @@ func (s *Store) journalAssignLocked(a Assignment) {
 // log, then the assignment current when it was taken.
 func (s *Store) loadCoordSnapshot(payload []byte) (*Assignment, error) {
 	r := binenc.NewReader(payload)
-	recs := decodeRecords(r)
+	off, ends := readRecords(r)
 	a := decodeAssignment(r)
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	s.appendToLogLocked(recs)
+	s.appendEncodedLocked(payload, off, ends, nil)
 	return &a, nil
 }
 
@@ -163,11 +170,16 @@ func (s *Store) Compact() error {
 	if s.walErr != nil {
 		return s.walErr
 	}
-	buf, err := appendRecords(nil, s.log)
-	if err != nil {
-		return err
+	size := 4 + 64
+	for _, enc := range s.log {
+		size += len(enc)
 	}
-	if buf, err = appendAssignment(buf, s.assign); err != nil {
+	buf := binenc.AppendU32(make([]byte, 0, size), uint32(len(s.log)))
+	for _, enc := range s.log {
+		buf = append(buf, enc...)
+	}
+	buf, err := appendAssignment(buf, s.assign)
+	if err != nil {
 		return err
 	}
 	return s.wlog.Checkpoint(buf)

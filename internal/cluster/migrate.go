@@ -249,7 +249,7 @@ func (s *Store) topUpHandoff(tile [2]int, handoff []Entry) []Entry {
 		if seq <= have {
 			continue
 		}
-		handoff = append(handoff, Entry{Tile: tile, Seq: seq, Rec: s.log[idx]})
+		handoff = append(handoff, Entry{Tile: tile, Seq: seq, enc: s.log[idx]})
 	}
 	return handoff
 }

@@ -93,7 +93,7 @@ type Node struct {
 	log    *wal.Lineage // nil on a memory-only node
 	dead   error        // first fatal storage failure; the node refuses everything after
 	// applyRecs is applyEntriesLocked's reusable run buffer (write lock held).
-	applyRecs []rssimap.Record
+	applyRecs []rssimap.WireRecord
 
 	connMu sync.Mutex
 	ln     net.Listener
@@ -193,14 +193,41 @@ func (n *Node) replayFrame(typ byte, payload []byte) error {
 	return nil
 }
 
+// encodeLocal completes the entries a frame decoder did not produce — built in
+// process from a map-form Rec, or around bytes taken from a log — with their
+// canonical bytes and the views over them, so what follows (the journal frame,
+// the tile stores) handles one kind of entry.
+func encodeLocal(entries []Entry) error {
+	for i := range entries {
+		e := &entries[i]
+		if e.wire.Contributor != nil {
+			continue // decoded: Take's answer is nil only after a failure
+		}
+		if e.enc == nil {
+			enc, err := appendRecord(nil, e.Rec)
+			if err != nil {
+				return err
+			}
+			e.enc = enc
+		}
+		r := binenc.NewReader(e.enc)
+		e.wire = readWire(r)
+		if err := r.Done(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // applyEntriesLocked applies a batch, gated per tile on the applied
 // sequence high-water mark: an entry with Seq <= lastSeq is a duplicate
 // from a retried batch, a replayed WAL, or a resync, and is skipped. This
-// is what makes every delivery path idempotent.
+// is what makes every delivery path idempotent. Every entry must hold its
+// views (decoded off a frame, or through encodeLocal).
 func (n *Node) applyEntriesLocked(entries []Entry) {
 	// Entries go to their tile's store one same-tile run at a time. Tile
-	// stores are independent and Add is sequential, so splitting a tile's
-	// entries over several Adds builds the same store as one.
+	// stores are independent and ingest is sequential, so splitting a tile's
+	// entries over several calls builds the same store as one.
 	recs := n.applyRecs
 	for i := 0; i < len(entries); {
 		tile := entries[i].Tile
@@ -212,16 +239,17 @@ func (n *Node) applyEntriesLocked(entries []Entry) {
 		}
 		recs = recs[:0]
 		for ; i < len(entries) && entries[i].Tile == tile; i++ {
-			e := entries[i]
+			e := &entries[i]
 			if e.Seq <= ts.lastSeq {
 				continue
 			}
 			ts.lastSeq = e.Seq
 			ts.seqs = append(ts.seqs, e.Seq)
-			recs = append(recs, e.Rec)
+			recs = append(recs, e.wire)
 		}
-		ts.store.Add(recs)
+		ts.store.AddWire(recs)
 	}
+	// The views alias the batch's frame; the buffer must not pin it.
 	clear(recs[:cap(recs)])
 	n.applyRecs = recs[:0]
 }
@@ -306,14 +334,14 @@ func (n *Node) loadSnapshot(payload []byte) error {
 			return err
 		}
 		ts := &tileState{store: st, lastSeq: lastSeq, seqs: make([]uint64, len(entries))}
-		recs := make([]rssimap.Record, len(entries))
+		views := make([]rssimap.WireRecord, len(entries))
 		for j, e := range entries {
 			if e.Tile != t {
 				return fmt.Errorf("%w: entry for tile %v in tile %v's log", ErrValue, e.Tile, t)
 			}
-			ts.seqs[j], recs[j] = e.Seq, e.Rec
+			ts.seqs[j], views[j] = e.Seq, e.wire
 		}
-		ts.store.Add(recs)
+		ts.store.AddWire(views)
 		n.tiles[t] = ts
 	}
 	return r.Done()
@@ -514,8 +542,13 @@ func (n *Node) handleAdd(m *AddReq, install bool) *Ack {
 			}
 		}
 	}
+	if err := encodeLocal(m.Entries); err != nil {
+		return &Ack{Status: statusFailed, Epoch: n.epoch, Msg: err.Error()}
+	}
 	if n.log != nil {
-		payload, err := appendEntries(nil, m.Entries)
+		// Every entry holds its canonical bytes by now, so the journal frame
+		// splices what the node received.
+		payload, err := appendEntries(make([]byte, 0, entriesSize(m.Entries)), m.Entries)
 		if err != nil {
 			return &Ack{Status: statusFailed, Epoch: n.epoch, Msg: err.Error()}
 		}

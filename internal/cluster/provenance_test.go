@@ -15,16 +15,17 @@ import (
 // RSSI readings, and contributor identity — so two tile logs can be compared
 // for exact provenance equality.
 func entryFingerprint(e Entry) string {
-	macs := make([]string, 0, len(e.Rec.RSSI))
-	for mac := range e.Rec.RSSI {
+	rec := e.Record() // the map form, whichever form the entry carries
+	macs := make([]string, 0, len(rec.RSSI))
+	for mac := range rec.RSSI {
 		macs = append(macs, mac)
 	}
 	sort.Strings(macs)
 	var b strings.Builder
 	fmt.Fprintf(&b, "seq=%d pos=%#x/%#x contrib=%q",
-		e.Seq, math.Float64bits(e.Rec.Pos.X), math.Float64bits(e.Rec.Pos.Y), e.Rec.Contributor)
+		e.Seq, math.Float64bits(rec.Pos.X), math.Float64bits(rec.Pos.Y), rec.Contributor)
 	for _, mac := range macs {
-		fmt.Fprintf(&b, " %s=%d", mac, e.Rec.RSSI[mac])
+		fmt.Fprintf(&b, " %s=%d", mac, rec.RSSI[mac])
 	}
 	return b.String()
 }

@@ -3,10 +3,13 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +18,7 @@ import (
 	"trajforge/internal/rssimap"
 	"trajforge/internal/shardstore"
 	"trajforge/internal/wal"
+	"trajforge/internal/wifi"
 )
 
 // canonicalTileLog is the coordinator's view of one tile: every canonical
@@ -25,9 +29,24 @@ func canonicalTileLog(s *Store, tile [2]int) []Entry {
 	defer s.mu.RUnlock()
 	out := make([]Entry, 0, len(s.tileIndex[tile]))
 	for _, idx := range s.tileIndex[tile] {
-		out = append(out, Entry{Tile: tile, Seq: uint64(idx) + 1, Rec: s.log[idx]})
+		out = append(out, Entry{Tile: tile, Seq: uint64(idx) + 1, enc: s.log[idx]})
 	}
 	return out
+}
+
+// appendToLogLocked is the map-form way into the canonical log the golden
+// fixtures use: encode as Add does, then append as recovery does.
+func (s *Store) appendToLogLocked(recs []rssimap.Record) {
+	var buf []byte
+	ends := make([]int, len(recs))
+	for i, rec := range recs {
+		var err error
+		if buf, err = appendRecord(buf, rec); err != nil {
+			panic(err)
+		}
+		ends[i] = len(buf)
+	}
+	s.appendEncodedLocked(buf, 0, ends, nil)
 }
 
 // fetchTile reads one tile's entry log off a node over a fresh connection,
@@ -279,19 +298,23 @@ func cityRecords(rng *rand.Rand, n int) []rssimap.Record {
 // ingestCity feeds recs to a fresh 3-node replicated in-process cluster in
 // upload-sized batches. It returns the time the ingest took, the live-heap
 // growth of the whole process (the coordinator's canonical log included;
-// recs itself is live before and after) and the number of (tile, replica)
-// entries the nodes report holding.
-func ingestCity(t testing.TB, recs []rssimap.Record) (elapsed time.Duration, heapBytes, replicaEntries uint64) {
+// recs itself is live before and after), the number of (tile, replica)
+// entries the nodes report holding, and the heap objects the ingest itself
+// allocated, coordinator and nodes together.
+func ingestCity(t testing.TB, recs []rssimap.Record) (elapsed time.Duration, heapBytes, replicaEntries, mallocs uint64) {
 	const batch = 25
-	var before, after runtime.MemStats
+	var before, booted, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	tc := bootCluster(t, 3, false, Options{Replicate: true})
+	runtime.ReadMemStats(&booted)
 	start := time.Now()
 	for off := 0; off < len(recs); off += batch {
 		tc.store.Add(recs[off:min(off+batch, len(recs))])
 	}
 	elapsed = time.Since(start)
+	runtime.ReadMemStats(&after)
+	mallocs = after.Mallocs - booted.Mallocs
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -302,14 +325,15 @@ func ingestCity(t testing.TB, recs []rssimap.Record) (elapsed time.Duration, hea
 	if after.HeapAlloc > before.HeapAlloc {
 		heapBytes = after.HeapAlloc - before.HeapAlloc
 	}
-	return elapsed, heapBytes, replicaEntries
+	return elapsed, heapBytes, replicaEntries, mallocs
 }
 
 // heapPerReplicaBudget bounds the live heap a cluster may hold per
-// (tile, replica) entry, coordinator log included: 1.5x the 495 B measured
-// with each node holding a record once per replica. With the map-form entry
-// log kept beside the tile stores the same run measured 1342 B.
-const heapPerReplicaBudget = 740
+// (tile, replica) entry, coordinator log included: the 391 B measured with
+// the canonical log held as encoded bytes, plus 10 %. With the log as
+// map-form records the same run measured 495 B, and with a map-form entry
+// log kept beside the nodes' tile stores as well, 1342 B.
+const heapPerReplicaBudget = 430
 
 // TestReplicaHeapPerRecord is the memory pin for the node's tile state: a
 // second retained copy of each applied record shows up here as a multiple
@@ -318,7 +342,7 @@ func TestReplicaHeapPerRecord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 20k records")
 	}
-	_, heap, entries := ingestCity(t, cityRecords(rand.New(rand.NewSource(7)), 20000))
+	_, heap, entries, _ := ingestCity(t, cityRecords(rand.New(rand.NewSource(7)), 20000))
 	if entries == 0 {
 		t.Fatal("nodes report no entries")
 	}
@@ -335,13 +359,13 @@ func TestReplicaHeapPerRecord(t *testing.T) {
 func BenchmarkClusterIngest(b *testing.B) {
 	recs := cityRecords(rand.New(rand.NewSource(7)), 5000)
 	var elapsed time.Duration
-	var heap, entries uint64
+	var heap, entries, mallocs uint64
 	for i := 0; i < b.N; i++ {
-		var d time.Duration
-		d, heap, entries = ingestCity(b, recs)
-		elapsed += d
+		d, h, e, m := ingestCity(b, recs)
+		elapsed, heap, entries, mallocs = elapsed+d, h, e, mallocs+m
 	}
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+	b.ReportMetric(float64(mallocs)/float64(b.N*len(recs)), "allocs/record")
 	b.ReportMetric(float64(heap)/float64(entries), "B/replica-record")
 }
 
@@ -356,14 +380,224 @@ func TestAddRefusesUnencodableBatch(t *testing.T) {
 	if n := tc.store.Len(); n != 0 {
 		t.Fatalf("canonical log holds %d records of a refused batch", n)
 	}
+	if st := tc.store.Stats(); st.RefusedBatches != 1 || st.RefusedRecords != 6 {
+		t.Fatalf("refused %d batches / %d records, want 1 / 6", st.RefusedBatches, st.RefusedRecords)
+	}
+	// The scan form is encoded directly and must be refused the same way: an
+	// RSSI outside int16, then a MAC over 255 bytes, each beside good points.
+	for i, obs := range []wifi.Observation{
+		{MAC: "02:4e:00:00:00:01", RSSI: math.MaxInt16 + 1},
+		{MAC: strings.Repeat("m", 256), RSSI: -50},
+	} {
+		u := randUpload(rand.New(rand.NewSource(int64(4+i))), 10, 60, 60)
+		u.Scans[7] = append(u.Scans[7], obs)
+		tc.store.AddUploads([]*wifi.Upload{u})
+		if st := tc.store.Stats(); st.Records != 0 || st.RefusedBatches != uint64(2+i) || st.RefusedRecords != uint64(6+10*(i+1)) {
+			t.Fatalf("after unencodable upload %d: %d records, refused %d batches / %d records",
+				i, st.Records, st.RefusedBatches, st.RefusedRecords)
+		}
+	}
 	tc.store.Add(good)
 	st := tc.store.Stats()
 	if st.Records != len(good) {
 		t.Fatalf("%d records after a good batch, want %d", st.Records, len(good))
 	}
+	if st.RefusedBatches != 3 {
+		t.Fatalf("a good batch moved refused_batches to %d", st.RefusedBatches)
+	}
 	for _, ns := range st.Nodes {
 		if ns.Unsynced {
 			t.Fatalf("node %s unsynced after a refused batch", ns.ID)
 		}
+	}
+}
+
+// TestJournalFailureCountsRefusedBatch: once the coordinator journal has
+// failed closed, every later batch is refused — and counted, not silent.
+func TestJournalFailureCountsRefusedBatch(t *testing.T) {
+	tc := bootCluster(t, 2, false, Options{Dir: t.TempDir()})
+	recs := randRecords(rand.New(rand.NewSource(5)), 30, 60, 60)
+	tc.store.Add(recs[:10])
+	if err := tc.store.wlog.Close(); err != nil { // the next append fails
+		t.Fatal(err)
+	}
+	tc.store.Add(recs[10:])
+	st := tc.store.Stats()
+	if st.Records != 10 || st.RefusedBatches != 1 || st.RefusedRecords != 20 || !st.Degraded {
+		t.Fatalf("after a journal failure: %d records, refused %d batches / %d records, degraded %v",
+			st.Records, st.RefusedBatches, st.RefusedRecords, st.Degraded)
+	}
+}
+
+// TestHandleAddKeepsNoAliasOfTheFrame: decoded entries are views over the
+// request frame, and nothing the node keeps may go on aliasing it once
+// handleAdd returns (a frame is garbage after its request).
+// A durable node is fed one decoded add; then the frame is overwritten while
+// the node is queried, fetched from and compacted (under -race a retained
+// alias is a reported race, and without it a changed byte). The tile store,
+// the rebuilt tile log, the snapshot and the journaled frame must all equal
+// those of a control node fed the same entries from an untouched frame.
+func TestHandleAddKeepsNoAliasOfTheFrame(t *testing.T) {
+	recs := randRecords(rand.New(rand.NewSource(9)), 60, 40, 40)
+	cfg := shardstore.DefaultConfig()
+	entries := make([]Entry, len(recs))
+	for i, rec := range recs {
+		rec.Contributor = fmt.Sprintf("dev-%d", i%3)
+		entries[i] = Entry{Tile: cfg.TileOf(rec.Pos), Seq: uint64(i) + 1, Rec: rec}
+	}
+	assign, err := NewAssignment([]string{"n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(dir string, clobber bool) *Node {
+		t.Helper()
+		n, err := NewNode("n1", cfg, NodeOptions{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		if ack := n.handleAssign(&AssignReq{Assign: assign}); ack.Status != statusOK {
+			t.Fatalf("assign: %+v", ack)
+		}
+		frame, err := EncodeFrame(&AddReq{Epoch: assign.Epoch, Entries: entries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack := n.handleAdd(msg.(*AddReq), false); ack.Status != statusOK {
+			t.Fatalf("add: %+v", ack)
+		}
+		if !clobber {
+			return n
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range frame {
+				frame[i] = 0xAA
+			}
+		}()
+		var confs []rssimap.PointConfidence
+		for _, e := range entries[:10] {
+			n.handleConf(&ConfReq{Epoch: assign.Epoch, Tile: e.Tile, Pos: e.Rec.Pos, Cfg: rssimap.DefaultFeatureConfig(),
+				Scan: wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}}}, &confs)
+			n.handleFetch(&FetchTileReq{Epoch: assign.Epoch, Tile: e.Tile})
+		}
+		wg.Wait()
+		return n
+	}
+	dir := t.TempDir()
+	got, want := feed(dir, true), feed(t.TempDir(), false)
+
+	state := func(n *Node) []byte {
+		t.Helper()
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		buf, err := n.snapshotLocked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	wantState := state(want)
+	if !bytes.Equal(state(got), wantState) {
+		t.Fatal("tile stores changed when the request frame was overwritten")
+	}
+	for tile := range want.tiles {
+		if err := sameTileLog(tileEntries(want, tile), tileEntries(got, tile)); err != nil {
+			t.Fatalf("tile %v log after the overwrite: %v", tile, err)
+		}
+	}
+	// The journaled frame: a node recovered from the WAL alone.
+	walOnly := t.TempDir()
+	data, err := os.ReadFile(filepath.Join(dir, nodeWALName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(walOnly, nodeWALName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := NewNode("n1", cfg, NodeOptions{Dir: walOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if !bytes.Equal(state(recovered), wantState) {
+		t.Fatal("the journaled frame changed when the request frame was overwritten")
+	}
+	if !bytes.Equal(compactedSnapshot(t, got, dir), wantState) {
+		t.Fatal("the compacted snapshot changed when the request frame was overwritten")
+	}
+}
+
+// TestHandleAddCompletesLocalEntries: an entry that did not come off a frame
+// — a map-form Rec, or canonical bytes alone, the way a log hands them out —
+// builds the node state its decoded form builds, and bytes no decoder would
+// accept are refused before anything is applied.
+func TestHandleAddCompletesLocalEntries(t *testing.T) {
+	recs := randRecords(rand.New(rand.NewSource(11)), 40, 40, 40)
+	cfg := shardstore.DefaultConfig()
+	assign, err := NewAssignment([]string{"n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapForm, bytesOnly := make([]Entry, len(recs)), make([]Entry, len(recs))
+	for i, rec := range recs {
+		enc, err := appendRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapForm[i] = Entry{Tile: cfg.TileOf(rec.Pos), Seq: uint64(i) + 1, Rec: rec}
+		bytesOnly[i] = Entry{Tile: mapForm[i].Tile, Seq: mapForm[i].Seq, enc: enc}
+	}
+	frame, err := EncodeFrame(&AddReq{Epoch: assign.Epoch, Entries: mapForm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := DecodeFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(entries []Entry) (*Node, *Ack) {
+		t.Helper()
+		n, err := NewNode("n1", cfg, NodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		if ack := n.handleAssign(&AssignReq{Assign: assign}); ack.Status != statusOK {
+			t.Fatalf("assign: %+v", ack)
+		}
+		return n, n.handleAdd(&AddReq{Epoch: assign.Epoch, Entries: entries}, false)
+	}
+	state := func(n *Node) []byte {
+		t.Helper()
+		buf, err := n.snapshotLocked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	want, ack := feed(msg.(*AddReq).Entries)
+	if ack.Status != statusOK {
+		t.Fatalf("decoded add: %+v", ack)
+	}
+	for name, entries := range map[string][]Entry{"map-form": mapForm, "bytes-only": bytesOnly} {
+		n, ack := feed(entries)
+		if ack.Status != statusOK {
+			t.Fatalf("%s add: %+v", name, ack)
+		}
+		if !bytes.Equal(state(n), state(want)) {
+			t.Fatalf("%s entries built a different node than their decoded form", name)
+		}
+	}
+	last := &bytesOnly[len(bytesOnly)-1]
+	*last = Entry{Tile: last.Tile, Seq: last.Seq, enc: last.enc[:recMinBytes-1]} // the feed above completed the old one
+	if n, ack := feed(bytesOnly); ack.Status != statusFailed || len(n.tiles) != 0 {
+		t.Fatalf("truncated record bytes: %+v, %d tiles applied", ack, len(n.tiles))
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trajforge/internal/binenc"
 	"trajforge/internal/fsx"
 	"trajforge/internal/geo"
 	"trajforge/internal/parallel"
@@ -83,8 +84,13 @@ type Store struct {
 	cfg  shardstore.Config
 	opts Options
 
-	mu        sync.RWMutex
-	log       []rssimap.Record
+	mu sync.RWMutex
+	// The canonical log: log[i] is record i's canonical bytes, a view
+	// (capacity clipped) over the ingest frame or recovered payload it arrived
+	// in, so appending never copies a record. The log is append-only — neither
+	// the views below a length nor the bytes under them ever change — so a
+	// copy of the slice header taken under the lock is a stable view outside.
+	log       [][]byte
 	tileIndex map[[2]int][]int // tile → canonical log indices (halo included)
 	assign    Assignment
 	migrating map[[2]int]*migration
@@ -103,6 +109,8 @@ type Store struct {
 	repairs      atomic.Uint64 // completed re-replications (dead-node repairs)
 	rebalances   atomic.Uint64 // completed automatic rebalances
 	expired      atomic.Uint64 // forwards refused because the deadline had expired
+	refusedBatch atomic.Uint64 // ingest batches refused whole (unencodable, or the journal failed closed)
+	refusedRecs  atomic.Uint64 // records those batches held
 	repairing    atomic.Bool   // a re-replication is in flight
 }
 
@@ -267,94 +275,84 @@ func (s *Store) Close() error {
 // Config returns the shared tile geometry.
 func (s *Store) Config() shardstore.Config { return s.cfg }
 
-func cloneRecord(rec rssimap.Record) rssimap.Record {
-	m := make(map[string]int, len(rec.RSSI))
-	for mac, v := range rec.RSSI {
-		m[mac] = v
-	}
-	return rssimap.Record{Pos: rec.Pos, RSSI: m, Contributor: rec.Contributor}
-}
-
-// Add ingests copies of the given records (the caller keeps its maps); see
-// addOwned for what ingestion does.
+// Add ingests the given records; see addBatch.
 func (s *Store) Add(records []rssimap.Record) {
-	recs := make([]rssimap.Record, len(records))
-	for i, in := range records {
-		recs[i] = cloneRecord(in)
-	}
-	s.addOwned(recs)
+	s.addBatch(len(records), func(i int) (string, int) {
+		return records[i].Contributor, len(records[i].RSSI)
+	}, func(buf []byte, i int) ([]byte, error) {
+		return appendRecord(buf, records[i])
+	})
 }
 
-// AddUploads ingests every point of the given uploads that carries a scan.
-// The records rssimap.UploadRecords builds are held by nobody else, so they
-// go into the canonical log as they are.
+// AddUploads ingests every point of the given uploads that carries a scan,
+// encoding each straight from its scan.
 func (s *Store) AddUploads(uploads []*wifi.Upload) {
-	s.addOwned(rssimap.UploadRecords(uploads))
+	scans := rssimap.UploadScans(uploads)
+	var scratch wifi.Scan
+	s.addBatch(len(scans), func(i int) (string, int) {
+		return scans[i].Contributor, len(scans[i].Scan)
+	}, func(buf []byte, i int) (_ []byte, err error) {
+		buf, scratch, err = appendScanRecord(buf, scans[i], scratch)
+		return buf, err
+	})
 }
 
-// encodeRecords renders each record's canonical bytes once, back to back in
-// one buffer; encs[i] is record i's slice of it. An unencodable record (an
-// RSSI outside int16, a MAC over 255 bytes) fails the whole batch.
-func encodeRecords(recs []rssimap.Record) (encs [][]byte, err error) {
-	var buf []byte
-	ends := make([]int, len(recs))
-	for i, rec := range recs {
-		if buf, err = appendRecord(buf, rec); err != nil {
-			return nil, err
+// addBatch encodes n records (shape names record i's contributor and counts
+// its readings, to size the buffer; encode appends its canonical bytes),
+// appends them to the canonical log and fans each out to the nodes holding
+// its tiles (owner + halo; with replication on, the follower gets the same
+// entries — a dual-write with identical seqs, so either replica serves
+// bit-identical answers). Each record is encoded once, outside the lock, into
+// one buffer that is the coordinator journal's frame, that the log keeps, and
+// that every (tile, replica) entry splices from. Sequence
+// numbers are the canonical log positions, assigned under the lock together
+// with the per-node outbox order — so every node sees every tile's entries in
+// canonical order, and the per-tile replica a node builds is bit-identical to
+// the shard the single-process store would build. With durability on, the
+// batch is journaled to the coordinator WAL before any node sees it (a
+// journal failure fails the ingest closed — nothing is acked the
+// coordinator's own log did not capture). Wire errors mark the node unsynced
+// (the canonical log replays the tail later); ingestion itself never loses
+// data. A batch holding a record the wire codec cannot carry (an RSSI outside
+// int16, a MAC over 255 bytes) is refused whole, before it reaches the log;
+// refused batches and their records are counted in Stats.
+func (s *Store) addBatch(n int, shape func(i int) (contributor string, readings int), encode func(buf []byte, i int) ([]byte, error)) {
+	if n == 0 {
+		return
+	}
+	refuse := func() {
+		s.refusedBatch.Add(1)
+		s.refusedRecs.Add(uint64(n))
+	}
+	size := 4
+	for i := 0; i < n; i++ {
+		contributor, readings := shape(i)
+		size += recMinBytes + len(contributor) + 20*readings // exact for 17-byte MACs
+	}
+	frame := binenc.AppendU32(make([]byte, 0, size), uint32(n))
+	ends := make([]int, n)
+	for i := range ends {
+		var err error
+		if frame, err = encode(frame, i); err != nil {
+			refuse()
+			return
 		}
-		ends[i] = len(buf)
-	}
-	encs = make([][]byte, len(recs))
-	off := 0
-	for i, end := range ends {
-		encs[i] = buf[off:end:end]
-		off = end
-	}
-	return encs, nil
-}
-
-// addOwned appends records the store may keep without copying to the
-// canonical log and fans each out to the nodes holding its tiles (owner +
-// halo; with replication on, the follower gets the same entries — a
-// dual-write with identical seqs, so either replica serves bit-identical
-// answers). Sequence numbers are the canonical log positions, assigned
-// under the lock together with the per-node outbox order — so every node
-// sees every tile's entries in canonical order, and the per-tile replica a
-// node builds is bit-identical to the shard the single-process store would
-// build. With durability on, the batch is journaled to the coordinator WAL
-// before any node sees it (a journal failure fails the ingest closed —
-// nothing is acked the coordinator's own log did not capture). Wire errors
-// mark the node unsynced (the canonical log replays the tail later);
-// ingestion itself never loses data. A batch holding a record the wire
-// codec cannot carry is refused whole, before it reaches the log.
-func (s *Store) addOwned(recs []rssimap.Record) {
-	if len(recs) == 0 {
-		return
-	}
-	// Encoded once, outside the lock: the coordinator journal and every
-	// (tile, replica) entry below splice these bytes.
-	encs, err := encodeRecords(recs)
-	if err != nil {
-		return
+		ends[i] = len(frame)
 	}
 	s.mu.Lock()
-	if err := s.journalRecordsLocked(encs); err != nil {
+	if err := s.journalRecordsLocked(frame); err != nil {
 		s.mu.Unlock()
+		refuse()
 		return
 	}
-	var tiles [][2]int
 	perNode := make(map[string][]Entry)
-	for i, rec := range recs {
-		idx := len(s.log)
-		s.log = append(s.log, rec)
-		seq := uint64(idx) + 1
-		tiles = s.cfg.TilesFor(rec.Pos, tiles)
+	s.appendEncodedLocked(frame, 4, ends, func(idx int, enc []byte, tiles [][2]int) {
+		e := Entry{Seq: uint64(idx) + 1, enc: enc}
 		for ti, t := range tiles {
-			s.tileIndex[t] = append(s.tileIndex[t], idx)
 			if ti > 0 {
 				s.halo.Add(1)
 			}
-			e := Entry{Tile: t, Seq: seq, Rec: rec, enc: encs[i]}
+			e.Tile = t
 			if mig := s.migrating[t]; mig != nil {
 				mig.buffer = append(mig.buffer, e)
 				continue
@@ -365,7 +363,7 @@ func (s *Store) addOwned(recs []rssimap.Record) {
 				perNode[f] = append(perNode[f], e)
 			}
 		}
-	}
+	})
 	epoch := s.assign.Epoch
 	ids := make([]string, 0, len(perNode))
 	for id := range perNode {
@@ -395,13 +393,15 @@ func (s *Store) Len() int {
 	return len(s.log)
 }
 
-// Records returns every canonical record in insertion order (fresh copies).
+// Records returns every canonical record in insertion order, decoded from
+// the log into the map form.
 func (s *Store) Records() []rssimap.Record {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]rssimap.Record, len(s.log))
-	for i, rec := range s.log {
-		out[i] = cloneRecord(rec)
+	log := s.log
+	s.mu.RUnlock()
+	out := make([]rssimap.Record, len(log))
+	for i, enc := range log {
+		out[i] = decodeRecord(binenc.NewReader(enc))
 	}
 	return out
 }
@@ -658,7 +658,7 @@ func (s *Store) Resync(id string) error {
 			owned[t] = idxs
 		}
 	}
-	logRef := s.log
+	log := s.log
 	s.mu.RUnlock()
 
 	if err := nc.pushAssignLocked(assign); err != nil {
@@ -706,7 +706,7 @@ func (s *Store) Resync(id string) error {
 			if seq <= have {
 				continue
 			}
-			batch = append(batch, Entry{Tile: t, Seq: seq, Rec: logRef[idx]})
+			batch = append(batch, Entry{Tile: t, Seq: seq, enc: log[idx]})
 			if len(batch) >= addChunk {
 				if err := flushBatch(); err != nil {
 					return err
@@ -782,6 +782,11 @@ type StoreStats struct {
 	WALFrames         uint64      `json:"wal_frames,omitempty"`
 	WALBytes          uint64      `json:"wal_bytes,omitempty"`
 	Generation        uint64      `json:"wal_generation,omitempty"`
+	// RefusedBatches counts ingest batches refused whole — one held a record
+	// the wire codec cannot carry, or the coordinator journal had failed
+	// closed — and RefusedRecords the records they held.
+	RefusedBatches uint64 `json:"refused_batches,omitempty"`
+	RefusedRecords uint64 `json:"refused_records,omitempty"`
 }
 
 // Stats returns a snapshot of cluster state from the coordinator's view —
@@ -842,6 +847,8 @@ func (s *Store) Stats() StoreStats {
 	st.Repairs = s.repairs.Load()
 	st.Rebalances = s.rebalances.Load()
 	st.ExpiredRejects = s.expired.Load()
+	st.RefusedBatches = s.refusedBatch.Load()
+	st.RefusedRecords = s.refusedRecs.Load()
 	st.Degraded, st.DegradedReason = s.HealthStatus()
 	return st
 }

@@ -17,7 +17,7 @@ package rssimap
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"trajforge/internal/geo"
@@ -96,8 +96,8 @@ type Store struct {
 	records []storedRecord
 	macIDs  map[string]int32
 	// macNames is the cached reverse of macIDs (index = interned ID). It is
-	// extended whenever appendRecordLocked interns a new MAC, so Record never
-	// rebuilds the table from the map.
+	// extended whenever macID interns a new MAC, so Record never rebuilds the
+	// table from the map.
 	macNames []string
 
 	// contribIDs/contribNames intern contributor identities exactly like
@@ -125,12 +125,17 @@ type Store struct {
 	// neighbors[i] caches the indices of records within R of record i
 	// (including i itself) — the RPD counting area C_H(R).
 	neighbors [][]int32
+	// areaBuf is indexLocked's gather-and-sort buffer (write lock held).
+	areaBuf []int32
 
 	// th2[i] caches θ2 of record i (Eq. 6). It depends only on
 	// len(neighbors[i]), so Add invalidates it incrementally for exactly the
 	// records whose counting area a new record enters — the math.Pow leaves
 	// the per-point confidence hot loop entirely.
 	th2 []float64
+	// th2ByCount[k] is θ2 of a counting area of k records while no trust
+	// table is installed (see theta2Locked); it grows under the write lock.
+	th2ByCount []float64
 }
 
 // NewStore builds a store over the given records.
@@ -150,7 +155,7 @@ func NewStore(cfg Config, records []Record) (*Store, error) {
 	}
 	s.records = make([]storedRecord, 0, len(records))
 	for _, rec := range records {
-		s.appendRecordLocked(rec)
+		s.appendLocked(rec.Pos, s.contribID(rec.Contributor), s.mapReadings(rec.RSSI))
 	}
 	// Precompute RPD counting areas and the θ2 cache. Counting areas are
 	// kept in ascending record-index order — Add appends only ever-larger
@@ -160,45 +165,11 @@ func NewStore(cfg Config, records []Record) (*Store, error) {
 	s.th2 = make([]float64, len(s.records))
 	for i := range s.records {
 		area := s.withinRadius(s.records[i].pos, cfg.R)
-		sortInt32(area)
+		slices.Sort(area)
 		s.neighbors[i] = area
-		s.th2[i] = s.theta2Fresh(int32(i))
+		s.th2[i] = s.theta2Locked(int32(i))
 	}
 	return s, nil
-}
-
-// sortInt32 sorts ascending in place.
-func sortInt32(a []int32) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-}
-
-// appendRecordLocked interns MACs and appends the record plus its grid
-// entry; the caller must hold the write lock (or be the constructor).
-func (s *Store) appendRecordLocked(rec Record) int32 {
-	cid, ok := s.contribIDs[rec.Contributor]
-	if !ok {
-		cid = int32(len(s.contribIDs))
-		s.contribIDs[rec.Contributor] = cid
-		s.contribNames = append(s.contribNames, rec.Contributor)
-		if s.trust != nil {
-			s.wByID = append(s.wByID, s.trustWeightOf(rec.Contributor))
-		}
-	}
-	sr := storedRecord{pos: rec.Pos, contrib: cid, readings: make([]reading, 0, len(rec.RSSI))}
-	for mac, v := range rec.RSSI {
-		id, ok := s.macIDs[mac]
-		if !ok {
-			id = int32(len(s.macIDs))
-			s.macIDs[mac] = id
-			s.macNames = append(s.macNames, mac)
-		}
-		sr.readings = append(sr.readings, reading{mac: id, rssi: int16(v)})
-	}
-	sort.Slice(sr.readings, func(i, j int) bool { return sr.readings[i].mac < sr.readings[j].mac })
-	idx := int32(len(s.records))
-	s.records = append(s.records, sr)
-	s.grid[s.cellOf(rec.Pos)] = append(s.grid[s.cellOf(rec.Pos)], idx)
-	return idx
 }
 
 // Len returns the number of historical records.
@@ -240,74 +211,6 @@ func (s *Store) Records() []Record {
 		out[i] = Record{Pos: sr.pos, RSSI: m, Contributor: s.contribNames[sr.contrib]}
 	}
 	return out
-}
-
-// Add ingests new crowdsourced records incrementally, updating the spatial
-// index and the cached RPD counting areas of every affected neighbor — the
-// online path a live provider uses as accepted uploads keep arriving.
-func (s *Store) Add(records []Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, rec := range records {
-		idx := s.appendRecordLocked(rec)
-		// The new record's counting area, and symmetric updates to its
-		// neighbors' areas (withinRadius already sees the new record). The
-		// θ2 cache entries of exactly those records change, so they are
-		// recomputed here and nowhere else.
-		area := s.withinRadius(rec.Pos, s.cfg.R)
-		sortInt32(area)
-		s.neighbors = append(s.neighbors, area)
-		s.th2 = append(s.th2, 0)
-		if s.trust != nil {
-			// Maintain the trusted-mass cache: idx is the largest index, so
-			// appending its weight to each neighbor's running sum preserves
-			// the canonical ascending-index accumulation order, and the new
-			// record's own sum walks the (sorted) area from scratch.
-			w := s.wByID[s.records[idx].contrib]
-			var sum float64
-			for _, n := range area {
-				if n != idx {
-					s.wsum[n] += w
-				}
-				sum += s.wByID[s.records[n].contrib]
-			}
-			s.wsum = append(s.wsum, sum)
-		}
-		for _, n := range area {
-			if n != idx {
-				s.neighbors[n] = append(s.neighbors[n], idx)
-				s.th2[n] = s.theta2Fresh(n)
-			}
-		}
-		s.th2[idx] = s.theta2Fresh(idx)
-	}
-}
-
-// AddUploads ingests every point of the given uploads that carries a scan.
-func (s *Store) AddUploads(uploads []*wifi.Upload) {
-	s.Add(UploadRecords(uploads))
-}
-
-// UploadRecords extracts the crowdsourced records of the given uploads:
-// every point that carries a scan, in point order, skipping invalid
-// uploads — the shared ingestion rule of every Backend. Each record is
-// stamped with the upload's contributor identity.
-func UploadRecords(uploads []*wifi.Upload) []Record {
-	var recs []Record
-	for _, u := range uploads {
-		if u.Validate() != nil {
-			continue
-		}
-		for i, pt := range u.Traj.Points {
-			if len(u.Scans[i]) == 0 {
-				continue
-			}
-			rec := RecordFromScan(pt.Pos, u.Scans[i])
-			rec.Contributor = u.Contributor
-			recs = append(recs, rec)
-		}
-	}
-	return recs
 }
 
 func (s *Store) cellOf(p geo.Point) [2]int {
@@ -389,7 +292,12 @@ func (s *Store) Density(h int32) float64 {
 }
 
 func (s *Store) densityLocked(h int32) float64 {
-	return s.trustMassLocked(h) / (math.Pi * s.cfg.R * s.cfg.R)
+	return s.densityOf(s.trustMassLocked(h))
+}
+
+// densityOf is ε of a counting area holding the given (trusted) mass.
+func (s *Store) densityOf(mass float64) float64 {
+	return mass / (math.Pi * s.cfg.R * s.cfg.R)
 }
 
 // trustMassLocked returns the counting-area population of record h — the
@@ -446,15 +354,32 @@ func (s *Store) SetTrustWeights(weights map[string]float64) {
 		}
 	}
 	for i := range s.records {
-		s.th2[i] = s.theta2Fresh(int32(i))
+		s.th2[i] = s.theta2Locked(int32(i))
 	}
 }
 
-// theta2Fresh evaluates Eq. 6 from scratch: reliability of the RPD of
-// reference point h. Callers must hold the write lock (or be the
-// constructor); queries read the th2 cache instead.
-func (s *Store) theta2Fresh(h int32) float64 {
-	return 1 - math.Pow(s.cfg.DensityBase, s.densityLocked(h))
+// theta2OfMass evaluates Eq. 6 for a counting area holding the given
+// (trusted) mass.
+func (s *Store) theta2OfMass(mass float64) float64 {
+	return 1 - math.Pow(s.cfg.DensityBase, s.densityOf(mass))
+}
+
+// theta2Locked evaluates Eq. 6 for reference point h: the reliability of its
+// RPD. Without a trust table the mass is the counting area's cardinality, so
+// the value is read from th2ByCount — theta2OfMass of that integer, computed
+// once per cardinality with the same expression and so the same bits. With a
+// table installed the mass is a sum of weights and the table is not
+// consulted. Callers must hold the write lock (or be the constructor);
+// queries read the th2 cache instead.
+func (s *Store) theta2Locked(h int32) float64 {
+	if s.wsum != nil {
+		return s.theta2OfMass(s.wsum[h])
+	}
+	k := len(s.neighbors[h])
+	for len(s.th2ByCount) <= k {
+		s.th2ByCount = append(s.th2ByCount, s.theta2OfMass(float64(len(s.th2ByCount))))
+	}
+	return s.th2ByCount[k]
 }
 
 // Theta2 returns the cached Eq. 6 reliability weight of record h.

@@ -129,7 +129,7 @@ type Store struct {
 	// parallel.
 	mu     sync.RWMutex
 	shards map[[2]int]*rssimap.Store
-	log    []rssimap.Record
+	log    []rssimap.ScanRecord
 	// trust, when non-nil, is the contributor trust table installed on every
 	// shard (existing and lazily created) — see rssimap.TrustWeighted.
 	trust map[string]float64
@@ -163,16 +163,37 @@ func (s *Store) tilesFor(p geo.Point, out [][2]int) [][2]int {
 	return s.cfg.TilesFor(p, out)
 }
 
-// Add ingests crowdsourced records: each is journaled, then appended to its
-// owner shard and halo-replicated to boundary neighbors. Shards are created
-// lazily; per-shard insertion preserves the global arrival order.
+// Add ingests copies of the given records (the caller keeps its maps); see
+// addScans.
 func (s *Store) Add(records []rssimap.Record) {
+	scans := make([]rssimap.ScanRecord, len(records))
+	for i, rec := range records {
+		scans[i] = rec.ScanRecord()
+	}
+	s.addScans(scans)
+}
+
+// AddUploads ingests every point of the given uploads that carries a scan.
+func (s *Store) AddUploads(uploads []*wifi.Upload) {
+	scans := rssimap.UploadScans(uploads)
+	for i := range scans {
+		// The log outlives the call; the uploads' scans stay the caller's.
+		scans[i].Scan = scans[i].Scan.Clone()
+	}
+	s.addScans(scans)
+}
+
+// addScans ingests crowdsourced points the store may keep: each is journaled,
+// then appended to its owner shard and halo-replicated to boundary neighbors.
+// Shards are created lazily; per-shard insertion preserves the global arrival
+// order.
+func (s *Store) addScans(records []rssimap.ScanRecord) {
 	if len(records) == 0 {
 		return
 	}
 	// Group into per-shard batches first (order-preserving), so each shard
-	// takes its write lock once per Add instead of once per record.
-	batches := make(map[[2]int][]rssimap.Record)
+	// takes its write lock once per call instead of once per record.
+	batches := make(map[[2]int][]rssimap.ScanRecord)
 	var tiles [][2]int
 	for _, rec := range records {
 		tiles = s.tilesFor(rec.Pos, tiles)
@@ -182,9 +203,7 @@ func (s *Store) Add(records []rssimap.Record) {
 	}
 
 	s.mu.Lock()
-	for _, rec := range records {
-		s.log = append(s.log, cloneRecord(rec))
-	}
+	s.log = append(s.log, records...)
 	targets := make([]*rssimap.Store, 0, len(batches))
 	order := make([][2]int, 0, len(batches))
 	for t := range batches {
@@ -205,13 +224,8 @@ func (s *Store) Add(records []rssimap.Record) {
 	// The expensive part — grid insertion and incremental θ2 maintenance —
 	// runs outside the top-level lock, under each shard's own write lock.
 	for i, sh := range targets {
-		sh.Add(batches[order[i]])
+		sh.AddScans(batches[order[i]])
 	}
-}
-
-// AddUploads ingests every point of the given uploads that carries a scan.
-func (s *Store) AddUploads(uploads []*wifi.Upload) {
-	s.Add(rssimap.UploadRecords(uploads))
 }
 
 // SetTrustWeights installs (nil removes) the contributor trust table on
@@ -242,14 +256,6 @@ func (s *Store) SetTrustWeights(weights map[string]float64) {
 	}
 }
 
-func cloneRecord(rec rssimap.Record) rssimap.Record {
-	m := make(map[string]int, len(rec.RSSI))
-	for mac, v := range rec.RSSI {
-		m[mac] = v
-	}
-	return rssimap.Record{Pos: rec.Pos, RSSI: m, Contributor: rec.Contributor}
-}
-
 // Len returns the number of canonical (un-replicated) records.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -263,7 +269,7 @@ func (s *Store) Records() []rssimap.Record {
 	defer s.mu.RUnlock()
 	out := make([]rssimap.Record, len(s.log))
 	for i, rec := range s.log {
-		out[i] = cloneRecord(rec)
+		out[i] = rec.Record()
 	}
 	return out
 }
