@@ -3,6 +3,7 @@ package rssimap
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"trajforge/internal/geo"
@@ -120,9 +121,17 @@ func (s *Store) PointConfidencesInto(dst []PointConfidence, o geo.Point, scan wi
 	return append(dst[:0], s.pointConfidencesLocked(sc, o, scan, cfg)...)
 }
 
-// pointConfidencesLocked is the per-point verification kernel. The returned
-// slice is backed by sc.confs and valid only until the scratch is reused.
-// Callers must hold the read lock.
+// pointConfidencesLocked is the per-point verification kernel (Eq. 4–7). The
+// returned slice is backed by sc.confs and valid only until the scratch is
+// reused. Callers must hold the read lock.
+//
+// References within r of one point share most of their counting areas, so a
+// neighbour record is probed once per point, for every reported reading at
+// once, the first time any reference's area reaches it; its match bits are
+// kept in the scratch's table and each reference sums bits over its area.
+// The hit counts are the integers a probe per (reading, reference, neighbour)
+// would count, and each reading's float accumulations still run in reference
+// order, so no bit of any result depends on the table.
 func (s *Store) pointConfidencesLocked(sc *scratch, o geo.Point, scan wifi.Scan, cfg FeatureConfig) []PointConfidence {
 	top := scan.TopK(cfg.TopK)
 	if cap(sc.confs) < len(top) {
@@ -131,7 +140,7 @@ func (s *Store) pointConfidencesLocked(sc *scratch, o geo.Point, scan wifi.Scan,
 	out := sc.confs[:len(top)]
 	sc.refs = s.withinRadiusInto(sc.refs, o, cfg.R)
 	refs := sc.refs
-	if len(refs) == 0 {
+	if len(refs) == 0 || len(top) == 0 {
 		for i, obs := range top {
 			out[i] = PointConfidence{MAC: obs.MAC}
 		}
@@ -166,34 +175,71 @@ func (s *Store) pointConfidencesLocked(sc *scratch, o geo.Point, scan wifi.Scan,
 		}
 		return out
 	}
+	if cap(sc.slots) < len(top) {
+		sc.slots = make([]slot, len(top))
+	}
+	slots := sc.slots[:len(top)]
 	for i, obs := range top {
-		var phi float64
-		var wSum, wMean float64
-		var heard int
+		out[i] = PointConfidence{MAC: obs.MAC, Num: len(refs), TrustNum: mass}
+		slots[i] = slot{mac: -1} // matches no interned MAC
 		if id, known := s.macIDs[obs.MAC]; known {
-			for j, idx := range refs {
-				theta1 := inv[j] / invSum
-				th2 := 1.0
-				if !cfg.DisableTheta2 {
-					th2 = s.th2[idx]
+			slots[i].mac = id
+		}
+	}
+	words := (len(top) + 63) / 64 // table row: one match bit per slot
+	sc.resetTable(len(s.records))
+	for j, idx := range refs {
+		area := s.neighbors[idx]
+		for _, n := range area {
+			row := sc.mark[n] - sc.base
+			if row >= sc.rows { // first reference to reach n: probe it for every slot
+				row = sc.rows
+				sc.rows++
+				sc.mark[n] = sc.base + row
+				sc.bits = append(sc.bits, make([]uint64, words)...)
+				for i, obs := range top {
+					if v, ok := s.records[n].rssiOf(slots[i].mac); ok && withinTol(v, obs.RSSI, cfg.Tol) {
+						sc.bits[int(row)*words+i>>6] |= 1 << (i & 63)
+					}
 				}
-				phi += theta1 * th2 * s.rpdLocked(idx, id, int16(obs.RSSI), int16(cfg.Tol))
-				if v, ok := s.records[idx].rssiOf(id); ok {
-					wSum += inv[j]
-					wMean += inv[j] * float64(v)
-					heard++
+			}
+			for w, b := range sc.bits[int(row)*words:][:words] {
+				for ; b != 0; b &= b - 1 {
+					slots[w<<6|bits.TrailingZeros64(b)].hits++
 				}
 			}
 		}
-		pc := PointConfidence{MAC: obs.MAC, Phi: phi, Num: len(refs), TrustNum: mass, Heard: heard}
-		if wSum > 0 {
-			diff := float64(obs.RSSI) - wMean/wSum
+		theta1 := inv[j] / invSum
+		th2 := 1.0
+		if !cfg.DisableTheta2 {
+			th2 = s.th2[idx]
+		}
+		for i := range slots {
+			sl := &slots[i]
+			if sl.mac < 0 {
+				continue
+			}
+			rpd := 0.0 // Eq. 4 over C_H(R)
+			if len(area) > 0 {
+				rpd = float64(sl.hits) / float64(len(area))
+			}
+			sl.hits = 0
+			out[i].Phi += theta1 * th2 * rpd
+			if v, ok := s.records[idx].rssiOf(sl.mac); ok {
+				sl.wSum += inv[j]
+				sl.wMean += inv[j] * float64(v)
+				out[i].Heard++
+			}
+		}
+	}
+	for i, obs := range top {
+		if sl := slots[i]; sl.wSum > 0 {
+			diff := float64(obs.RSSI) - sl.wMean/sl.wSum
 			if diff < 0 {
 				diff = -diff
 			}
-			pc.Residual = diff
+			out[i].Residual = diff
 		}
-		out[i] = pc
 	}
 	return out
 }

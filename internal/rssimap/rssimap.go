@@ -264,19 +264,19 @@ func (s *Store) RPD(h int32, mac string, x int) float64 {
 	if !ok {
 		return 0
 	}
-	return s.rpdLocked(h, id, int16(x), 0)
+	return s.rpdLocked(h, id, x, 0)
 }
 
 // rpdLocked evaluates the (tolerance-widened) RPD for an interned MAC.
 // Callers must hold the read lock.
-func (s *Store) rpdLocked(h int32, mac int32, x int16, tol int16) float64 {
+func (s *Store) rpdLocked(h int32, mac int32, x int, tol Tolerance) float64 {
 	area := s.neighbors[h]
 	if len(area) == 0 {
 		return 0
 	}
 	var hits int
 	for _, idx := range area {
-		if v, ok := s.records[idx].rssiOf(mac); ok && absI16(v-x) <= tol {
+		if v, ok := s.records[idx].rssiOf(mac); ok && withinTol(v, x, tol) {
 			hits++
 		}
 	}
@@ -402,6 +402,16 @@ func (s *Store) Confidence(o geo.Point, mac string, rssi int, r float64) (phi fl
 // practical choice, and the experiments expose it as an ablation.
 type Tolerance int
 
+// withinTol reports whether reported value x matches stored value v. The
+// difference is taken in int, so a reported value outside int16 matches
+// nothing instead of being truncated onto a stored one, and it is tested
+// against the window directly: there is no absolute value for a difference of
+// -32768 to overflow.
+func withinTol(v int16, x int, tol Tolerance) bool {
+	d := x - int(v)
+	return -int(tol) <= d && d <= int(tol)
+}
+
 // RPDTol is RPD with a +/- tol dB matching window.
 func (s *Store) RPDTol(h int32, mac string, x int, tol Tolerance) float64 {
 	s.mu.RLock()
@@ -410,72 +420,71 @@ func (s *Store) RPDTol(h int32, mac string, x int, tol Tolerance) float64 {
 	if !ok {
 		return 0
 	}
-	return s.rpdLocked(h, id, int16(x), int16(tol))
+	return s.rpdLocked(h, id, x, tol)
 }
 
-// ConfidenceTol is Confidence with a matching tolerance. The steady-state
-// path is allocation-free: reference indices and θ1 weights live in pooled
-// per-goroutine scratch, and θ2 comes from the incrementally maintained
-// cache.
+// ConfidenceTol is Confidence with a matching tolerance: a one-reading scan
+// through the per-point kernel, so there is one implementation of Eq. 7. The
+// steady-state path is allocation-free: reference indices, θ1 weights and
+// the match table live in pooled per-goroutine scratch, and θ2 comes from
+// the incrementally maintained cache.
 func (s *Store) ConfidenceTol(o geo.Point, mac string, rssi int, r float64, tol Tolerance) (phi float64, num int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sc := getScratch()
 	defer putScratch(sc)
-	return s.confidenceTolLocked(sc, o, mac, rssi, r, tol)
-}
-
-// confidenceTolLocked is the Eq. 7 kernel. Callers must hold the read lock
-// and supply a scratch.
-func (s *Store) confidenceTolLocked(sc *scratch, o geo.Point, mac string, rssi int, r float64, tol Tolerance) (phi float64, num int) {
-	sc.refs = s.withinRadiusInto(sc.refs, o, r)
-	refs := sc.refs
-	if len(refs) == 0 {
-		return 0, 0
-	}
-	id, known := s.macIDs[mac]
-	if !known {
-		return 0, len(refs)
-	}
-	// θ1 normalisation: sum of inverse distances (Eq. 5), trust-scaled per
-	// reference when a contributor weight table is installed. Floor the
-	// distance at a few centimetres so a coincident record does not absorb
-	// all weight.
-	const minDist = 0.05
-	invSum := 0.0
-	sc.inv = resizeF64(sc.inv, len(refs))
-	inv := sc.inv
-	for i, idx := range refs {
-		d := math.Max(minDist, geo.Dist(s.records[idx].pos, o))
-		inv[i] = 1 / d
-		if s.wByID != nil {
-			inv[i] *= s.wByID[s.records[idx].contrib]
-		}
-		invSum += inv[i]
-	}
-	if invSum == 0 { // every reference weighted to zero
-		return 0, len(refs)
-	}
-	for i, idx := range refs {
-		theta1 := inv[i] / invSum
-		phi += theta1 * s.th2[idx] * s.rpdLocked(idx, id, int16(rssi), int16(tol))
-	}
-	return phi, len(refs)
+	pc := s.pointConfidencesLocked(sc, o, wifi.Scan{{MAC: mac, RSSI: rssi}}, FeatureConfig{R: r, TopK: 1, Tol: tol})[0]
+	return pc.Phi, pc.Num
 }
 
 // scratch is the reusable working memory of one verification goroutine:
-// reference-point indices, θ1 weights, per-AP confidences, and the
-// feature-extraction aggregates. Pooled so the steady-state confidence and
-// feature paths allocate nothing beyond their returned vectors.
+// reference-point indices, θ1 weights, per-AP confidences, the match table,
+// and the feature-extraction aggregates. Pooled so the steady-state
+// confidence and feature paths allocate nothing beyond their returned
+// vectors.
 type scratch struct {
 	refs  []int32
 	inv   []float64
 	confs []PointConfidence
+	slots []slot
+
+	// The match table of the point being verified. Record n owns row
+	// mark[n]-base of bits (a row is one match bit per TopK slot) when that
+	// is below rows, and has not been probed for this point otherwise. A
+	// scratch costs 4 B per record of the largest store it has served, plus
+	// 8 B per 64 slots for each distinct neighbour of one point.
+	mark       []uint32
+	base, rows uint32
+	bits       []uint64
 
 	pointPhi []float64
 	pointNum []float64
 	pointRes []float64
 	sorted   []float64
+}
+
+// slot is the kernel's running state for one reported reading of a point.
+type slot struct {
+	mac         int32 // interned MAC, -1 when the store has never heard it
+	hits        int32 // matches counted in the current reference's area
+	wSum, wMean float64
+}
+
+// resetTable starts the table of a point verified against n records. The
+// previous point's rows are retired by moving base past them, so no mark is
+// cleared between points or between stores sharing the pool: a mark left
+// behind is below base (or zero), and mark-base wraps past any row count.
+// Only when base+n would pass 2^32 are the marks zeroed and base restarted.
+func (sc *scratch) resetTable(n int) {
+	sc.base += sc.rows
+	sc.rows, sc.bits = 0, sc.bits[:0]
+	if len(sc.mark) < n {
+		sc.mark = slices.Grow(sc.mark, n-len(sc.mark))[:n]
+	}
+	if sc.base == 0 || uint64(sc.base)+uint64(n) > math.MaxUint32 {
+		clear(sc.mark)
+		sc.base = 1
+	}
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -489,11 +498,4 @@ func resizeF64(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-func absI16(x int16) int16 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
