@@ -1,8 +1,7 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-hot bench-store bench-kernel bench-ingest \
-	check fuzz-short chaos chaos-single chaos-cluster loadgen bench-loadgen \
-	loadgen-stream bench-openloop bench-openloop-short loadgen-openloop-race \
+.PHONY: build test race vet fmt-check lint bench bench-micro \
+	check fuzz-short chaos chaos-single chaos-cluster \
 	bench-poison bench-test bench-run bench-pairs loc
 
 build:
@@ -19,6 +18,12 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Every tracked Go file is gofmt-clean (.bench_build/ is bench/run.sh's
+# scratch copy of the tree, not source).
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/' || true); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
 # Static analysis beyond vet. staticcheck is optional locally (CI installs
 # it); the target degrades to a notice when the binary is absent.
 lint: vet
@@ -29,33 +34,26 @@ lint: vet
 	fi
 
 # Full benchmark harness: every table/figure of the paper plus the hot-kernel
-# micro-benchmarks. Slow — see bench-hot for the quick perf loop.
+# micro-benchmarks. Slow — see bench-micro for the quick perf loop.
 bench:
 	$(GO) test . -run NONE -bench . -benchmem
 
-# Just the verification hot path: confidence queries, serial vs. batch
-# feature extraction, and a full detector evaluation pass.
-bench-hot:
+# The per-layer micro-benchmarks in go-bench form, one list after another:
+# the xgb forest (pointer-tree oracle vs the flattened compiled form, single
+# row and batched); the replicated cluster's write path (a seeded 5k-record
+# city into a fresh 3-node cluster: ns/record, allocs/record, live
+# B/replica-record); the Eq. 4-7 hot path (confidence queries, serial vs
+# batch feature extraction, a detector evaluation pass); and the storage
+# backends (sharded vs global ingest and features, upload ingest ns/record,
+# WAL append/replay). End-to-end numbers come from bench/ (bench-run,
+# bench-pairs), never from here.
+bench-micro:
+	$(GO) test ./internal/xgb/ -run NONE -benchmem -bench 'BenchmarkKernel'
+	$(GO) test ./internal/cluster/ -run NONE -bench 'BenchmarkClusterIngest' -benchtime 3x
 	$(GO) test . -run NONE -benchmem \
 		-bench 'StoreConfidence|StoreFeatures|EvaluateWiFi$$'
-
-# Storage backends: sharded vs global store under concurrent ingestion and
-# batch feature extraction, the global store's upload ingest (ns/record),
-# plus WAL append/replay throughput.
-bench-store:
 	$(GO) test . -run NONE -benchmem \
 		-bench 'ShardedVsGlobal|StoreAddUploads|WAL'
-
-# Verify-kernel microbenchmarks: pointer-tree baseline vs the flattened
-# compiled forest (single-row and batched), in go-bench form. The loadgen
-# "kernel" section reports the same comparison in points/sec.
-bench-kernel:
-	$(GO) test ./internal/xgb/ -run NONE -benchmem -bench 'BenchmarkKernel'
-
-# The replicated cluster's write path: a seeded 5k-record city into a fresh
-# 3-node cluster, in ns/record, allocs/record and live B/replica-record.
-bench-ingest:
-	$(GO) test ./internal/cluster/ -run NONE -bench 'BenchmarkClusterIngest' -benchtime 3x
 
 # Short coverage-guided fuzzing of the shared byte reader, the WAL frame
 # decoder and the WAL payload codecs, the trajectory codecs, the binary
@@ -92,36 +90,6 @@ chaos-cluster:
 bench-poison:
 	$(GO) run ./cmd/experiments -run poison
 
-# Seeded load generator against a self-hosted provider; writes
-# BENCH_loadgen.json with throughput and latency percentiles (batch,
-# overload, and streaming-session scenarios).
-loadgen:
-	$(GO) run ./cmd/loadgen
-
-bench-loadgen: loadgen
-
-# Streaming-session soak under the race detector: concurrent sessions with
-# interleaved chunk appends against a self-hosted streaming provider, plus
-# the deterministic-workload check.
-loadgen-stream:
-	$(GO) test ./internal/loadgen/ -race -count=1 -v -run 'TestStreamWorkloadDeterministic|TestStreamSoak'
-
-# City-scale open-loop sweep: Poisson/diurnal arrivals of mixed
-# honest/attack traffic at 0.25x-4x of measured closed-loop capacity,
-# against the single-process and 3-node cluster backends; writes
-# latency-vs-offered-load curves to BENCH_openloop.json.
-bench-openloop:
-	$(GO) run ./cmd/loadgen -openloop
-
-# CI-sized variant: two load points, a smaller city, same output schema.
-bench-openloop-short:
-	$(GO) run ./cmd/loadgen -openloop -openloop-short
-
-# Open-loop engine soak under the race detector: a tiny two-point sweep
-# (both backends) plus the deterministic-workload digest check.
-loadgen-openloop-race:
-	$(GO) test ./internal/loadgen/ -race -count=1 -v -run 'TestOpenLoopWorkloadDeterministic|TestOpenLoopSoak'
-
 # The gated benchmark (BENCHMARK.json) is a module of its own under bench/,
 # so the root `go build ./... && go test ./...` never compiles it. bench-test
 # builds it against this checkout and runs its unit tests — an exported-API
@@ -150,4 +118,4 @@ loc:
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
-check: build vet test
+check: build vet fmt-check test

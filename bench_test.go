@@ -493,7 +493,7 @@ func BenchmarkAblationNoResiduals(b *testing.B) {
 	featureAblation(b, func(cfg *rssimap.FeatureConfig) { cfg.IncludeResiduals = false })
 }
 
-// --- Storage backends (make bench-store) ---
+// --- Storage backends (last list of make bench-micro) ---
 
 // benchStoreRecords builds a deterministic crowdsourced corpus spread over
 // a width×height area.

@@ -357,13 +357,16 @@ func run(args []string) error {
 						if !ns.Unsynced {
 							continue
 						}
-						if err := cs.Resync(ns.ID); err == nil {
+						resyncErr := cs.Resync(ns.ID)
+						if resyncErr == nil {
 							fmt.Printf("cluster: resynced lagging node %s\n", ns.ID)
 							continue
 						}
-						if err := cs.Rereplicate(ns.ID); err == nil {
-							fmt.Printf("cluster: re-replicated tiles off dead node %s\n", ns.ID)
+						if err := cs.Rereplicate(ns.ID); err != nil {
+							fmt.Fprintf(os.Stderr, "lspserver: repair of node %s failed: resync: %v; re-replicate: %v\n", ns.ID, resyncErr, err)
+							continue
 						}
+						fmt.Printf("cluster: re-replicated tiles off dead node %s\n", ns.ID)
 					}
 				}
 			}
@@ -380,7 +383,10 @@ func run(args []string) error {
 				case <-ctx.Done():
 					return
 				case <-t.C:
-					if moved, err := cs.Rebalance(); err == nil && moved {
+					moved, err := cs.Rebalance()
+					if err != nil {
+						fmt.Fprintln(os.Stderr, "lspserver: rebalance failed:", err)
+					} else if moved {
 						fmt.Println("cluster: rebalanced hottest tile off most-loaded node")
 					}
 				}

@@ -899,8 +899,7 @@ func (s *Store) Assignment() Assignment {
 	return s.assign.Clone()
 }
 
-// BusiestTile returns the non-empty tile with the most replicas — the
-// rebalance candidate loadgen migrates mid-run.
+// BusiestTile returns the non-empty tile with the most replicas.
 func (s *Store) BusiestTile() ([2]int, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

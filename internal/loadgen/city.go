@@ -1,11 +1,11 @@
-package loadgen
-
-// This file is the city model behind the open-loop scenario: one simulated
+// Package loadgen is the seeded city model that the gated benchmark (bench/)
+// and the poisoning experiment (internal/experiments) share: one simulated
 // city (radio world + road network) partitioned into districts, each with
 // its own transportation mode mix, populated by a fixed roster of agents.
 // Everything — district assignment, agent modes, home locations, every
-// trip — derives from the seed, so the open-loop workload built on top is
-// reproducible byte for byte.
+// trip — derives from the seed, so a workload built on top is reproducible
+// byte for byte. It generates; it does not drive or measure anything.
+package loadgen
 
 import (
 	"fmt"
@@ -129,6 +129,8 @@ type City struct {
 	// bandNodes[d] lists the road-network node ids inside district d.
 	bandNodes [][]int
 }
+
+var origin = geo.LatLon{Lat: 32.06, Lon: 118.79}
 
 var cityStart = time.Date(2022, 6, 15, 8, 0, 0, 0, time.UTC)
 
@@ -359,37 +361,3 @@ func (c *City) SpoofJumpUpload(rng *rand.Rand, a Agent) (*wifi.Upload, error) {
 	}
 	return &wifi.Upload{Traj: traj, Scans: u.Scans}, nil
 }
-
-// diurnalRate is the city's relative arrival intensity at hour h in
-// [0, 24): a commuter curve with morning and evening peaks, a smaller
-// lunchtime bump, and a non-zero overnight floor.
-func diurnalRate(h float64) float64 {
-	sq := func(x float64) float64 { return x * x }
-	am := math.Exp(-sq(h-8.5) / (2 * sq(1.8)))
-	pm := 0.9 * math.Exp(-sq(h-17.5) / (2 * sq(2.4)))
-	noon := 0.35 * math.Exp(-sq(h-13.0) / (2 * sq(3.0)))
-	return 0.2 + am + pm + noon
-}
-
-// diurnalMean is the day-average of diurnalRate, precomputed so the
-// schedule generator can normalise the curve to unit mean intensity.
-var diurnalMean = func() float64 {
-	const steps = 2400
-	sum := 0.0
-	for i := 0; i < steps; i++ {
-		sum += diurnalRate(24 * (float64(i) + 0.5) / steps)
-	}
-	return sum / steps
-}()
-
-// diurnalMax is the peak of the normalised curve (the thinning envelope).
-var diurnalMax = func() float64 {
-	const steps = 2400
-	max := 0.0
-	for i := 0; i < steps; i++ {
-		if r := diurnalRate(24 * float64(i) / steps); r > max {
-			max = r
-		}
-	}
-	return max / diurnalMean
-}()

@@ -74,7 +74,7 @@ func TestCityFeatureBitsGolden(t *testing.T) {
 			return s
 		},
 		"cluster": func(t *testing.T) rssimap.Backend {
-			lb, err := cluster.StartLoopback(shardCfg, nodeIDs(3), nil)
+			lb, err := cluster.StartLoopback(shardCfg, []string{"n1", "n2", "n3"}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

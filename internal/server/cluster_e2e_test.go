@@ -152,6 +152,90 @@ func TestClusterBackendVerdictsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestClusterFailoverUnderLoad kills the busiest tile's primary in the middle
+// of concurrent HTTP load and repairs it under load, as an operator's repair
+// loop would: no client may see an error, every upload gets a verdict,
+// followers serve the failure window, and the repair advances the epoch.
+func TestClusterFailoverUnderLoad(t *testing.T) {
+	recs := persistRecords(rand.New(rand.NewSource(131)), 500)
+	lb, err := cluster.StartLoopback(shardstore.DefaultConfig(), []string{"n1", "n2", "n3"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lb.Close)
+	cs, err := cluster.NewStore(cluster.Options{Shard: shardstore.DefaultConfig(), Nodes: lb.Addrs, Replicate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cs.Close() })
+	cs.Add(recs)
+	svc, _, client := newTestService(t, Config{
+		Motion: &fixedMotion{prob: 0.9}, WiFi: trainTestDetector(t, cs),
+		IngestAccepted: true, Stream: &stream.Config{},
+	})
+
+	// Pin the victim before any load runs: the primary of the busiest tile.
+	tile, ok := cs.BusiestTile()
+	if !ok {
+		t.Fatal("no busiest tile")
+	}
+	victim := cs.Assignment().Owner(tile)
+	epochBefore := cs.Assignment().Epoch
+
+	const workers, n = 6, 60
+	uploads, forged := soakUploads(t, 5000, n, 20)
+	verdicts := make([]*Verdict, n)
+	// Three phases with a barrier between them: healthy, the failure window
+	// (victim dead, follower reads), and repaired. Every worker finishes a
+	// phase before the next begins, so each sends a share of its uploads
+	// inside the failure window however the scheduler interleaves them; both
+	// marks are multiples of workers, so worker g sends exactly the uploads
+	// congruent to g. Every fourth upload goes through a streaming session.
+	runPhase := func(lo, hi int) {
+		soakSend(t, verdicts, lo, hi, workers, func(i int) (*Verdict, error) {
+			if i%4 == 3 {
+				return streamUploadErr(client, uploads[i], []int{7, 7, 6})
+			}
+			return client.Upload(uploads[i])
+		})
+	}
+	killAt := n / 2 / workers * workers
+	repairAt := n * 3 / 4 / workers * workers
+	runPhase(0, killAt)
+	if err := lb.Nodes[victim].Close(); err != nil {
+		t.Fatalf("mid-run node kill: %v", err)
+	}
+	runPhase(killAt, repairAt)
+	repaired := make(chan error, 1)
+	go func() { repaired <- cs.Rereplicate(victim) }()
+	runPhase(repairAt, n)
+	if err := <-repaired; err != nil {
+		t.Fatalf("rereplicate %s: %v", victim, err)
+	}
+
+	accepted, realAccepted, forgedRejected := tallySoak(verdicts, forged)
+	if realAccepted == 0 || forgedRejected == 0 {
+		t.Fatalf("degenerate mix: %d real accepted, %d forged rejected", realAccepted, forgedRejected)
+	}
+	st := svc.Stats()
+	if st.Accepted != accepted || st.Rejected != n-accepted {
+		t.Fatalf("server counted %d/%d, clients %d/%d", st.Accepted, st.Rejected, accepted, n-accepted)
+	}
+	cl := st.Cluster
+	if cl == nil {
+		t.Fatal("stats missing cluster section")
+	}
+	if cl.ReplicaReads == 0 {
+		t.Fatal("no reads were served by follower replicas after the kill")
+	}
+	if cl.Repairs == 0 {
+		t.Fatal("the killed node's tiles were never re-replicated")
+	}
+	if cl.Epoch <= epochBefore {
+		t.Fatalf("repair did not advance the epoch past %d: %+v", epochBefore, cl)
+	}
+}
+
 // TestClusterHealthDegraded wires the distributed store's health into
 // /v1/health: a replicated cluster backend reports ok while every tile has
 // a live replica, and flips to 503 degraded — with a reason and a

@@ -1,5 +1,5 @@
 //go:build !race
 
-package loadgen
+package server
 
 const raceEnabled = false

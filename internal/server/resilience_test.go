@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,6 +117,126 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	if st.Admission.Admitted != 2 || st.Admission.ShedQueueFull != 1 {
 		t.Fatalf("admission counters = %+v", st.Admission)
 	}
+}
+
+// TestOverloadShedsAndAccounts offers 16 closed-loop senders to a provider
+// that admits 2 with a wait queue of 2. A blocking 5 ms service time makes
+// pipeline occupancy track offered concurrency even on one CPU, where the
+// real sub-millisecond stages would serialise ahead of the admission gate.
+// The excess must be shed as 429 + Retry-After and nothing else, the
+// admission counters must account for every request offered and agree with
+// what the clients saw, and what is admitted must not queue without bound.
+func TestOverloadShedsAndAccounts(t *testing.T) {
+	// At most QueueDepth requests ever wait, so an admitted one waits at
+	// most QueueDepth service times on top of its own. One scheduling stall
+	// on a shared host can push the tail of a ~30-sample round past the
+	// bound; unbounded queueing pushes every round past it.
+	for attempt := 1; ; attempt++ {
+		calm, admitted := overloadRound(t)
+		limit := 3*calm + 25*time.Millisecond
+		if raceEnabled || admitted <= limit {
+			return
+		}
+		if attempt == 3 {
+			t.Fatalf("admitted p99 %v exceeds %v (uncontended p99 %v)", admitted, limit, calm)
+		}
+		t.Logf("attempt %d: admitted p99 %v exceeds %v, measuring again", attempt, admitted, limit)
+	}
+}
+
+// overloadRound runs one uncontended baseline and one overload phase against
+// a fresh provider, asserts the shed contract and the accounting identity,
+// and returns the p99 latency of the baseline and of the admitted uploads.
+func overloadRound(t *testing.T) (calmP99, admittedP99 time.Duration) {
+	t.Helper()
+	svc, ts, client := newTestService(t, Config{
+		Motion:      &fixedMotion{prob: 0.9, delay: 5 * time.Millisecond},
+		MaxInFlight: 2, QueueDepth: 2,
+	})
+	const warmup, offered, senders = 16, 320, 16
+	// Only the motion stub runs, so one body serves every request.
+	req, err := client.BuildRequest(uploadFor(t, 900, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One kept-alive connection per sender; no client retries, so a shed
+	// request surfaces as exactly one 429.
+	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: senders}}
+	defer hc.CloseIdleConnections()
+	post := func() (code int, retryAfter bool, d time.Duration, err error) {
+		t0 := time.Now()
+		resp, err := hc.Post(ts.URL+"/v1/trajectory", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return 0, false, 0, err
+		}
+		defer resp.Body.Close()
+		_, err = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, resp.Header.Get("Retry-After") != "", time.Since(t0), err
+	}
+	p99 := func(ds []time.Duration) time.Duration {
+		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+		return ds[(len(ds)*99+99)/100-1]
+	}
+
+	// Uncontended baseline: one request at a time never queues.
+	var calm []time.Duration
+	for i := 0; i < warmup; i++ {
+		code, _, d, err := post()
+		if err != nil || code != http.StatusOK {
+			t.Fatalf("warmup upload: code %d, err %v", code, err)
+		}
+		calm = append(calm, d)
+	}
+
+	var mu sync.Mutex
+	var admitted []time.Duration
+	var shed int
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < offered; i += senders {
+				code, retryAfter, d, err := post()
+				mu.Lock()
+				switch {
+				case err != nil:
+					t.Errorf("upload %d: %v", i, err)
+				case code == http.StatusOK:
+					admitted = append(admitted, d)
+				case code == http.StatusTooManyRequests && retryAfter:
+					shed++
+				default:
+					t.Errorf("upload %d: status %d (Retry-After present: %v), want 200 or 429 with Retry-After", i, code, retryAfter)
+				}
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if shed == 0 || len(admitted) == 0 {
+		t.Fatalf("8x overload: %d admitted, %d shed", len(admitted), shed)
+	}
+	a := svc.Stats().Admission
+	if a == nil {
+		t.Fatal("stats missing admission section")
+	}
+	serverShed := a.ShedQueueFull + a.ShedDeadline + a.DeadlineExceeded
+	if a.Admitted+serverShed != warmup+offered {
+		t.Fatalf("admission counters cover %d of %d requests: %+v", a.Admitted+serverShed, warmup+offered, a)
+	}
+	if a.Admitted != int64(warmup+len(admitted)) || serverShed != int64(shed) {
+		t.Fatalf("server admitted %d and shed %d, clients saw %d and %d",
+			a.Admitted, serverShed, warmup+len(admitted), shed)
+	}
+	return p99(calm), p99(admitted)
 }
 
 // flakyFront simulates an unreliable path to the service: it fails the

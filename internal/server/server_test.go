@@ -27,11 +27,18 @@ var (
 	_t0     = time.Date(2022, 7, 1, 9, 0, 0, 0, time.UTC)
 )
 
-// fixedMotion is a stub detector with a programmable answer.
-type fixedMotion struct{ prob float64 }
+// fixedMotion is a stub detector with a programmable answer and, when delay
+// is set, a blocking service time.
+type fixedMotion struct {
+	prob  float64
+	delay time.Duration
+}
 
-func (f *fixedMotion) Name() string                         { return "stub" }
-func (f *fixedMotion) ProbReal(t *trajectory.T) float64     { return f.prob }
+func (f *fixedMotion) Name() string { return "stub" }
+func (f *fixedMotion) ProbReal(t *trajectory.T) float64 {
+	time.Sleep(f.delay)
+	return f.prob
+}
 func (f *fixedMotion) set(p float64)                        { f.prob = p }
 func realisticUpload(t *testing.T, seed int64) *wifi.Upload { return uploadFor(t, seed, 30) }
 func uploadFor(t testing.TB, seed int64, n int) *wifi.Upload {
@@ -52,6 +59,69 @@ func uploadFor(t testing.TB, seed int64, n int) *wifi.Upload {
 		scans[i] = wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -60}}
 	}
 	return &wifi.Upload{Traj: traj, Scans: scans}
+}
+
+// soakUploads builds the mix the concurrent soaks send: n walks spread along
+// the fixture corridor, so honest ones are not replays of each other, every
+// third one forged with scans no stored record resembles.
+func soakUploads(t *testing.T, seed int64, n, points int) (uploads []*wifi.Upload, forged []bool) {
+	t.Helper()
+	uploads, forged = make([]*wifi.Upload, n), make([]bool, n)
+	for i := range uploads {
+		u := uploadFor(t, seed+int64(i), points)
+		u.Traj.ID = fmt.Sprintf("soak-%d", i)
+		for j := range u.Traj.Points {
+			u.Traj.Points[j].Pos.X += float64(i * 37 % 240)
+		}
+		if forged[i] = i%3 == 2; forged[i] {
+			for j := range u.Scans {
+				u.Scans[j] = wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -30}}
+			}
+		}
+		uploads[i] = u
+	}
+	return uploads, forged
+}
+
+// soakSend has workers goroutines send items lo..hi-1, worker g taking the
+// indices congruent to g, stores each verdict at its index, and fails the
+// test once all have returned if any send reported an error.
+func soakSend(t *testing.T, verdicts []*Verdict, lo, hi, workers int, send func(i int) (*Verdict, error)) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := lo + g; i < hi; i += workers {
+				var err error
+				if verdicts[i], err = send(i); err != nil {
+					t.Errorf("upload %d: %v", i, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// tallySoak counts the accepted verdicts, and how many real uploads were
+// accepted and forged ones rejected.
+func tallySoak(verdicts []*Verdict, forged []bool) (accepted, realAccepted, forgedRejected int) {
+	for i, v := range verdicts {
+		switch {
+		case v.Accepted:
+			accepted++
+			if !forged[i] {
+				realAccepted++
+			}
+		case forged[i]:
+			forgedRejected++
+		}
+	}
+	return accepted, realAccepted, forgedRejected
 }
 
 func newTestService(t *testing.T, cfg Config) (*Service, *httptest.Server, *Client) {
@@ -239,36 +309,56 @@ func TestMethodRestrictions(t *testing.T) {
 	}
 }
 
+// TestConcurrentUploads sends a mixed real/forged load from concurrent
+// clients; under -race it is the concurrency check for the whole batch path.
+// The durable case adds what a production provider runs behind the replay
+// gate: the WAL appender, a trained WiFi detector and accepted-upload
+// ingestion into the store the detector is reading.
 func TestConcurrentUploads(t *testing.T) {
-	rc, err := detect.NewReplayChecker(1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, _, client := newTestService(t, Config{Replay: rc})
-	const n = 16
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = client.Upload(realisticUpload(t, int64(100+i)))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("upload %d: %v", i, err)
-		}
-	}
-	st := svc.Stats()
-	if st.Accepted+st.Rejected != n {
-		t.Fatalf("stats = %+v, want %d total", st, n)
-	}
-	// Every upload ran the replay stage exactly once, concurrently; the
-	// atomic stage clocks must agree.
-	if got := st.Stages["replay"].Count; got != n {
-		t.Fatalf("replay stage count = %d, want %d", got, n)
+	for _, tc := range []struct {
+		name    string
+		durable bool
+	}{{"memory", false}, {"durable", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rc, err := detect.NewReplayChecker(1.2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Replay: rc}
+			if tc.durable {
+				store, err := rssimap.NewStore(rssimap.DefaultConfig(), persistRecords(rand.New(rand.NewSource(127)), 400))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.WiFi, cfg.IngestAccepted = trainTestDetector(t, store), true
+				if cfg.Persist, err = OpenPersistence(t.TempDir(), PersistOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			svc, _, client := newTestService(t, cfg)
+			const n = 48
+			uploads, forged := soakUploads(t, 100, n, 20)
+			verdicts := make([]*Verdict, n)
+			soakSend(t, verdicts, 0, n, n, func(i int) (*Verdict, error) { return client.Upload(uploads[i]) })
+			accepted, realAccepted, forgedRejected := tallySoak(verdicts, forged)
+			st := svc.Stats()
+			if st.Accepted != accepted || st.Rejected != n-accepted {
+				t.Fatalf("server counted %d/%d, clients %d/%d", st.Accepted, st.Rejected, accepted, n-accepted)
+			}
+			// Every upload ran the replay stage exactly once, concurrently; the
+			// atomic stage clocks must agree.
+			if got := st.Stages["replay"].Count; got != n {
+				t.Fatalf("replay stage count = %d, want %d", got, n)
+			}
+			if tc.durable {
+				if realAccepted == 0 || forgedRejected == 0 {
+					t.Fatalf("degenerate mix: %d real accepted, %d forged rejected", realAccepted, forgedRejected)
+				}
+				if err := svc.Close(); err != nil {
+					t.Fatalf("close after soak: %v", err)
+				}
+			}
+		})
 	}
 }
 

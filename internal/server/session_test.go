@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -48,29 +49,38 @@ func sameVerdict(t *testing.T, got, want *Verdict) {
 // chunking and returns the close verdict.
 func streamUpload(t *testing.T, client *Client, u *wifi.Upload, sizes []int) *Verdict {
 	t.Helper()
-	id, err := client.OpenSession(u.Traj.ID, u.Traj.Mode.String())
+	v, err := streamUploadErr(client, u, sizes)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return v
+}
+
+// streamUploadErr is streamUpload for goroutines that may not call t.Fatal.
+// A session the server rejects mid-stream stops appending and is closed.
+func streamUploadErr(client *Client, u *wifi.Upload, sizes []int) (*Verdict, error) {
+	id, err := client.OpenSession(u.Traj.ID, u.Traj.Mode.String())
+	if err != nil {
+		return nil, err
 	}
 	lo := 0
 	for seq, n := range sizes {
 		ack, err := client.AppendSession(id, seq, u, lo, lo+n)
 		if err != nil {
-			t.Fatalf("chunk %d: %v", seq, err)
+			return nil, fmt.Errorf("chunk %d: %w", seq, err)
 		}
 		if ack.Seq != seq+1 || ack.Points != lo+n {
-			t.Fatalf("chunk %d ack = %+v", seq, ack)
+			return nil, fmt.Errorf("chunk %d ack = %+v", seq, ack)
 		}
 		lo += n
+		if ack.Rejected {
+			return client.CloseSession(id)
+		}
 	}
 	if lo != u.Traj.Len() {
-		t.Fatalf("chunking covers %d of %d points", lo, u.Traj.Len())
+		return nil, fmt.Errorf("chunking covers %d of %d points", lo, u.Traj.Len())
 	}
-	v, err := client.CloseSession(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
+	return client.CloseSession(id)
 }
 
 // TestSessionVerdictBitIdenticalToBatch is the subsystem's headline
@@ -440,6 +450,47 @@ func TestSessionOnlineIngestion(t *testing.T) {
 		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
 			t.Fatalf("feature %d: %v != %v (bits differ)", i, fa[i], fb[i])
 		}
+	}
+}
+
+// TestSessionSoakDurable is the streaming path's concurrency check under
+// -race: concurrent sessions whose chunk appends interleave at the server,
+// with the WAL journaling every frame, early exit on and accepted sessions
+// ingested. Every session the clients drove must be opened and closed exactly
+// once, and the server's verdict counters must equal the clients' tally.
+func TestSessionSoakDurable(t *testing.T) {
+	store, err := rssimap.NewStore(rssimap.DefaultConfig(), persistRecords(rand.New(rand.NewSource(137)), 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := OpenPersistence(t.TempDir(), PersistOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, _, client := newTestService(t, Config{
+		Motion: &fixedMotion{prob: 0.9}, WiFi: trainTestDetector(t, store),
+		IngestAccepted: true, Persist: p, Stream: &stream.Config{},
+	})
+
+	const workers, n = 6, 18
+	uploads, forged := soakUploads(t, 6000, n, 16)
+	verdicts := make([]*Verdict, n)
+	soakSend(t, verdicts, 0, n, workers, func(i int) (*Verdict, error) {
+		return streamUploadErr(client, uploads[i], []int{6, 5, 5})
+	})
+	accepted, realAccepted, forgedRejected := tallySoak(verdicts, forged)
+	if realAccepted == 0 || forgedRejected == 0 {
+		t.Fatalf("degenerate mix: %d real accepted, %d forged rejected", realAccepted, forgedRejected)
+	}
+	st := svc.Stats()
+	if st.Sessions == nil || st.Sessions.Opened != n || st.Sessions.Closed != n {
+		t.Fatalf("clients drove %d sessions, server stats = %+v", n, st.Sessions)
+	}
+	if st.Accepted != accepted || st.Rejected != n-accepted {
+		t.Fatalf("server counted %d/%d, clients %d/%d", st.Accepted, st.Rejected, accepted, n-accepted)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatalf("close after soak: %v", err)
 	}
 }
 

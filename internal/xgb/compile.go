@@ -361,19 +361,3 @@ func (m *Model) PredictBatch(X [][]float64) []float64 {
 	})
 	return out
 }
-
-// PredictProbPointer scores one row through the original pointer trees —
-// the reference implementation the compiled kernel is proven against, kept
-// for the bit-identity property tests and the pointer-vs-flattened
-// microbenchmark.
-func (m *Model) PredictProbPointer(x []float64) float64 {
-	return sigmoid(m.marginPointer(x))
-}
-
-func (m *Model) marginPointer(x []float64) float64 {
-	s := m.BaseMargin
-	for i := range m.Trees {
-		s += m.Trees[i].predict(x)
-	}
-	return s
-}

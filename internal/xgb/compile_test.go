@@ -6,6 +6,22 @@ import (
 	"testing"
 )
 
+// PredictProbPointer scores one row through the original pointer trees —
+// the reference implementation the compiled kernel is proven against, kept
+// for the bit-identity property tests and the pointer-vs-flattened
+// microbenchmark.
+func (m *Model) PredictProbPointer(x []float64) float64 {
+	return sigmoid(m.marginPointer(x))
+}
+
+func (m *Model) marginPointer(x []float64) float64 {
+	s := m.BaseMargin
+	for i := range m.Trees {
+		s += m.Trees[i].predict(x)
+	}
+	return s
+}
+
 // randomTrainingSet builds a labelled set with deliberate pathologies:
 // some NaN (missing) cells, heavy-tailed values, and duplicated columns.
 func randomTrainingSet(rng *rand.Rand, n, d int) ([][]float64, []float64) {
@@ -146,9 +162,8 @@ func TestLazyCompileConcurrent(t *testing.T) {
 }
 
 // BenchmarkKernelPointer and BenchmarkKernelFlattened are the
-// pointer-vs-flattened verify-kernel microbenchmark (`make bench-kernel`);
-// points/sec is reported by cmd/loadgen's kernel section against the same
-// trained model.
+// pointer-vs-flattened verify-kernel microbenchmark (`make bench-micro`),
+// all against the same trained model.
 func benchModel(b *testing.B) (*Model, [][]float64) {
 	rng := rand.New(rand.NewSource(11))
 	X, y := randomTrainingSet(rng, 512, 6)
