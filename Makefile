@@ -118,4 +118,6 @@ loc:
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
-check: build vet fmt-check test
+# bench-test is part of check: a change to a name bench/ calls fails here,
+# not in the benchmark gate.
+check: build vet fmt-check test bench-test

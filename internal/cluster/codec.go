@@ -8,14 +8,19 @@
 //
 // Frame layout (little endian):
 //
-//	u8 version (2) | u8 kind | u32 payloadLen | payload
+//	u8 version (3) | u8 kind | u32 payloadLen | payload
 //
 // Version 2 added the contributor identity (str8) to every record — the
 // ingestion provenance the trust pipeline relies on — so provenance
 // crosses node boundaries and tile migrations bit-identically. The codec
 // also frames each node's tile WAL, so a node's durable lineage carries
-// provenance too. Version 1 frames are refused (a cluster is always one
-// build).
+// provenance too. Version 3 made the confidence query many-point: a
+// kindConf request carries a list of (tile, position, scan) points under
+// one feature config, and its kindConfResp reply one item per point, each
+// with its own status. Record, entry and assignment layouts are version 2's,
+// so node WAL and snapshot payloads (which carry no frame header) are
+// unchanged. Frames of any other version are refused (a cluster is always
+// one build).
 //
 // Every request payload starts with `u32 deadlineMs` — the milliseconds the
 // originating request has left, 0 for none — so a node can stop working on
@@ -46,7 +51,7 @@ import (
 )
 
 const (
-	codecVersion = 2
+	codecVersion = 3
 
 	// maxFrameBytes bounds one frame on the wire (header + payload).
 	maxFrameBytes = 32 << 20
@@ -57,8 +62,8 @@ const (
 	kindHello     byte = 1  // coordinator introduces itself to a node
 	kindAck       byte = 2  // generic response: status + node epoch
 	kindAdd       byte = 3  // ingest a batch of (tile, seq, record) entries
-	kindConf      byte = 5  // point-confidence query against one tile
-	kindConfResp  byte = 6  // confidence vector reply
+	kindConf      byte = 5  // point-confidence query, many points, each against its tile
+	kindConfResp  byte = 6  // one confidence vector (with its status) per point
 	kindFreeze    byte = 7  // mark a tile read-only ahead of migration
 	kindFetchTile byte = 9  // read a tile's full entry log (migration handoff)
 	kindTileState byte = 10 // fetchTile reply
@@ -153,22 +158,39 @@ type AddReq struct {
 	Entries  []Entry
 }
 
-// ConfReq asks the owner of Tile for the point confidences of one scan.
+// ConfPoint is one point of a confidence query: its position, its scan,
+// and the tile the coordinator resolved the position to.
+type ConfPoint struct {
+	Tile [2]int
+	Pos  geo.Point
+	Scan wifi.Scan
+}
+
+// ConfReq asks one node for the point confidences of many scans under one
+// feature config, each against the tile its point names.
 type ConfReq struct {
 	Deadline uint32
 	Epoch    uint64
-	Tile     [2]int
-	Pos      geo.Point
 	Cfg      rssimap.FeatureConfig
-	Scan     wifi.Scan
+	Points   []ConfPoint
 }
 
-// ConfResp answers a ConfReq.
+// ConfItem is one point's answer: statusOK with its confidences, or
+// statusNotOwner when the node holds no replica of the point's tile at the
+// request's epoch.
+type ConfItem struct {
+	Status byte
+	Confs  []rssimap.PointConfidence
+}
+
+// ConfResp answers a ConfReq. A request-level refusal (wrong epoch, expired,
+// dead storage) carries no items; statusOK carries one item per point, in
+// request order.
 type ConfResp struct {
 	Status byte
 	Epoch  uint64
 	Msg    string
-	Confs  []rssimap.PointConfidence
+	Items  []ConfItem
 }
 
 // TileReq addresses one tile: freeze (kindFreeze), fetch (kindFetchTile),
@@ -645,23 +667,9 @@ func EncodeFrame(msg any) ([]byte, error) {
 	case *InstallReq:
 		buf, err = encodeAddLike(kindInstall, (*AddReq)(m))
 	case *ConfReq:
-		buf = binenc.NewFrame(codecVersion, kindConf, 64+len(m.Scan)*10)
-		buf = binenc.AppendU32(buf, m.Deadline)
-		buf = binenc.AppendU64(buf, m.Epoch)
-		if buf, err = appendTile(buf, m.Tile); err != nil {
-			return nil, err
-		}
-		buf = binenc.AppendF64(buf, m.Pos.X)
-		buf = binenc.AppendF64(buf, m.Pos.Y)
-		if buf, err = appendFeatureConfig(buf, m.Cfg); err != nil {
-			return nil, err
-		}
-		buf, err = binenc.AppendScan(buf, m.Scan)
+		buf, err = encodeConfReq(m)
 	case *ConfResp:
-		if buf, err = newResponse(kindConfResp, 16+len(m.Confs)*confMinBytes, m.Status, m.Epoch, m.Msg); err != nil {
-			return nil, err
-		}
-		buf, err = appendConfs(buf, m.Confs)
+		buf, err = encodeConfResp(m)
 	case *FreezeReq:
 		buf, err = encodeTileReq(kindFreeze, (*TileReq)(m))
 	case *FetchTileReq:
@@ -739,6 +747,63 @@ func encodeAddLike(kind byte, m *AddReq) ([]byte, error) {
 	return appendEntries(buf, m.Entries)
 }
 
+// A confidence query's payload:
+//
+//	u32 deadlineMs | u64 epoch | feature config | u32 nPoints |
+//	nPoints × (tile | f64 x | f64 y | scan)
+//
+// and its reply's, after the response prefix:
+//
+//	u32 nItems | nItems × (u8 status | confidence list)
+const (
+	confPointMinBytes = 8 + 8 + 8 + 2
+	confItemMinBytes  = 1 + 4
+)
+
+func encodeConfReq(m *ConfReq) ([]byte, error) {
+	// The size hint allows a scan of about ten observations per point.
+	buf := binenc.NewFrame(codecVersion, kindConf, 32+len(m.Points)*(confPointMinBytes+200))
+	buf = binenc.AppendU32(buf, m.Deadline)
+	buf = binenc.AppendU64(buf, m.Epoch)
+	buf, err := appendFeatureConfig(buf, m.Cfg)
+	if err != nil {
+		return nil, err
+	}
+	if len(m.Points) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: %d query points", ErrValue, len(m.Points))
+	}
+	buf = binenc.AppendU32(buf, uint32(len(m.Points)))
+	for _, p := range m.Points {
+		if buf, err = appendTile(buf, p.Tile); err != nil {
+			return nil, err
+		}
+		buf = binenc.AppendF64(buf, p.Pos.X)
+		buf = binenc.AppendF64(buf, p.Pos.Y)
+		if buf, err = binenc.AppendScan(buf, p.Scan); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+func encodeConfResp(m *ConfResp) ([]byte, error) {
+	// The size hint allows a few confidences per item.
+	buf, err := newResponse(kindConfResp, 4+len(m.Items)*(confItemMinBytes+100), m.Status, m.Epoch, m.Msg)
+	if err != nil {
+		return nil, err
+	}
+	if len(m.Items) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: %d query items", ErrValue, len(m.Items))
+	}
+	buf = binenc.AppendU32(buf, uint32(len(m.Items)))
+	for _, it := range m.Items {
+		if buf, err = appendConfs(append(buf, it.Status), it.Confs); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 func encodeTileReq(kind byte, m *TileReq) ([]byte, error) {
 	buf := binenc.NewFrame(codecVersion, kind, 20)
 	buf = binenc.AppendU32(buf, m.Deadline)
@@ -770,16 +835,19 @@ func DecodeFrame(data []byte) (any, error) {
 			msg = (*InstallReq)(m)
 		}
 	case kindConf:
-		m := &ConfReq{Deadline: r.U32(), Epoch: r.U64(), Tile: readTile(r)}
-		m.Pos.X = r.F64()
-		m.Pos.Y = r.F64()
-		m.Cfg = decodeFeatureConfig(r)
-		m.Scan = r.Scan()
+		m := &ConfReq{Deadline: r.U32(), Epoch: r.U64(), Cfg: decodeFeatureConfig(r)}
+		m.Points = make([]ConfPoint, r.Count(r.U32(), confPointMinBytes))
+		for i := 0; i < len(m.Points) && r.Err() == nil; i++ {
+			m.Points[i] = ConfPoint{Tile: readTile(r), Pos: geo.Point{X: r.F64(), Y: r.F64()}, Scan: r.Scan()}
+		}
 		msg = m
 	case kindConfResp:
 		m := &ConfResp{}
 		m.Status, m.Epoch, m.Msg = readResponse(r)
-		m.Confs = decodeConfs(r)
+		m.Items = make([]ConfItem, r.Count(r.U32(), confItemMinBytes))
+		for i := 0; i < len(m.Items) && r.Err() == nil; i++ {
+			m.Items[i] = ConfItem{Status: r.U8(), Confs: decodeConfs(r)}
+		}
 		msg = m
 	case kindFreeze, kindFetchTile, kindDrop:
 		m := &TileReq{Deadline: r.U32(), Epoch: r.U64(), Tile: readTile(r)}

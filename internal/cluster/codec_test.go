@@ -41,18 +41,26 @@ func sampleMessages() []any {
 		&Ack{Status: statusWrongEpoch, Epoch: 7, Msg: "node epoch 7"},
 		&AddReq{Deadline: 250, Epoch: 3, Entries: entries},
 		(*InstallReq)(&AddReq{Epoch: 3, Entries: entries[:1]}),
-		&ConfReq{
-			Deadline: 90,
-			Epoch:    3,
-			Tile:     [2]int{-4, 2},
-			Pos:      geo.Point{X: math.Pi, Y: -math.SmallestNonzeroFloat64},
-			Cfg:      rssimap.DefaultFeatureConfig(),
-			Scan:     wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -60}, {MAC: "02:4e:00:00:00:01", RSSI: -60}},
-		},
-		&ConfResp{Status: statusOK, Epoch: 3, Confs: []rssimap.PointConfidence{
-			{MAC: "02:4e:00:00:00:01", Phi: 0.37500000000001, Num: 12, Residual: 1.25, Heard: 3},
-			{MAC: "", Phi: 0, Num: 0, Residual: 0, Heard: 0},
+		&ConfReq{Epoch: 3, Cfg: rssimap.DefaultFeatureConfig()},
+		&ConfReq{Deadline: 90, Epoch: 3, Cfg: rssimap.DefaultFeatureConfig(), Points: []ConfPoint{{
+			Tile: [2]int{-4, 2},
+			Pos:  geo.Point{X: math.Pi, Y: -math.SmallestNonzeroFloat64},
+			Scan: wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -60}, {MAC: "02:4e:00:00:00:01", RSSI: -60}},
+		}}},
+		&ConfReq{Deadline: 7, Epoch: 4, Cfg: rssimap.FeatureConfig{R: 12.5, TopK: 3, Tol: -2, IncludeNum: true}, Points: []ConfPoint{
+			{Tile: [2]int{0, 0}, Pos: geo.Point{X: 1, Y: 2}, Scan: wifi.Scan{{MAC: "02:4e:00:00:00:0a", RSSI: -44}}},
+			{Tile: [2]int{-2147483648, 2147483647}, Pos: geo.Point{X: -0.5, Y: 1e300}},
+			{Tile: [2]int{0, 0}, Pos: geo.Point{X: 1, Y: 2}, Scan: wifi.Scan{{MAC: "", RSSI: 32767}, {MAC: "ap", RSSI: -32768}}},
 		}},
+		&ConfResp{Status: statusOK, Epoch: 3, Items: []ConfItem{
+			{Status: statusOK, Confs: []rssimap.PointConfidence{
+				{MAC: "02:4e:00:00:00:01", Phi: 0.37500000000001, Num: 12, Residual: 1.25, Heard: 3},
+				{MAC: "", Phi: 0, Num: 0, Residual: 0, Heard: 0},
+			}},
+			{Status: statusNotOwner},
+			{Status: statusOK},
+		}},
+		&ConfResp{Status: statusWrongEpoch, Epoch: 5, Msg: "node epoch 5"},
 		(*FreezeReq)(&TileReq{Deadline: 40, Epoch: 3, Tile: [2]int{2, 2}}),
 		(*FetchTileReq)(&TileReq{Epoch: 3, Tile: [2]int{-2147483648, 2147483647}}),
 		(*DropReq)(&TileReq{Epoch: 4, Tile: [2]int{0, 0}}),
@@ -187,13 +195,13 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 		}
 	})
 	t.Run("unknown feature flags", func(t *testing.T) {
-		req := &ConfReq{Epoch: 1, Cfg: rssimap.DefaultFeatureConfig(), Scan: nil}
+		req := &ConfReq{Epoch: 1, Cfg: rssimap.DefaultFeatureConfig()}
 		frame, err := EncodeFrame(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The flags byte sits 3 bytes before the trailing empty-scan u16.
-		frame[len(frame)-3] |= 0x80
+		// The flags byte sits just before the trailing zero point count.
+		frame[len(frame)-5] |= 0x80
 		if _, err := DecodeFrame(frame); !errors.Is(err, ErrValue) {
 			t.Fatalf("got %v, want ErrValue", err)
 		}
@@ -405,6 +413,9 @@ func TestRegenClusterCodecCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		name := "seed-" + reflect.TypeOf(msg).Elem().Name()
+		for k := 2; entries[name] != nil; k++ {
+			name = fmt.Sprintf("seed-%s-%d", reflect.TypeOf(msg).Elem().Name(), k)
+		}
 		entries[name] = frame
 	}
 	add, _ := EncodeFrame(&AddReq{Epoch: 1, Entries: []Entry{{Seq: 1, Rec: rssimap.Record{RSSI: map[string]int{"aa": -50}}}}})

@@ -414,15 +414,15 @@ func (n *Node) serveConn(conn net.Conn) {
 		delete(n.conns, conn)
 		n.connMu.Unlock()
 	}()
-	// One confidence buffer per connection: a response is written out
-	// before the next request is read, so every query reuses it.
-	var confs []rssimap.PointConfidence
+	// One query scratch per connection: a response is written out before
+	// the next request is read, so every query reuses it.
+	var sc confScratch
 	for {
 		msg, err := readMsg(conn, time.Now().Add(transportIdle))
 		if err != nil {
 			return
 		}
-		resp, dl := n.dispatch(msg, &confs)
+		resp, dl := n.dispatch(msg, &sc)
 		if resp == nil {
 			return
 		}
@@ -438,10 +438,10 @@ func (n *Node) serveConn(conn net.Conn) {
 // node connection). Requests whose wire deadline carries the expired
 // sentinel are refused unworked with statusExpired: the sender's own
 // clock said the originating client already gave up, and the relative
-// encoding means receiver clock skew cannot fake (or mask) that. confs is
-// the connection's confidence buffer; a ConfResp aliases it until the next
+// encoding means receiver clock skew cannot fake (or mask) that. sc is
+// the connection's query scratch; a ConfResp aliases it until the next
 // dispatch on the same connection.
-func (n *Node) dispatch(msg any, confs *[]rssimap.PointConfidence) (any, time.Time) {
+func (n *Node) dispatch(msg any, sc *confScratch) (any, time.Time) {
 	now := time.Now()
 	switch m := msg.(type) {
 	case *Hello:
@@ -454,7 +454,7 @@ func (n *Node) dispatch(msg any, confs *[]rssimap.PointConfidence) (any, time.Ti
 		if m.Deadline == deadlineExpiredMs {
 			return n.refuseExpired(&ConfResp{}), wireDeadline(m.Deadline, now, transportIdle)
 		}
-		return n.handleConf(m, confs), wireDeadline(m.Deadline, now, transportIdle)
+		return n.handleConf(m, sc), wireDeadline(m.Deadline, now, transportIdle)
 	case *FreezeReq:
 		return n.guard(m.Deadline, func() any { return n.handleFreeze(m) }), wireDeadline(m.Deadline, now, transportIdle)
 	case *FetchTileReq:
@@ -567,13 +567,24 @@ func (n *Node) handleAdd(m *AddReq, install bool) *Ack {
 	return &Ack{Status: statusOK, Epoch: n.epoch}
 }
 
-// handleConf answers a point-confidence query. Queries fence hard: exact
-// epoch match and a current replica claim — the primary, or (under a
-// replicated assignment) the follower, whose tile copy is built from the
-// same seq-gated entries in the same canonical order and is therefore
-// bit-identical. During a migration's ownership flip no node outside the
+// confScratch is one connection's reusable query state: the items of the
+// last reply (each keeping its confidence buffer for the next request) and
+// the tile each point resolved to.
+type confScratch struct {
+	items []ConfItem
+	tiles []*tileState
+}
+
+// handleConf answers a many-point confidence query. Queries fence hard: the
+// whole request demands an exact epoch match, and each point a current
+// replica claim on its tile — the primary, or (under a replicated
+// assignment) the follower, whose tile copy is built from the same
+// seq-gated entries in the same canonical order and is therefore
+// bit-identical. A point whose tile this node holds no replica of is
+// answered statusNotOwner on its own, so the coordinator re-resolves just
+// that point: during a migration's ownership flip no node outside the
 // replica set at the current epoch will answer for the tile.
-func (n *Node) handleConf(m *ConfReq, dst *[]rssimap.PointConfidence) *ConfResp {
+func (n *Node) handleConf(m *ConfReq, sc *confScratch) *ConfResp {
 	n.mu.RLock()
 	if n.dead != nil {
 		resp := &ConfResp{Status: statusFailed, Epoch: n.epoch, Msg: n.dead.Error()}
@@ -585,13 +596,19 @@ func (n *Node) handleConf(m *ConfReq, dst *[]rssimap.PointConfidence) *ConfResp 
 		n.mu.RUnlock()
 		return resp
 	}
-	if !n.assign.replicaOf(m.Tile, n.id) {
-		resp := &ConfResp{Status: statusNotOwner, Epoch: n.epoch,
-			Msg: fmt.Sprintf("tile %v owned by %q", m.Tile, n.assign.Owner(m.Tile))}
-		n.mu.RUnlock()
-		return resp
+	if len(sc.items) < len(m.Points) {
+		sc.items = append(sc.items, make([]ConfItem, len(m.Points)-len(sc.items))...)
+		sc.tiles = make([]*tileState, len(sc.items))
 	}
-	ts := n.tiles[m.Tile]
+	items, tiles := sc.items[:len(m.Points)], sc.tiles[:len(m.Points)]
+	for i, p := range m.Points {
+		items[i].Status, tiles[i] = statusOK, nil
+		if !n.assign.replicaOf(p.Tile, n.id) {
+			items[i].Status = statusNotOwner
+			continue
+		}
+		tiles[i] = n.tiles[p.Tile]
+	}
 	epoch := n.epoch
 	n.mu.RUnlock()
 
@@ -599,14 +616,21 @@ func (n *Node) handleConf(m *ConfReq, dst *[]rssimap.PointConfidence) *ConfResp 
 	n.confs++
 	n.statMu.Unlock()
 
-	if ts == nil {
-		*dst = shardstore.EmptyConfidences(*dst, m.Scan, m.Cfg)
-	} else {
-		// The per-tile store has its own lock; queries on different tiles
-		// of this node never contend.
-		*dst = ts.store.PointConfidencesInto(*dst, m.Pos, m.Scan, m.Cfg)
+	for i, p := range m.Points {
+		switch {
+		case items[i].Status != statusOK:
+			items[i].Confs = items[i].Confs[:0]
+		case tiles[i] == nil:
+			items[i].Confs = shardstore.EmptyConfidences(items[i].Confs, p.Scan, m.Cfg)
+		default:
+			// The per-tile store has its own lock; queries on different
+			// tiles of this node never contend.
+			items[i].Confs = tiles[i].store.PointConfidencesInto(items[i].Confs, p.Pos, p.Scan, m.Cfg)
+		}
 	}
-	return &ConfResp{Status: statusOK, Epoch: epoch, Confs: *dst}
+	// The tile pointers must not pin dropped tiles until the next query.
+	clear(tiles)
+	return &ConfResp{Status: statusOK, Epoch: epoch, Items: items}
 }
 
 // handleFreeze marks a tile read-only ahead of a migration handoff. The

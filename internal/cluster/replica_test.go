@@ -481,10 +481,10 @@ func TestHandleAddKeepsNoAliasOfTheFrame(t *testing.T) {
 				frame[i] = 0xAA
 			}
 		}()
-		var confs []rssimap.PointConfidence
+		var sc confScratch
 		for _, e := range entries[:10] {
-			n.handleConf(&ConfReq{Epoch: assign.Epoch, Tile: e.Tile, Pos: e.Rec.Pos, Cfg: rssimap.DefaultFeatureConfig(),
-				Scan: wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}}}, &confs)
+			n.handleConf(&ConfReq{Epoch: assign.Epoch, Cfg: rssimap.DefaultFeatureConfig(), Points: []ConfPoint{{
+				Tile: e.Tile, Pos: e.Rec.Pos, Scan: wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}}}}}, &sc)
 			n.handleFetch(&FetchTileReq{Epoch: assign.Epoch, Tile: e.Tile})
 		}
 		wg.Wait()

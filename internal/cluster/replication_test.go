@@ -390,10 +390,8 @@ func TestNodeRefusesExpiredRequests(t *testing.T) {
 	resp, err := nc.call(&ConfReq{
 		Deadline: deadlineExpiredMs,
 		Epoch:    tc.store.Assignment().Epoch,
-		Tile:     tile,
-		Pos:      recs[0].Pos,
 		Cfg:      rssimap.DefaultFeatureConfig(),
-		Scan:     wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}},
+		Points:   []ConfPoint{{Tile: tile, Pos: recs[0].Pos, Scan: wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}}}},
 	}, time.Time{})
 	if err != nil {
 		t.Fatal(err)

@@ -98,7 +98,7 @@ type Store struct {
 	wlog      *wal.Lineage // canonical-log + assignment journal (nil = memory-only)
 	walErr    error        // first fatal journal failure; Add fails closed after
 
-	forwards     atomic.Uint64 // confidence RPCs sent to nodes
+	forwards     atomic.Uint64 // confidence RPCs sent to nodes (one per node per query wave)
 	halo         atomic.Uint64 // halo (non-owner-tile) entries fanned out
 	localHits    atomic.Uint64 // empty-tile queries answered locally
 	migrations   atomic.Uint64 // committed migrations
@@ -112,6 +112,11 @@ type Store struct {
 	refusedBatch atomic.Uint64 // ingest batches refused whole (unencodable, or the journal failed closed)
 	refusedRecs  atomic.Uint64 // records those batches held
 	repairing    atomic.Bool   // a re-replication is in flight
+
+	// routed, when set, runs after each query wave is grouped by node and
+	// before its requests are sent: tests close a node or commit an epoch
+	// bump inside that window.
+	routed func()
 }
 
 var _ rssimap.Backend = (*Store)(nil)
@@ -379,11 +384,33 @@ func (s *Store) addBatch(n int, shape func(i int) (contributor string, readings 
 	}
 	s.mu.Unlock()
 
-	for _, nc := range targets {
-		if err := nc.flush(s); err != nil {
-			nc.markUnsynced(err)
+	// The nodes drain in parallel. Each node still gets its entries in
+	// canonical order: the outbox was filled under s.mu, and flush drains it
+	// front first under the node's sendMu.
+	fanOut(len(targets), func(k int) {
+		if err := targets[k].flush(s); err != nil {
+			targets[k].markUnsynced(err)
 		}
+	})
+}
+
+// fanOut runs fn(0) … fn(n-1) at once, the last on the caller's goroutine,
+// and returns when every call has. Unlike parallel.ForEach it does not cap
+// the calls at GOMAXPROCS: each one waits on a node, not on a core.
+func fanOut(n int, fn func(k int)) {
+	if n == 0 {
+		return
 	}
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for k := 0; k < n-1; k++ {
+		go func() {
+			defer wg.Done()
+			fn(k)
+		}()
+	}
+	fn(n - 1)
+	wg.Wait()
 }
 
 // Len returns the number of canonical records.
@@ -412,37 +439,115 @@ func (s *Store) Records() []rssimap.Record {
 // way they treat context.DeadlineExceeded.
 var ErrExpired = errors.New("cluster: deadline expired before dispatch")
 
-// queryTarget resolves the nodes answering for position o — the tile's
-// primary and (with replication on) its follower — or reports that the
-// owning tile is empty (answerable locally, bit-identical to a node
-// holding no records for it).
-func (s *Store) queryTarget(o geo.Point) (tile [2]int, primary, follower *nodeClient, epoch uint64, empty bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	tile = s.cfg.TileOf(o)
-	if len(s.tileIndex[tile]) == 0 {
-		return tile, nil, nil, s.assign.Epoch, true
-	}
-	owner := s.assign.Owner(tile)
-	primary = s.nodes[owner]
-	// A migrating tile has no settled follower replica: reads stay on the
-	// primary until commit.
-	if s.migrating[tile] == nil {
-		if f := s.assign.Follower(tile); f != "" && f != owner {
-			follower = s.nodes[f]
-		}
-	}
-	return tile, primary, follower, s.assign.Epoch, false
+// route is one point of a confidence query as the coordinator sends it:
+// the replicas that may answer it, in the order to try them, and which of
+// them is the tile's primary (an answer from the other is a replica read).
+type route struct {
+	i       int // index into the query's points
+	order   []*nodeClient
+	next    int // order[next] is the replica the next request goes to
+	primary *nodeClient
 }
 
-// forwardConfs runs one point-confidence query against the node owning the
-// tile, failing over to the follower replica when the primary is
-// unreachable (both replicas apply the same entries under the same seqs,
-// so either answer is bit-identical), retrying across epoch bumps (a
-// migration can commit between resolving the owner and the node
-// answering), and healing unsynced nodes first. A request whose deadline
-// already passed is refused with ErrExpired before any node sees it.
-func (s *Store) forwardConfs(ctx context.Context, o geo.Point, scan wifi.Scan, cfg rssimap.FeatureConfig) ([]rssimap.PointConfidence, error) {
+// routePoints resolves the given points under one read of the coordinator
+// lock: each point's tile, and either a local answer (an empty tile is
+// bit-identical to a node holding no records for it) or its replicas — the
+// primary, then (with replication on) the follower. A migrating tile has no
+// settled follower, so it is read from its primary only; an unsynced
+// primary with a healthy follower is tried second, so the query does not
+// stall on a resync attempt.
+func (s *Store) routePoints(pts []ConfPoint, pending []int, out [][]rssimap.PointConfidence, cfg rssimap.FeatureConfig) ([]route, uint64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	routes := make([]route, 0, len(pending))
+	for _, i := range pending {
+		tile := s.cfg.TileOf(pts[i].Pos)
+		pts[i].Tile = tile
+		if len(s.tileIndex[tile]) == 0 {
+			s.localHits.Add(1)
+			out[i] = shardstore.EmptyConfidences(nil, pts[i].Scan, cfg)
+			continue
+		}
+		owner := s.assign.Owner(tile)
+		primary := s.nodes[owner]
+		if primary == nil {
+			return nil, 0, fmt.Errorf("cluster: tile %v has no owner", tile)
+		}
+		r := route{i: i, order: []*nodeClient{primary}, primary: primary}
+		if f := s.assign.Follower(tile); f != "" && f != owner && s.migrating[tile] == nil {
+			if follower := s.nodes[f]; primary.isUnsynced() && !follower.isUnsynced() {
+				r.order = []*nodeClient{follower, primary}
+			} else {
+				r.order = append(r.order, follower)
+			}
+		}
+		routes = append(routes, r)
+	}
+	return routes, s.assign.Epoch, nil
+}
+
+// confGroup is one node's share of a query wave: the routes sent to it and
+// what came back.
+type confGroup struct {
+	nc     *nodeClient
+	routes []route
+	resp   any
+	err    error
+}
+
+// groupRoutes gathers the routes by the replica each goes to next, in node
+// id order.
+func groupRoutes(routes []route) []*confGroup {
+	var groups []*confGroup
+	for _, r := range routes {
+		nc := r.order[r.next]
+		k := 0
+		for k < len(groups) && groups[k].nc != nc {
+			k++
+		}
+		if k == len(groups) {
+			groups = append(groups, &confGroup{nc: nc})
+		}
+		groups[k].routes = append(groups[k].routes, r)
+	}
+	sort.Slice(groups, func(a, b int) bool { return groups[a].nc.id < groups[b].nc.id })
+	return groups
+}
+
+// sendConf sends one node its share of a query as one request, healing the
+// node first when it is unsynced. A transport failure marks it unsynced.
+func (s *Store) sendConf(g *confGroup, pts []ConfPoint, epoch uint64, cfg rssimap.FeatureConfig, deadline time.Time) (any, error) {
+	nc := g.nc
+	if nc.isUnsynced() {
+		if err := s.Resync(nc.id); err != nil {
+			return nil, err
+		}
+	}
+	req := &ConfReq{Epoch: epoch, Cfg: cfg, Points: make([]ConfPoint, len(g.routes))}
+	for k, r := range g.routes {
+		req.Points[k] = pts[r.i]
+	}
+	s.forwards.Add(1)
+	req.Deadline = deadlineMs(deadline, time.Now())
+	resp, err := nc.call(req, deadline)
+	if err != nil {
+		nc.markUnsynced(err)
+		return nil, err
+	}
+	return resp, nil
+}
+
+// forwardConfs answers the point-confidence queries of many points with one
+// request per node, sent to all nodes at once. Each point keeps the rules a
+// lone query follows: an empty tile is answered locally; a point whose node
+// fails, cannot be reached, or refuses it fails over to its follower
+// replica (both replicas apply the same entries under the same seqs, so
+// either answer is bit-identical); a wrong-epoch or not-owner refusal (a
+// migration can commit between routing and the node answering) re-pushes
+// the assignment and routes the point again. A query whose deadline already
+// passed is refused with ErrExpired before any node sees it. out[i] answers
+// pts[i].
+func (s *Store) forwardConfs(ctx context.Context, pts []ConfPoint, cfg rssimap.FeatureConfig) ([][]rssimap.PointConfidence, error) {
 	var deadline time.Time
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -453,79 +558,98 @@ func (s *Store) forwardConfs(ctx context.Context, o geo.Point, scan wifi.Scan, c
 			deadline = d
 		}
 	}
+	out := make([][]rssimap.PointConfidence, len(pts))
+	pending := make([]int, len(pts))
+	for i := range pending {
+		pending[i] = i
+	}
 	var lastErr error
-	for attempt := 0; attempt < 4; attempt++ {
-		tile, primary, follower, epoch, empty := s.queryTarget(o)
-		if empty {
-			s.localHits.Add(1)
-			return shardstore.EmptyConfidences(nil, scan, cfg), nil
+	for attempt := 0; attempt < 4 && len(pending) > 0; attempt++ {
+		routes, epoch, err := s.routePoints(pts, pending, out, cfg)
+		if err != nil {
+			return nil, err
 		}
-		if primary == nil {
-			return nil, fmt.Errorf("cluster: tile %v has no owner", tile)
-		}
-		// Primary first; the follower is the fallback. When the primary is
-		// already known-bad and the follower is healthy, skip straight to
-		// the follower rather than stalling the query on a resync attempt.
-		order := []*nodeClient{primary}
-		if follower != nil {
-			if primary.isUnsynced() && !follower.isUnsynced() {
-				order = []*nodeClient{follower, primary}
-			} else {
-				order = append(order, follower)
+		pending = pending[:0]
+		repush := false
+		// Each wave sends every unanswered route to its next replica; a
+		// route has at most two, so at most two waves run.
+		for len(routes) > 0 {
+			groups := groupRoutes(routes)
+			if s.routed != nil {
+				s.routed()
 			}
-		}
-		retarget := false
-		for _, nc := range order {
-			if nc.isUnsynced() {
-				if err := s.Resync(nc.id); err != nil {
-					lastErr = err
+			fanOut(len(groups), func(k int) {
+				groups[k].resp, groups[k].err = s.sendConf(groups[k], pts, epoch, cfg, deadline)
+			})
+			routes = routes[:0] // the groups hold copies
+			failover := func(r route) {
+				if r.next++; r.next < len(r.order) {
+					routes = append(routes, r)
+				} else {
+					pending = append(pending, r.i)
+				}
+			}
+			for _, g := range groups {
+				if g.err != nil {
+					lastErr = g.err
+					for _, r := range g.routes {
+						failover(r)
+					}
 					continue
 				}
-			}
-			s.forwards.Add(1)
-			resp, err := nc.call(&ConfReq{
-				Deadline: deadlineMs(deadline, time.Now()),
-				Epoch:    epoch,
-				Tile:     tile,
-				Pos:      o,
-				Cfg:      cfg,
-				Scan:     scan,
-			}, deadline)
-			if err != nil {
-				nc.markUnsynced(err)
-				lastErr = err
-				continue
-			}
-			cr, ok := resp.(*ConfResp)
-			if !ok {
-				return nil, fmt.Errorf("%w: %T to a confidence query", ErrKind, resp)
-			}
-			switch cr.Status {
-			case statusOK:
-				if nc != primary {
-					s.replicaReads.Add(1)
+				cr, ok := g.resp.(*ConfResp)
+				if !ok {
+					return nil, fmt.Errorf("%w: %T to a confidence query", ErrKind, g.resp)
 				}
-				return cr.Confs, nil
-			case statusExpired:
-				s.expired.Add(1)
-				return nil, fmt.Errorf("%w: node %s: %s", ErrExpired, nc.id, cr.Msg)
-			case statusWrongEpoch, statusNotOwner:
-				// The assignment moved under us (or the node is behind).
-				// Re-push and re-resolve.
-				s.pushAssignment()
-				lastErr = fmt.Errorf("cluster: node %s fenced query (status %d, node epoch %d)", nc.id, cr.Status, cr.Epoch)
-				retarget = true
-			default:
-				// statusFailed (dead storage) and the like: the replica may
-				// still answer.
-				lastErr = fmt.Errorf("cluster: node %s query failed: %s", nc.id, cr.Msg)
-			}
-			if retarget {
-				break
+				switch cr.Status {
+				case statusOK:
+					if len(cr.Items) != len(g.routes) {
+						return nil, fmt.Errorf("%w: %d answers to %d points", ErrKind, len(cr.Items), len(g.routes))
+					}
+					for k, r := range g.routes {
+						switch cr.Items[k].Status {
+						case statusOK:
+							if g.nc != r.primary {
+								s.replicaReads.Add(1)
+							}
+							out[r.i] = cr.Items[k].Confs
+						case statusNotOwner:
+							lastErr = fmt.Errorf("cluster: node %s does not hold tile %v at epoch %d", g.nc.id, pts[r.i].Tile, epoch)
+							repush = true
+							pending = append(pending, r.i)
+						default:
+							lastErr = fmt.Errorf("cluster: node %s query failed: status %d", g.nc.id, cr.Items[k].Status)
+							failover(r)
+						}
+					}
+				case statusExpired:
+					s.expired.Add(1)
+					return nil, fmt.Errorf("%w: node %s: %s", ErrExpired, g.nc.id, cr.Msg)
+				case statusWrongEpoch, statusNotOwner:
+					// The assignment moved under us (or the node is behind).
+					lastErr = fmt.Errorf("cluster: node %s fenced query (status %d, node epoch %d)", g.nc.id, cr.Status, cr.Epoch)
+					repush = true
+					for _, r := range g.routes {
+						pending = append(pending, r.i)
+					}
+				default:
+					// statusFailed (dead storage) and the like: the replica may
+					// still answer.
+					lastErr = fmt.Errorf("cluster: node %s query failed: %s", g.nc.id, cr.Msg)
+					for _, r := range g.routes {
+						failover(r)
+					}
+				}
 			}
 		}
+		if repush {
+			s.pushAssignment()
+		}
 	}
-	return nil, fmt.Errorf("cluster: confidence query exhausted retries: %w", lastErr)
+	if len(pending) > 0 {
+		return nil, fmt.Errorf("cluster: confidence query exhausted retries: %w", lastErr)
+	}
+	return out, nil
 }
 
 // ConfidenceTol evaluates Eq. 7 for one reported (mac, rssi) at o on the
@@ -533,12 +657,12 @@ func (s *Store) forwardConfs(ctx context.Context, o geo.Point, scan wifi.Scan, c
 // the identical kernel (same θ1/θ2 weights, same accumulation order), so
 // the forwarded answer is bit-identical to the local store's.
 func (s *Store) ConfidenceTol(o geo.Point, mac string, rssi int, r float64, tol rssimap.Tolerance) (phi float64, num int) {
-	confs, err := s.forwardConfs(context.Background(), o, wifi.Scan{{MAC: mac, RSSI: rssi}},
+	confs, err := s.forwardConfs(context.Background(), []ConfPoint{{Pos: o, Scan: wifi.Scan{{MAC: mac, RSSI: rssi}}}},
 		rssimap.FeatureConfig{R: r, TopK: 1, Tol: tol})
-	if err != nil || len(confs) == 0 {
+	if err != nil || len(confs[0]) == 0 {
 		return 0, 0
 	}
-	return confs[0].Phi, confs[0].Num
+	return confs[0][0].Phi, confs[0][0].Num
 }
 
 // Confidence evaluates Eq. 7 with exact RPD matching.
@@ -549,11 +673,11 @@ func (s *Store) Confidence(o geo.Point, mac string, rssi int, r float64) (phi fl
 // PointConfidences verifies the TopK strongest observations of one scan
 // against the node owning o's tile.
 func (s *Store) PointConfidences(o geo.Point, scan wifi.Scan, cfg rssimap.FeatureConfig) []rssimap.PointConfidence {
-	confs, err := s.forwardConfs(context.Background(), o, scan, cfg)
+	confs, err := s.forwardConfs(context.Background(), []ConfPoint{{Pos: o, Scan: scan}}, cfg)
 	if err != nil {
 		return shardstore.EmptyConfidences(nil, scan, cfg)
 	}
-	return confs
+	return confs[0]
 }
 
 // PointConfidencesInto is PointConfidences appending into dst[:0].
@@ -570,9 +694,9 @@ func (s *Store) checkFeatureRadius(cfg rssimap.FeatureConfig) error {
 	return nil
 }
 
-// Features computes the Eq. 8 feature vector of an upload, forwarding each
-// point's confidence query to the node owning it. Aggregation runs through
-// rssimap.FeaturesFrom, so the vector is bit-identical to the local
+// Features computes the Eq. 8 feature vector of an upload, sending each
+// node one request for the points whose tiles it holds. Aggregation runs
+// through rssimap.FeaturesFrom, so the vector is bit-identical to the local
 // backends'.
 func (s *Store) Features(u *wifi.Upload, cfg rssimap.FeatureConfig) ([]float64, error) {
 	return s.FeaturesContext(context.Background(), u, cfg)
@@ -586,17 +710,22 @@ func (s *Store) FeaturesContext(ctx context.Context, u *wifi.Upload, cfg rssimap
 	if err := s.checkFeatureRadius(cfg); err != nil {
 		return nil, err
 	}
+	// FeaturesFrom validates the upload before asking for its first point;
+	// that first call queries every point at once.
+	var confs [][]rssimap.PointConfidence
 	var rpcErr error
-	feat, err := rssimap.FeaturesFrom(u, cfg, func(_ int, pos geo.Point, scan wifi.Scan) []rssimap.PointConfidence {
+	feat, err := rssimap.FeaturesFrom(u, cfg, func(i int, _ geo.Point, scan wifi.Scan) []rssimap.PointConfidence {
+		if confs == nil && rpcErr == nil {
+			pts := make([]ConfPoint, len(u.Scans))
+			for k := range pts {
+				pts[k] = ConfPoint{Pos: u.Traj.Points[k].Pos, Scan: u.Scans[k]}
+			}
+			confs, rpcErr = s.forwardConfs(ctx, pts, cfg)
+		}
 		if rpcErr != nil {
 			return shardstore.EmptyConfidences(nil, scan, cfg)
 		}
-		confs, err := s.forwardConfs(ctx, pos, scan, cfg)
-		if err != nil {
-			rpcErr = err
-			return shardstore.EmptyConfidences(nil, scan, cfg)
-		}
-		return confs
+		return confs[i]
 	})
 	if rpcErr != nil {
 		return nil, rpcErr
@@ -761,27 +890,29 @@ type NodeStats struct {
 
 // StoreStats summarises cluster state for /v1/stats.
 type StoreStats struct {
-	Epoch             uint64      `json:"epoch"`
-	Records           int         `json:"records"`
-	Nodes             []NodeStats `json:"nodes"`
-	Forwarded         uint64      `json:"forwarded_requests"`
-	HaloUpdates       uint64      `json:"halo_updates"`
-	LocalEmptyAnswers uint64      `json:"local_empty_answers"`
-	Migrations        uint64      `json:"migrations"`
-	AbortedMigrations uint64      `json:"aborted_migrations"`
-	Resyncs           uint64      `json:"resyncs"`
-	MigrationInFlight bool        `json:"migration_in_flight"`
-	Replicated        bool        `json:"replicated,omitempty"`
-	ReplicaReads      uint64      `json:"replica_reads,omitempty"`
-	RetriedCalls      uint64      `json:"retried_calls,omitempty"`
-	Repairs           uint64      `json:"repairs,omitempty"`
-	Rebalances        uint64      `json:"rebalances,omitempty"`
-	ExpiredRejects    uint64      `json:"expired_rejects,omitempty"`
-	Degraded          bool        `json:"degraded,omitempty"`
-	DegradedReason    string      `json:"degraded_reason,omitempty"`
-	WALFrames         uint64      `json:"wal_frames,omitempty"`
-	WALBytes          uint64      `json:"wal_bytes,omitempty"`
-	Generation        uint64      `json:"wal_generation,omitempty"`
+	Epoch   uint64      `json:"epoch"`
+	Records int         `json:"records"`
+	Nodes   []NodeStats `json:"nodes"`
+	// Forwarded counts confidence RPCs sent to nodes: one per node a
+	// query's points go to, not one per point.
+	Forwarded         uint64 `json:"forwarded_requests"`
+	HaloUpdates       uint64 `json:"halo_updates"`
+	LocalEmptyAnswers uint64 `json:"local_empty_answers"`
+	Migrations        uint64 `json:"migrations"`
+	AbortedMigrations uint64 `json:"aborted_migrations"`
+	Resyncs           uint64 `json:"resyncs"`
+	MigrationInFlight bool   `json:"migration_in_flight"`
+	Replicated        bool   `json:"replicated,omitempty"`
+	ReplicaReads      uint64 `json:"replica_reads,omitempty"`
+	RetriedCalls      uint64 `json:"retried_calls,omitempty"`
+	Repairs           uint64 `json:"repairs,omitempty"`
+	Rebalances        uint64 `json:"rebalances,omitempty"`
+	ExpiredRejects    uint64 `json:"expired_rejects,omitempty"`
+	Degraded          bool   `json:"degraded,omitempty"`
+	DegradedReason    string `json:"degraded_reason,omitempty"`
+	WALFrames         uint64 `json:"wal_frames,omitempty"`
+	WALBytes          uint64 `json:"wal_bytes,omitempty"`
+	Generation        uint64 `json:"wal_generation,omitempty"`
 	// RefusedBatches counts ingest batches refused whole — one held a record
 	// the wire codec cannot carry, or the coordinator journal had failed
 	// closed — and RefusedRecords the records they held.
