@@ -44,7 +44,7 @@ bench:
 # city into a fresh 3-node cluster: ns/record, allocs/record, live
 # B/replica-record); the Eq. 4-7 hot path (confidence queries, serial vs
 # batch feature extraction, a detector evaluation pass); and the storage
-# backends (sharded vs global ingest and features, upload ingest ns/record,
+# write path (concurrent Add on one global store, upload ingest ns/record,
 # WAL append/replay). End-to-end numbers come from bench/ (bench-run,
 # bench-pairs), never from here.
 bench-micro:
@@ -53,7 +53,7 @@ bench-micro:
 	$(GO) test . -run NONE -benchmem \
 		-bench 'StoreConfidence|StoreFeatures|EvaluateWiFi$$'
 	$(GO) test . -run NONE -benchmem \
-		-bench 'ShardedVsGlobal|StoreAddUploads|WAL'
+		-bench 'StoreAddConcurrent|StoreAddUploads|WAL'
 
 # Short coverage-guided fuzzing of the shared byte reader, the WAL frame
 # decoder and the WAL payload codecs, the trajectory codecs, the binary

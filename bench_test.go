@@ -19,7 +19,6 @@ package trajforge
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -35,7 +34,6 @@ import (
 	"trajforge/internal/geo"
 	"trajforge/internal/loadgen"
 	"trajforge/internal/rssimap"
-	"trajforge/internal/shardstore"
 	"trajforge/internal/trajectory"
 	"trajforge/internal/wal"
 	"trajforge/internal/wifi"
@@ -512,63 +510,28 @@ func benchStoreRecords(rng *rand.Rand, n int, width, height float64) []rssimap.R
 	return recs
 }
 
-// benchStoreUpload builds a scan-carrying upload wandering across tiles.
-func benchStoreUpload(rng *rand.Rand, n int, width, height float64) *wifi.Upload {
-	pos := make([]geo.Point, n)
-	p := geo.Point{X: rng.Float64() * width, Y: rng.Float64() * height}
-	for i := range pos {
-		p.X = math.Abs(math.Mod(p.X+rng.NormFloat64()*4, width))
-		p.Y = math.Abs(math.Mod(p.Y+rng.NormFloat64()*4, height))
-		pos[i] = p
-	}
-	traj := trajectory.New(pos, time.Date(2022, 7, 1, 8, 0, 0, 0, time.UTC), time.Second)
-	scans := make([]wifi.Scan, n)
-	for i := range scans {
-		for j := 0; j < 4; j++ {
-			scans[i] = append(scans[i], wifi.Observation{
-				MAC:  fmt.Sprintf("02:4e:00:00:00:%02x", rng.Intn(48)),
-				RSSI: -40 - rng.Intn(50),
-			})
-		}
-	}
-	return &wifi.Upload{Traj: traj, Scans: scans}
-}
-
-// BenchmarkShardedVsGlobalAdd measures concurrent ingestion contention:
-// every goroutine hammers Add on one shared store. The global store funnels
-// through a single write lock; the sharded store spreads the batches across
-// per-tile locks.
-func BenchmarkShardedVsGlobalAdd(b *testing.B) {
+// BenchmarkStoreAddConcurrent measures ingestion under contention: every
+// goroutine hammers Add on one shared global store, whose batches all
+// funnel through its single write lock.
+func BenchmarkStoreAddConcurrent(b *testing.B) {
 	const width, height = 400, 400
 	rng := rand.New(rand.NewSource(41))
 	batches := make([][]rssimap.Record, 256)
 	for i := range batches {
 		batches[i] = benchStoreRecords(rng, 50, width, height)
 	}
-	run := func(b *testing.B, store rssimap.Backend) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var next atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				i := next.Add(1)
-				store.Add(batches[int(i)%len(batches)])
-			}
-		})
+	store, err := rssimap.NewStore(rssimap.DefaultConfig(), nil)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("global", func(b *testing.B) {
-		store, err := rssimap.NewStore(rssimap.DefaultConfig(), nil)
-		if err != nil {
-			b.Fatal(err)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var next atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			i := next.Add(1)
+			store.Add(batches[int(i)%len(batches)])
 		}
-		run(b, store)
-	})
-	b.Run("sharded", func(b *testing.B) {
-		store, err := shardstore.New(shardstore.DefaultConfig(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, store)
 	})
 }
 
@@ -598,43 +561,6 @@ func BenchmarkStoreAddUploads(b *testing.B) {
 		elapsed += time.Since(start)
 	}
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N*records), "ns/record")
-}
-
-// BenchmarkShardedVsGlobalFeaturesBatch runs the identical Eq. 8 batch
-// workload against both backends; the answers are bit-identical, only the
-// locking and cell lookup differ.
-func BenchmarkShardedVsGlobalFeaturesBatch(b *testing.B) {
-	const width, height = 250, 250
-	rng := rand.New(rand.NewSource(43))
-	recs := benchStoreRecords(rng, 4000, width, height)
-	uploads := make([]*wifi.Upload, 16)
-	for i := range uploads {
-		uploads[i] = benchStoreUpload(rng, 30, width, height)
-	}
-	fcfg := rssimap.DefaultFeatureConfig()
-	run := func(b *testing.B, store rssimap.Backend) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := store.FeaturesBatch(uploads, fcfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("global", func(b *testing.B) {
-		store, err := rssimap.NewStore(rssimap.DefaultConfig(), recs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, store)
-	})
-	b.Run("sharded", func(b *testing.B) {
-		store, err := shardstore.New(shardstore.DefaultConfig(), recs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, store)
-	})
 }
 
 // BenchmarkWALAppend measures one group-committed frame append (1 KiB

@@ -15,7 +15,6 @@ type config struct {
 	seed    int64
 	uploads int
 	dataDir string
-	sharded bool
 
 	// Cluster: node mode (nodeID + clusterListen) or coordinator mode
 	// (clusterNodes, parsed from -join; nil = single-process).
@@ -58,7 +57,6 @@ func parseConfig(args []string) (*config, error) {
 	fs.Int64Var(&cfg.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&cfg.uploads, "uploads", 300, "crowdsourced uploads to bootstrap the detector")
 	fs.StringVar(&cfg.dataDir, "data-dir", "", "directory for the WAL and snapshots (empty = in-memory only)")
-	fs.BoolVar(&cfg.sharded, "sharded", false, "partition the RSSI store by geographic tile")
 	fs.StringVar(&cfg.nodeID, "node-id", "", "run as a cluster shard node with this member id (requires -cluster-listen)")
 	fs.StringVar(&cfg.clusterListen, "cluster-listen", "", "shard-transport listen address for node mode")
 	fs.StringVar(&join, "join", "", "run as a cluster coordinator over these nodes (comma-separated id=addr pairs)")
@@ -102,10 +100,24 @@ func parseConfig(args []string) (*config, error) {
 		return nil, err
 	}
 
-	// Node mode takes nothing but its identity, address and data directory.
+	// Node mode reads nothing but its identity, address and data directory;
+	// any other flag would be dropped silently, so it is refused by name.
 	if cfg.nodeID != "" {
 		if cfg.clusterListen == "" {
 			return nil, errors.New("-node-id requires -cluster-listen")
+		}
+		var unread string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "node-id", "cluster-listen", "data-dir":
+			default:
+				if unread == "" {
+					unread = f.Name
+				}
+			}
+		})
+		if unread != "" {
+			return nil, fmt.Errorf("-%s is not read in node mode (a node takes -cluster-listen and -data-dir)", unread)
 		}
 		return &cfg, nil
 	}
@@ -115,9 +127,6 @@ func parseConfig(args []string) (*config, error) {
 	var err error
 	if cfg.clusterNodes, err = parseJoin(join); err != nil {
 		return nil, err
-	}
-	if cfg.clusterNodes != nil && cfg.sharded {
-		return nil, errors.New("-join and -sharded are mutually exclusive backends")
 	}
 	if cfg.clusterNodes == nil {
 		switch {

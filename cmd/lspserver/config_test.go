@@ -8,8 +8,8 @@ import (
 )
 
 // TestParseConfig pins the command line: the defaults of a bare invocation,
-// every requires / mutually-exclusive rule between the cluster flags, and
-// -join's pair syntax.
+// every requires rule between the cluster flags, node mode's refusal of the
+// flags it does not read, and -join's pair syntax.
 func TestParseConfig(t *testing.T) {
 	const join = "n1=127.0.0.1:7101,n2=127.0.0.1:7102"
 	for _, tc := range []struct {
@@ -24,7 +24,6 @@ func TestParseConfig(t *testing.T) {
 
 		{"-node-id without -cluster-listen", []string{"-node-id", "n1"}, "-node-id requires -cluster-listen"},
 		{"-cluster-listen without -node-id", []string{"-cluster-listen", ":7101"}, "-cluster-listen requires -node-id"},
-		{"-join with -sharded", []string{"-join", join, "-sharded"}, "-join and -sharded are mutually exclusive backends"},
 		{"-replicate without -join", []string{"-replicate"}, "-replicate requires -join"},
 		{"-cluster-data-dir without -join", []string{"-cluster-data-dir", "d"}, "-cluster-data-dir requires -join"},
 		{"-lease without -join", []string{"-lease", "l"}, "-lease/-standby require -join"},
@@ -32,6 +31,14 @@ func TestParseConfig(t *testing.T) {
 		{"-repair-every without -join", []string{"-repair-every", "1s"}, "-repair-every/-rebalance-every require -join"},
 		{"-rebalance-every without -join", []string{"-rebalance-every", "1s"}, "-repair-every/-rebalance-every require -join"},
 		{"-repair-every without -replicate", []string{"-join", join, "-repair-every", "1s"}, "-repair-every requires -replicate"},
+		{"node mode with -cluster-data-dir", []string{"-node-id", "n1", "-cluster-listen", ":7101", "-cluster-data-dir", "d"},
+			"-cluster-data-dir is not read in node mode (a node takes -cluster-listen and -data-dir)"},
+		{"node mode with -trust", []string{"-node-id", "n1", "-cluster-listen", ":7101", "-trust"},
+			"-trust is not read in node mode (a node takes -cluster-listen and -data-dir)"},
+		{"node mode with -join", []string{"-node-id", "n1", "-cluster-listen", ":7101", "-join", join},
+			"-join is not read in node mode (a node takes -cluster-listen and -data-dir)"},
+		{"node mode with -replicate", []string{"-node-id", "n1", "-cluster-listen", ":7101", "-replicate"},
+			"-replicate is not read in node mode (a node takes -cluster-listen and -data-dir)"},
 
 		{"-join pair without =", []string{"-join", "n1"}, `malformed -join entry "n1" (want id=addr)`},
 		{"-join pair without id", []string{"-join", "=127.0.0.1:7101"}, `malformed -join entry "=127.0.0.1:7101" (want id=addr)`},
@@ -65,9 +72,8 @@ func TestParseConfig(t *testing.T) {
 		t.Errorf("defaults:\n got %+v\nwant %+v", got, want)
 	}
 
-	// A node takes its identity, address and directory; the coordinator
-	// flags are not judged in node mode.
-	node, err := parseConfig([]string{"-node-id", "n1", "-cluster-listen", ":7101", "-data-dir", "d", "-replicate"})
+	// A node takes its identity, address and directory.
+	node, err := parseConfig([]string{"-node-id", "n1", "-cluster-listen", ":7101", "-data-dir", "d"})
 	if err != nil || node.nodeID != "n1" || node.clusterListen != ":7101" || node.dataDir != "d" {
 		t.Errorf("node mode: %+v, %v", node, err)
 	}

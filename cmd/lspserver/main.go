@@ -53,7 +53,7 @@
 //
 // Usage:
 //
-//	lspserver -addr :8742 [-seed 1] [-uploads 300] [-data-dir DIR] [-sharded]
+//	lspserver -addr :8742 [-seed 1] [-uploads 300] [-data-dir DIR]
 //	          [-node-id ID -cluster-listen ADDR | -join ID=ADDR,...]
 //	          [-replicate] [-cluster-data-dir DIR] [-repair-every 0]
 //	          [-rebalance-every 0] [-lease FILE] [-lease-ttl 5s]
@@ -194,8 +194,7 @@ func run(args []string) error {
 	}
 	var store trajforge.RSSIBackend
 	var cs *cluster.Store
-	switch {
-	case cfg.clusterNodes != nil:
+	if cfg.clusterNodes != nil {
 		cs, err = cluster.NewStore(cluster.Options{
 			Shard:     shardstore.DefaultConfig(),
 			Nodes:     cfg.clusterNodes,
@@ -225,13 +224,11 @@ func run(args []string) error {
 		}
 		fmt.Printf("cluster: %d nodes, epoch %d, %s\n", len(cfg.clusterNodes), cs.Assignment().Epoch, mode)
 		store = cs
-	case cfg.sharded:
-		store, err = shardstore.New(shardstore.DefaultConfig(), records)
-	default:
+	} else {
 		store, err = rssimap.NewStore(rssimap.DefaultConfig(), records)
-	}
-	if err != nil {
-		return err
+		if err != nil {
+			return err
+		}
 	}
 	var fakes []*trajforge.Upload
 	for _, u := range hist[:nStore/2] {
@@ -477,7 +474,7 @@ func runNode(id, listen, dataDir string) error {
 }
 
 // printStats summarises the session: counters plus where verification time
-// went, per pipeline stage, plus durability and sharding state when on.
+// went, per pipeline stage, plus durability and cluster state when on.
 func printStats(st server.Stats) {
 	fmt.Printf("session: %d accepted, %d rejected, %d in history\n",
 		st.Accepted, st.Rejected, st.History)
@@ -508,10 +505,6 @@ func printStats(st server.Stats) {
 	if ss := st.Sessions; ss != nil && ss.Opened > 0 {
 		fmt.Printf("  sessions: %d opened, %d closed, %d early-exits, %d expired, %d chunks (%d points scored)\n",
 			ss.Opened, ss.Closed, ss.EarlyExits, ss.Expired, ss.Chunks, ss.PointsScored)
-	}
-	if sh := st.Shards; sh != nil {
-		fmt.Printf("  shards: %d tiles, %d records (%d stored with halo), busiest %d\n",
-			sh.Shards, sh.Records, sh.StoredRecords, sh.MaxShardRecords)
 	}
 	if cl := st.Cluster; cl != nil {
 		fmt.Printf("  cluster: epoch %d, %d records, %d forwarded, %d halo updates, %d migrations\n",

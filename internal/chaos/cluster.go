@@ -152,7 +152,7 @@ func newClusterFixture(seed int64, records int, ids []string, replicate bool) (*
 		f.probes = append(f.probes, clusterProbe(rng, 12))
 	}
 	for _, n := range f.prefixLen {
-		ref, err := shardstore.New(f.cfg, all[:n])
+		ref, err := rssimap.NewStore(f.cfg.Store, all[:n])
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ import (
 	"trajforge/internal/wifi"
 )
 
-// randRecords mirrors shardstore's test generator: crowdsourced records
+// randRecords builds crowdsourced records
 // spread over a width×height area, dense enough that reference queries and
 // counting areas are non-trivial.
 func randRecords(rng *rand.Rand, n int, width, height float64) []rssimap.Record {
@@ -145,17 +145,36 @@ func assertSameVector(t *testing.T, want, got []float64, label string) {
 	}
 }
 
-// assertClusterMatchesSharded cross-checks the cluster against a
-// single-process sharded store over the same records: Eq. 7 confidences and
-// Eq. 8 feature vectors must agree bit for bit.
-func assertClusterMatchesSharded(t *testing.T, rng *rand.Rand, cs *Store, sharded *shardstore.Store, width, height float64) {
+// newGlobal builds the global store over recs: the reference every cluster
+// answer must match bit for bit.
+func newGlobal(t *testing.T, recs []rssimap.Record) *rssimap.Store {
+	t.Helper()
+	global, err := rssimap.NewStore(shardstore.DefaultConfig().Store, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return global
+}
+
+// confidenceTol asks the cluster for the Eq. 7 answer
+// rssimap.Store.ConfidenceTol gives: one reported (mac, rssi) as a
+// one-observation TopK-1 scan. A failed query answers (0, 0).
+func confidenceTol(s *Store, o geo.Point, mac string, rssi int, r float64, tol rssimap.Tolerance) (phi float64, num int) {
+	pc := s.PointConfidencesInto(nil, o, wifi.Scan{{MAC: mac, RSSI: rssi}}, rssimap.FeatureConfig{R: r, TopK: 1, Tol: tol})
+	return pc[0].Phi, pc[0].Num
+}
+
+// assertClusterMatchesGlobal cross-checks the cluster against the global
+// store over the same records: Eq. 7 confidences and Eq. 8 feature vectors
+// must agree bit for bit.
+func assertClusterMatchesGlobal(t *testing.T, rng *rand.Rand, cs *Store, global *rssimap.Store, width, height float64) {
 	t.Helper()
 	for i := 0; i < 60; i++ {
 		o := geo.Point{X: rng.Float64() * width, Y: rng.Float64() * height}
 		mac := fmt.Sprintf("02:4e:00:00:00:%02x", rng.Intn(40))
 		rssi := -40 - rng.Intn(50)
-		wantPhi, wantNum := sharded.ConfidenceTol(o, mac, rssi, 5, 2)
-		gotPhi, gotNum := cs.ConfidenceTol(o, mac, rssi, 5, 2)
+		wantPhi, wantNum := global.ConfidenceTol(o, mac, rssi, 5, 2)
+		gotPhi, gotNum := confidenceTol(cs, o, mac, rssi, 5, 2)
 		if math.Float64bits(wantPhi) != math.Float64bits(gotPhi) || wantNum != gotNum {
 			t.Fatalf("confidence at %v for %s/%d: (%v,%d) vs (%v,%d)", o, mac, rssi, wantPhi, wantNum, gotPhi, gotNum)
 		}
@@ -163,7 +182,7 @@ func assertClusterMatchesSharded(t *testing.T, rng *rand.Rand, cs *Store, sharde
 	cfg := rssimap.DefaultFeatureConfig()
 	for i := 0; i < 6; i++ {
 		u := randUpload(rng, 30, width, height)
-		want, err := sharded.Features(u, cfg)
+		want, err := global.Features(u, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,14 +204,11 @@ func TestClusterBitIdenticalToShardstore(t *testing.T) {
 	for off := 0; off < len(recs); off += 100 {
 		tc.store.Add(recs[off : off+100])
 	}
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	global := newGlobal(t, recs)
 	if tc.store.Len() != len(recs) {
 		t.Fatalf("Len = %d, want %d", tc.store.Len(), len(recs))
 	}
-	assertClusterMatchesSharded(t, rng, tc.store, sharded, width, height)
+	assertClusterMatchesGlobal(t, rng, tc.store, global, width, height)
 
 	// Batch extraction must equal serial extraction.
 	uploads := make([]*wifi.Upload, 8)
@@ -205,7 +221,7 @@ func TestClusterBitIdenticalToShardstore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, u := range uploads {
-		want, err := sharded.Features(u, cfg)
+		want, err := global.Features(u, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +243,7 @@ func TestClusterBitIdenticalToShardstore(t *testing.T) {
 func TestClusterQueriesOutsideDataAreLocal(t *testing.T) {
 	tc := startCluster(t, 2, false)
 	tc.store.Add(randRecords(rand.New(rand.NewSource(3)), 50, 20, 20))
-	phi, num := tc.store.ConfidenceTol(geo.Point{X: 900, Y: 900}, "02:4e:00:00:00:01", -50, 5, 0)
+	phi, num := confidenceTol(tc.store, geo.Point{X: 900, Y: 900}, "02:4e:00:00:00:01", -50, 5, 0)
 	if phi != 0 || num != 0 {
 		t.Fatalf("empty-tile query returned (%v, %d)", phi, num)
 	}
@@ -279,7 +295,7 @@ func TestClusterLiveMigration(t *testing.T) {
 			default:
 			}
 			o := geo.Point{X: qrng.Float64() * width, Y: qrng.Float64() * height}
-			tc.store.ConfidenceTol(o, "02:4e:00:00:00:05", -55, 5, 1)
+			confidenceTol(tc.store, o, "02:4e:00:00:00:05", -55, 5, 1)
 		}
 	}()
 	if err := tc.store.Migrate(tile, to); err != nil {
@@ -301,11 +317,8 @@ func TestClusterLiveMigration(t *testing.T) {
 
 	// The migrated world answers bit-identically to a store that never
 	// migrated at all.
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClusterMatchesSharded(t, rng, tc.store, sharded, width, height)
+	global := newGlobal(t, recs)
+	assertClusterMatchesGlobal(t, rng, tc.store, global, width, height)
 
 	// Migrating a tile onto its current owner is a no-op.
 	if err := tc.store.Migrate(tile, to); err != nil {
@@ -344,11 +357,8 @@ func TestClusterMigrationBuffersConcurrentWrites(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClusterMatchesSharded(t, rng, tc.store, sharded, 60, 60)
+	global := newGlobal(t, recs)
+	assertClusterMatchesGlobal(t, rng, tc.store, global, 60, 60)
 }
 
 func TestClusterNodeRestartReplaysDurableState(t *testing.T) {
@@ -379,11 +389,8 @@ func TestClusterNodeRestartReplaysDurableState(t *testing.T) {
 	}
 	tc.nodes[victim] = node
 
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClusterMatchesSharded(t, rng, tc.store, sharded, width, height)
+	global := newGlobal(t, recs)
+	assertClusterMatchesGlobal(t, rng, tc.store, global, width, height)
 	if st := tc.store.Stats(); st.Resyncs == 0 {
 		t.Fatalf("expected a resync after restart: %+v", st)
 	}
@@ -410,11 +417,8 @@ func TestClusterNodeCompactionPreservesState(t *testing.T) {
 	for id := range tc.nodes {
 		tc.restartNode(t, id)
 	}
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClusterMatchesSharded(t, rng, tc.store, sharded, width, height)
+	global := newGlobal(t, recs)
+	assertClusterMatchesGlobal(t, rng, tc.store, global, width, height)
 }
 
 func TestClusterCoordinatorRestartFencesAndRecovers(t *testing.T) {
@@ -439,17 +443,14 @@ func TestClusterCoordinatorRestartFencesAndRecovers(t *testing.T) {
 	}
 	store2.Add(recs)
 
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClusterMatchesSharded(t, rng, store2, sharded, width, height)
+	global := newGlobal(t, recs)
+	assertClusterMatchesGlobal(t, rng, store2, global, width, height)
 
 	// The old coordinator is fenced: its next add hits wrongEpoch with a
 	// higher node epoch and the node refuses to regress.
 	tc.store.Add(recs[:10])
-	phi, num := store2.ConfidenceTol(geo.Point{X: 30, Y: 30}, "02:4e:00:00:00:01", -50, 5, 2)
-	wantPhi, wantNum := sharded.ConfidenceTol(geo.Point{X: 30, Y: 30}, "02:4e:00:00:00:01", -50, 5, 2)
+	phi, num := confidenceTol(store2, geo.Point{X: 30, Y: 30}, "02:4e:00:00:00:01", -50, 5, 2)
+	wantPhi, wantNum := global.ConfidenceTol(geo.Point{X: 30, Y: 30}, "02:4e:00:00:00:01", -50, 5, 2)
 	if math.Float64bits(phi) != math.Float64bits(wantPhi) || num != wantNum {
 		t.Fatalf("fenced-coordinator aftermath: (%v,%d) vs (%v,%d)", phi, num, wantPhi, wantNum)
 	}
@@ -476,24 +477,21 @@ func TestClusterConcurrentAddAndQuery(t *testing.T) {
 			qrng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				o := geo.Point{X: qrng.Float64() * width, Y: qrng.Float64() * height}
-				tc.store.PointConfidences(o, wifi.Scan{{MAC: "02:4e:00:00:00:07", RSSI: -60}}, rssimap.DefaultFeatureConfig())
+				tc.store.PointConfidencesInto(nil, o, wifi.Scan{{MAC: "02:4e:00:00:00:07", RSSI: -60}}, rssimap.DefaultFeatureConfig())
 			}
 		}(int64(g) + 100)
 	}
 	wg.Wait()
 
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClusterMatchesSharded(t, rng, tc.store, sharded, width, height)
+	global := newGlobal(t, recs)
+	assertClusterMatchesGlobal(t, rng, tc.store, global, width, height)
 }
 
 func TestClusterStatsShape(t *testing.T) {
 	tc := startCluster(t, 3, false)
 	recs := randRecords(rand.New(rand.NewSource(71)), 200, 60, 60)
 	tc.store.Add(recs)
-	tc.store.PointConfidences(geo.Point{X: 30, Y: 30}, wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}}, rssimap.DefaultFeatureConfig())
+	tc.store.PointConfidencesInto(nil, geo.Point{X: 30, Y: 30}, wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}}, rssimap.DefaultFeatureConfig())
 
 	st := tc.store.Stats()
 	if st.Records != len(recs) {

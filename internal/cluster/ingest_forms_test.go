@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"trajforge/internal/rssimap"
-	"trajforge/internal/shardstore"
 	"trajforge/internal/wifi"
 )
 
@@ -93,13 +92,6 @@ func TestIngestFormsBuildSameStore(t *testing.T) {
 	backends := map[string]func(t *testing.T, recs []rssimap.Record) rssimap.Backend{
 		"rssimap": func(t *testing.T, recs []rssimap.Record) rssimap.Backend {
 			s, err := rssimap.NewStore(rssimap.DefaultConfig(), recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-		"shardstore": func(t *testing.T, recs []rssimap.Record) rssimap.Backend {
-			s, err := shardstore.New(shardstore.DefaultConfig(), recs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"trajforge/internal/shardstore"
 )
 
 // entryFingerprint canonicalises an Entry — sequence, position bits, sorted
@@ -132,9 +130,6 @@ func TestClusterMigrationPreservesProvenance(t *testing.T) {
 			t.Fatalf("contributor %q holds %d canonical records, want %d", name, gotByContrib[name], n)
 		}
 	}
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClusterMatchesSharded(t, rng, tc.store, sharded, width, height)
+	global := newGlobal(t, recs)
+	assertClusterMatchesGlobal(t, rng, tc.store, global, width, height)
 }

@@ -181,7 +181,7 @@ func TestReplicaRebuildEquivalence(t *testing.T) {
 	for w := int64(0); w < 2; w++ {
 		background(100+w, func(r *rand.Rand) {
 			o := geo.Point{X: r.Float64() * width, Y: r.Float64() * height}
-			tc.store.ConfidenceTol(o, fmt.Sprintf("02:4e:00:00:00:%02x", r.Intn(40)), -55, 5, 1)
+			confidenceTol(tc.store, o, fmt.Sprintf("02:4e:00:00:00:%02x", r.Intn(40)), -55, 5, 1)
 		})
 	}
 	background(200, func(*rand.Rand) {
@@ -265,11 +265,8 @@ func TestReplicaRebuildEquivalence(t *testing.T) {
 	if err := tc.nodes[to].Close(); err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClusterMatchesSharded(t, rng, tc.store, sharded, width, height)
+	global := newGlobal(t, recs)
+	assertClusterMatchesGlobal(t, rng, tc.store, global, width, height)
 	if tc.store.Stats().ReplicaReads == 0 {
 		t.Fatal("no query failed over to a follower after the primary died")
 	}

@@ -30,7 +30,7 @@ func startReplicatedCluster(t *testing.T, n int, coordDir string) *testCluster {
 // TestFollowerReadBitIdentity grows a replicated cluster, migrates its
 // hottest tile, kills that tile's (post-migration) primary outright, and
 // then hammers the degraded cluster from concurrent readers: every answer
-// must be bit-identical to a rebuilt single-process sharded store, and at
+// must be bit-identical to a rebuilt global store, and at
 // least some must have been served by follower replicas.
 func TestFollowerReadBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -67,10 +67,7 @@ func TestFollowerReadBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	global := newGlobal(t, recs)
 	cfg := rssimap.DefaultFeatureConfig()
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
@@ -81,7 +78,7 @@ func TestFollowerReadBitIdentity(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 4; i++ {
 				u := randUpload(r, 30, width, height)
-				want, err := sharded.Features(u, cfg)
+				want, err := global.Features(u, cfg)
 				if err != nil {
 					errCh <- err
 					return
@@ -161,11 +158,8 @@ func TestCoordinatorWALRecovery(t *testing.T) {
 	if e := restarted.Assignment().Epoch; e <= oldEpoch {
 		t.Fatalf("recovered epoch %d does not fence above previous incarnation's %d", e, oldEpoch)
 	}
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClusterMatchesSharded(t, rng, restarted, sharded, width, height)
+	global := newGlobal(t, recs)
+	assertClusterMatchesGlobal(t, rng, restarted, global, width, height)
 }
 
 // TestCoordinatorCompactionPreservesState checkpoints the coordinator WAL
@@ -197,11 +191,8 @@ func TestCoordinatorCompactionPreservesState(t *testing.T) {
 	if restarted.Len() != len(recs) {
 		t.Fatalf("recovered %d records after compaction, want %d", restarted.Len(), len(recs))
 	}
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClusterMatchesSharded(t, rng, restarted, sharded, width, height)
+	global := newGlobal(t, recs)
+	assertClusterMatchesGlobal(t, rng, restarted, global, width, height)
 }
 
 // TestCoordinatorFailoverLease covers the lease-file protocol and the
@@ -328,11 +319,8 @@ func TestRebalanceMovesHottestTile(t *testing.T) {
 			break
 		}
 	}
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClusterMatchesSharded(t, rng, tc.store, sharded, 40, 40)
+	global := newGlobal(t, recs)
+	assertClusterMatchesGlobal(t, rng, tc.store, global, 40, 40)
 }
 
 // TestExpiredDeadlineRefused covers the typed refusal for requests whose
@@ -468,11 +456,8 @@ func TestIngestRetriesAcrossNodeRestart(t *testing.T) {
 	if st := store.Stats(); st.RetriedCalls == 0 {
 		t.Fatal("node bounce never exercised the transport retry")
 	}
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClusterMatchesSharded(t, rng, store, sharded, width, height)
+	global := newGlobal(t, recs)
+	assertClusterMatchesGlobal(t, rng, store, global, width, height)
 }
 
 // TestHealthStatusDegraded drives the coordinator's degraded signal: a
@@ -492,7 +477,7 @@ func TestHealthStatusDegraded(t *testing.T) {
 		n.Close()
 	}
 	// A probe on a non-empty tile makes the coordinator notice the deaths.
-	tc.store.ConfidenceTol(recs[0].Pos, "02:4e:00:00:00:01", -50, 5, 2)
+	confidenceTol(tc.store, recs[0].Pos, "02:4e:00:00:00:01", -50, 5, 2)
 	deg, reason := tc.store.HealthStatus()
 	if !deg {
 		t.Fatal("cluster with every node dead reports healthy")

@@ -2,11 +2,11 @@
 // canonical record log (the single global insertion order every per-tile
 // replica is a restriction of), the tile→node assignment, and one client
 // per node. Ingestion fans each record out to its owner tile plus halo
-// neighbors — exactly shardstore's replication geometry, so a confidence
-// query routes to one tile on one node and returns bits identical to the
-// single-process sharded store. Node failures are never fatal to acked
-// data: the canonical log is the source of truth, and Resync replays any
-// tail a node lost, gated by per-tile sequence numbers.
+// neighbors (shardstore's tile geometry), so a confidence query routes to
+// one tile on one node and returns bits identical to the global
+// rssimap.Store. Node failures are never fatal to acked data: the canonical
+// log is the source of truth, and Resync replays any tail a node lost,
+// gated by per-tile sequence numbers.
 package cluster
 
 import (
@@ -652,41 +652,19 @@ func (s *Store) forwardConfs(ctx context.Context, pts []ConfPoint, cfg rssimap.F
 	return out, nil
 }
 
-// ConfidenceTol evaluates Eq. 7 for one reported (mac, rssi) at o on the
-// node owning o's tile. A single-observation TopK-1 confidence query runs
-// the identical kernel (same θ1/θ2 weights, same accumulation order), so
-// the forwarded answer is bit-identical to the local store's.
-func (s *Store) ConfidenceTol(o geo.Point, mac string, rssi int, r float64, tol rssimap.Tolerance) (phi float64, num int) {
-	confs, err := s.forwardConfs(context.Background(), []ConfPoint{{Pos: o, Scan: wifi.Scan{{MAC: mac, RSSI: rssi}}}},
-		rssimap.FeatureConfig{R: r, TopK: 1, Tol: tol})
-	if err != nil || len(confs[0]) == 0 {
-		return 0, 0
-	}
-	return confs[0][0].Phi, confs[0][0].Num
-}
-
-// Confidence evaluates Eq. 7 with exact RPD matching.
-func (s *Store) Confidence(o geo.Point, mac string, rssi int, r float64) (phi float64, num int) {
-	return s.ConfidenceTol(o, mac, rssi, r, 0)
-}
-
-// PointConfidences verifies the TopK strongest observations of one scan
-// against the node owning o's tile.
-func (s *Store) PointConfidences(o geo.Point, scan wifi.Scan, cfg rssimap.FeatureConfig) []rssimap.PointConfidence {
+// PointConfidencesInto verifies the TopK strongest observations of one scan
+// against the node owning o's tile, appending into dst[:0]. A failed query
+// answers as an empty tile does.
+func (s *Store) PointConfidencesInto(dst []rssimap.PointConfidence, o geo.Point, scan wifi.Scan, cfg rssimap.FeatureConfig) []rssimap.PointConfidence {
 	confs, err := s.forwardConfs(context.Background(), []ConfPoint{{Pos: o, Scan: scan}}, cfg)
 	if err != nil {
-		return shardstore.EmptyConfidences(nil, scan, cfg)
+		return shardstore.EmptyConfidences(dst, scan, cfg)
 	}
-	return confs[0]
-}
-
-// PointConfidencesInto is PointConfidences appending into dst[:0].
-func (s *Store) PointConfidencesInto(dst []rssimap.PointConfidence, o geo.Point, scan wifi.Scan, cfg rssimap.FeatureConfig) []rssimap.PointConfidence {
-	return append(dst[:0], s.PointConfidences(o, scan, cfg)...)
+	return append(dst[:0], confs[0]...)
 }
 
 // checkFeatureRadius rejects feature configs the tile geometry cannot
-// answer exactly — the same bound shardstore enforces.
+// answer exactly.
 func (s *Store) checkFeatureRadius(cfg rssimap.FeatureConfig) error {
 	if cfg.R > s.cfg.MaxQueryRadius {
 		return fmt.Errorf("cluster: feature radius %g exceeds MaxQueryRadius %g", cfg.R, s.cfg.MaxQueryRadius)

@@ -14,7 +14,7 @@ import (
 // uploaded point carries a WiFi scan; the crowdsourced store turns the scan
 // into (Num, Φ) confidence features, and an XGBoost model labels the whole
 // trajectory. The positive class is "fake". Store is any rssimap.Backend —
-// the global in-memory store or a geo-sharded one.
+// the global in-memory store or the distributed cluster store.
 type WiFiDetector struct {
 	Store    rssimap.Backend
 	Model    *xgb.Model

@@ -66,13 +66,6 @@ func TestCityFeatureBitsGolden(t *testing.T) {
 			}
 			return s
 		},
-		"shardstore": func(t *testing.T) rssimap.Backend {
-			s, err := shardstore.New(shardCfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
 		"cluster": func(t *testing.T) rssimap.Backend {
 			lb, err := cluster.StartLoopback(shardCfg, []string{"n1", "n2", "n3"}, nil)
 			if err != nil {

@@ -8,10 +8,10 @@ import (
 )
 
 // Backend is the verification surface of a crowdsourced RSSI history: the
-// ingestion path (Add/AddUploads), the Eq. 7 confidence query, and the
-// Eq. 8 feature extraction the WiFi detector consumes. Store implements it
-// as one global grid-indexed database; shardstore.Store implements it as a
-// geo-sharded federation of Stores. Detector training, the verification
+// ingestion path (Add/AddUploads), the per-point Eq. 7 confidence query, and
+// the Eq. 8 feature extraction the WiFi detector consumes. Store implements
+// it as one global grid-indexed database; cluster.Store implements it as
+// tiles spread over shard nodes. Detector training, the verification
 // server, and snapshot persistence all program against this interface so a
 // provider can swap backends without touching the pipeline.
 type Backend interface {
@@ -24,12 +24,9 @@ type Backend interface {
 	Add(records []Record)
 	// AddUploads ingests every point of the given uploads that carries a scan.
 	AddUploads(uploads []*wifi.Upload)
-	// ConfidenceTol evaluates Eq. 7 for one reported (mac, rssi) at o.
-	ConfidenceTol(o geo.Point, mac string, rssi int, r float64, tol Tolerance) (phi float64, num int)
-	// PointConfidences verifies the TopK strongest observations of one scan.
-	PointConfidences(o geo.Point, scan wifi.Scan, cfg FeatureConfig) []PointConfidence
-	// PointConfidencesInto is PointConfidences appending into dst[:0] — the
-	// allocation-free form streaming verification runs per chunk.
+	// PointConfidencesInto verifies the TopK strongest observations of one
+	// scan at o (Eq. 7 per AP), appending into dst[:0] — the form streaming
+	// verification runs per chunk.
 	PointConfidencesInto(dst []PointConfidence, o geo.Point, scan wifi.Scan, cfg FeatureConfig) []PointConfidence
 	// Features computes the Eq. 8 feature vector of an upload.
 	Features(u *wifi.Upload, cfg FeatureConfig) ([]float64, error)
@@ -42,8 +39,8 @@ var _ Backend = (*Store)(nil)
 
 // TrustWeighted is the optional trust-weighting surface of a Backend: a
 // contributor → weight table that down-weights low-trust mass in the θ2
-// density term. Store and shardstore.Store implement it; backends that
-// cannot (remote cluster stores) simply don't, and callers type-assert.
+// density term. Store implements it; backends that cannot (remote cluster
+// stores) simply don't, and callers type-assert.
 type TrustWeighted interface {
 	// SetTrustWeights installs (nil removes) the contributor trust table.
 	// Weights apply to records already stored and records added later; an

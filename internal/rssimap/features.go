@@ -307,11 +307,11 @@ func (s *Store) featuresLocked(sc *scratch, u *wifi.Upload, cfg FeatureConfig) [
 }
 
 // FeaturesFrom computes the Eq. 8 feature vector of an upload from an
-// arbitrary per-point confidence source — the hook sharded (or remote)
-// backends use to share Store.Features' exact aggregation, including its
-// float accumulation order. confsAt returns the verified TopK confidences
-// of point i; its result is only read before the next confsAt call, so a
-// reused buffer is fine.
+// arbitrary per-point confidence source — the hook remote backends
+// (internal/cluster) use to share Store.Features' exact aggregation,
+// including its float accumulation order. confsAt returns the verified TopK
+// confidences of point i; its result is only read before the next confsAt
+// call, so a reused buffer is fine.
 func FeaturesFrom(u *wifi.Upload, cfg FeatureConfig, confsAt func(i int, pos geo.Point, scan wifi.Scan) []PointConfidence) ([]float64, error) {
 	if err := validateFeatureArgs(u, cfg); err != nil {
 		return nil, err

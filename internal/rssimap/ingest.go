@@ -14,10 +14,7 @@ import (
 // accepted upload's point as it arrived) or a WireRecord (a shard node
 // reading the coordinator's bytes) — and the store turns whichever it is
 // handed into interned, ID-sorted readings directly, not by way of another
-// form. From there appendLocked and indexLocked are the only path in. (A
-// backend that keeps its own log converts once for the log's sake:
-// shardstore.Add copies a caller's map into the ScanRecord it logs, and its
-// shards ingest that.)
+// form. From there appendLocked and indexLocked are the only path in.
 
 // ScanRecord is a crowdsourced point as an upload carries it: where the
 // uploader reported being, the scan heard there, and who uploaded it. A scan

@@ -27,7 +27,7 @@ func TestClusterBackendVerdictsBitIdentical(t *testing.T) {
 	recs := persistRecords(rng, 500)
 
 	// Single-process reference backend.
-	single, err := shardstore.New(shardstore.DefaultConfig(), recs)
+	single, err := rssimap.NewStore(shardstore.DefaultConfig().Store, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestClusterHealthDegraded(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	recs := persistRecords(rng, 300)
 
-	single, err := shardstore.New(shardstore.DefaultConfig(), recs)
+	single, err := rssimap.NewStore(shardstore.DefaultConfig().Store, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,8 @@ func TestClusterHealthDegraded(t *testing.T) {
 	for _, n := range lb.Nodes {
 		n.Close()
 	}
-	clusterStore.ConfidenceTol(recs[0].Pos, "02:4e:00:00:00:01", -50, 5, 2)
+	clusterStore.PointConfidencesInto(nil, recs[0].Pos, wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}},
+		rssimap.FeatureConfig{R: 5, TopK: 1, Tol: 2})
 
 	code, h, retryAfter := fetchHealth()
 	if code != http.StatusServiceUnavailable {
@@ -316,10 +317,6 @@ func TestTrustStatsSayWhetherWeightingIsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := shardstore.New(shardstore.DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	lb, err := cluster.StartLoopback(shardstore.DefaultConfig(), []string{"n1"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +334,6 @@ func TestTrustStatsSayWhetherWeightingIsLive(t *testing.T) {
 		want  bool
 	}{
 		{"rssimap.Store", global, true},
-		{"shardstore.Store", sharded, true},
 		{"cluster.Store", clustered, false},
 	} {
 		tcfg := trust.DefaultConfig()

@@ -29,7 +29,6 @@ import (
 	"trajforge/internal/geo"
 	"trajforge/internal/resilience"
 	"trajforge/internal/rssimap"
-	"trajforge/internal/shardstore"
 	"trajforge/internal/stats"
 	"trajforge/internal/stream"
 	"trajforge/internal/trajectory"
@@ -326,9 +325,6 @@ type Stats struct {
 	// Persistence reports the WAL/snapshot state when a data directory is
 	// configured.
 	Persistence *PersistStats `json:"persistence,omitempty"`
-	// Shards reports store partitioning when the WiFi detector runs
-	// against a geo-sharded backend.
-	Shards *shardstore.Stats `json:"shards,omitempty"`
 	// Cluster reports distributed-store state when the WiFi detector runs
 	// against a multi-node cluster backend: assignment epoch, per-node
 	// tile occupancy, forwarded-request and halo-update counters, and
@@ -364,13 +360,8 @@ func (s *Service) Stats() Stats {
 	if s.cfg.Persist != nil {
 		ps = s.cfg.Persist.stats()
 	}
-	var sh *shardstore.Stats
 	var cl *cluster.StoreStats
 	if s.cfg.WiFi != nil {
-		if ss, ok := s.cfg.WiFi.Store.(*shardstore.Store); ok {
-			v := ss.Stats()
-			sh = &v
-		}
 		if cs, ok := s.cfg.WiFi.Store.(*cluster.Store); ok {
 			v := cs.Stats()
 			cl = &v
@@ -403,7 +394,6 @@ func (s *Service) Stats() Stats {
 		Admission:       adm,
 		Dedup:           &dd,
 		Persistence:     ps,
-		Shards:          sh,
 		Cluster:         cl,
 		Sessions:        sess,
 		Trust:           tr,

@@ -385,7 +385,7 @@ func (s *Service) recordSession(id string, u *wifi.Upload, v Verdict) {
 		// The paper's crowdsourcing loop closes here: a session verified
 		// as real feeds its scans back into the RSSI store (through the
 		// trust pipeline when one is configured), on whichever backend —
-		// global or sharded — the detector runs against.
+		// global or cluster — the detector runs against.
 		s.ingestLocked(u, verdictScore(v))
 	} else {
 		s.rejected++

@@ -1,4 +1,4 @@
-package shardstore
+package shardstore_test
 
 import (
 	"fmt"
@@ -14,8 +14,8 @@ import (
 // TestGrownStoreBitIdenticalToRebuilt is the online-ingestion equivalence
 // property: a store grown record-by-record through the incremental Add
 // path (which patches the θ2 cache in place) must be bit-identical to a
-// store handed every record up front, on both the global and the sharded
-// backend. Readers run concurrently with the growth so the race detector
+// store handed every record up front, on both the global store and the
+// cluster. Readers run concurrently with the growth so the race detector
 // sees the ingestion and query paths overlap, exactly as they do when
 // accepted streaming sessions feed the live store.
 func TestGrownStoreBitIdenticalToRebuilt(t *testing.T) {
@@ -34,7 +34,7 @@ func TestGrownStoreBitIdenticalToRebuilt(t *testing.T) {
 		batches[i] = randRecords(rng, 60, width, height)
 	}
 
-	gGlobal, gSharded := newPair(t, seed)
+	gGlobal, gCluster := newPair(t, seed)
 	probe := randUpload(rng, 20, width, height)
 	cfg := rssimap.DefaultFeatureConfig()
 
@@ -54,7 +54,7 @@ func TestGrownStoreBitIdenticalToRebuilt(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := gSharded.Features(probe, cfg); err != nil {
+				if _, err := gCluster.Features(probe, cfg); err != nil {
 					t.Error(err)
 					return
 				}
@@ -63,10 +63,10 @@ func TestGrownStoreBitIdenticalToRebuilt(t *testing.T) {
 	}
 	for i, u := range uploads {
 		gGlobal.AddUploads([]*wifi.Upload{u})
-		gSharded.AddUploads([]*wifi.Upload{u})
+		gCluster.AddUploads([]*wifi.Upload{u})
 		if i < len(batches) {
 			gGlobal.Add(batches[i])
-			gSharded.Add(batches[i])
+			gCluster.Add(batches[i])
 		}
 	}
 	close(stop)
@@ -80,13 +80,13 @@ func TestGrownStoreBitIdenticalToRebuilt(t *testing.T) {
 			all = append(all, batches[i]...)
 		}
 	}
-	rGlobal, rSharded := newPair(t, all)
+	rGlobal, rCluster := newPair(t, all)
 
 	if gGlobal.Len() != rGlobal.Len() {
 		t.Fatalf("global len %d != rebuilt %d", gGlobal.Len(), rGlobal.Len())
 	}
-	if gSharded.Len() != rSharded.Len() {
-		t.Fatalf("sharded len %d != rebuilt %d", gSharded.Len(), rSharded.Len())
+	if gCluster.Len() != rCluster.Len() {
+		t.Fatalf("cluster len %d != rebuilt %d", gCluster.Len(), rCluster.Len())
 	}
 
 	// The θ2 cache is the state the incremental path maintains in place;
@@ -111,15 +111,15 @@ func TestGrownStoreBitIdenticalToRebuilt(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameVector(t, fmt.Sprintf("global trial %d", trial), gg, rg)
-		gs, err := gSharded.Features(q, cfg)
+		gc, err := gCluster.Features(q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := rSharded.Features(q, cfg)
+		rc, err := rCluster.Features(q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameVector(t, fmt.Sprintf("sharded trial %d", trial), gs, rs)
-		assertSameVector(t, fmt.Sprintf("cross-backend trial %d", trial), gg, gs)
+		assertSameVector(t, fmt.Sprintf("cluster trial %d", trial), gc, rc)
+		assertSameVector(t, fmt.Sprintf("cross-backend trial %d", trial), gg, gc)
 	}
 }

@@ -1,67 +1,25 @@
-// Grown-vs-migrated-vs-rebuilt: the distributed extension of
-// TestGrownStoreBitIdenticalToRebuilt. A cluster grown online — while one
-// of its tiles live-migrates between nodes mid-growth — must end bit-
-// identical to a single-process sharded store handed every record up front.
-// External test package: internal/cluster imports shardstore, so the
-// distributed half of the equivalence property has to link from outside.
 package shardstore_test
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"trajforge/internal/cluster"
-	"trajforge/internal/geo"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/shardstore"
-	"trajforge/internal/trajectory"
 	"trajforge/internal/wifi"
 )
 
-func clusterRandRecords(rng *rand.Rand, n int, width, height float64) []rssimap.Record {
-	recs := make([]rssimap.Record, n)
-	for i := range recs {
-		m := make(map[string]int)
-		for j := 0; j < 3+rng.Intn(5); j++ {
-			m[fmt.Sprintf("02:4e:00:00:00:%02x", rng.Intn(40))] = -40 - rng.Intn(50)
-		}
-		recs[i] = rssimap.Record{
-			Pos:  geo.Point{X: rng.Float64() * width, Y: rng.Float64() * height},
-			RSSI: m,
-		}
-	}
-	return recs
-}
-
-func clusterRandUpload(rng *rand.Rand, n int, width, height float64) *wifi.Upload {
-	pos := make([]geo.Point, n)
-	p := geo.Point{X: rng.Float64() * width, Y: rng.Float64() * height}
-	for i := range pos {
-		p.X = math.Abs(math.Mod(p.X+rng.NormFloat64()*4, width))
-		p.Y = math.Abs(math.Mod(p.Y+rng.NormFloat64()*4, height))
-		pos[i] = p
-	}
-	traj := trajectory.New(pos, time.Date(2022, 7, 1, 8, 0, 0, 0, time.UTC), time.Second)
-	scans := make([]wifi.Scan, n)
-	for i := range scans {
-		for j := 0; j < 4; j++ {
-			scans[i] = append(scans[i], wifi.Observation{
-				MAC:  fmt.Sprintf("02:4e:00:00:00:%02x", rng.Intn(40)),
-				RSSI: -40 - rng.Intn(50),
-			})
-		}
-	}
-	return &wifi.Upload{Traj: traj, Scans: scans}
-}
-
+// TestGrownMigratedClusterBitIdenticalToRebuilt extends
+// TestGrownStoreBitIdenticalToRebuilt with a migration: a cluster grown
+// online — while one of its tiles live-migrates between nodes mid-growth —
+// must end bit-identical to a global store handed every record up front.
 func TestGrownMigratedClusterBitIdenticalToRebuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const width, height = 100, 80
-	seed := clusterRandRecords(rng, 400, width, height)
+	seed := randRecords(rng, 400, width, height)
 
 	// Three shard nodes over loopback, one coordinator.
 	cfg := shardstore.DefaultConfig()
@@ -79,14 +37,14 @@ func TestGrownMigratedClusterBitIdenticalToRebuilt(t *testing.T) {
 
 	uploads := make([]*wifi.Upload, 10)
 	for i := range uploads {
-		uploads[i] = clusterRandUpload(rng, 8+rng.Intn(12), width, height)
+		uploads[i] = randUpload(rng, 8+rng.Intn(12), width, height)
 	}
 	batches := make([][]rssimap.Record, 4)
 	for i := range batches {
-		batches[i] = clusterRandRecords(rng, 60, width, height)
+		batches[i] = randRecords(rng, 60, width, height)
 	}
 
-	probe := clusterRandUpload(rng, 20, width, height)
+	probe := randUpload(rng, 20, width, height)
 	fcfg := rssimap.DefaultFeatureConfig()
 
 	// Concurrent readers keep forwarding queries while records arrive and
@@ -147,7 +105,7 @@ func TestGrownMigratedClusterBitIdenticalToRebuilt(t *testing.T) {
 			all = append(all, batches[i]...)
 		}
 	}
-	rebuilt, err := shardstore.New(cfg, all)
+	rebuilt, err := rssimap.NewStore(cfg.Store, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +114,7 @@ func TestGrownMigratedClusterBitIdenticalToRebuilt(t *testing.T) {
 	}
 
 	for trial := 0; trial < 8; trial++ {
-		q := clusterRandUpload(rng, 5+rng.Intn(20), width, height)
+		q := randUpload(rng, 5+rng.Intn(20), width, height)
 		g, err := grown.Features(q, fcfg)
 		if err != nil {
 			t.Fatal(err)

@@ -1,4 +1,9 @@
-package shardstore
+// The tile geometry's guarantee — a query answered from its owning tile
+// alone is bit-identical to the global store — checked where it is used:
+// every test holds a 3-node loopback cluster, whose halo fan-out runs
+// through Config.TilesFor, against the global rssimap.Store. External test
+// package because internal/cluster imports shardstore.
+package shardstore_test
 
 import (
 	"fmt"
@@ -8,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"trajforge/internal/cluster"
 	"trajforge/internal/geo"
 	"trajforge/internal/rssimap"
+	"trajforge/internal/shardstore"
 	"trajforge/internal/trajectory"
 	"trajforge/internal/wifi"
 )
@@ -58,41 +65,69 @@ func randUpload(rng *rand.Rand, n int, width, height float64) *wifi.Upload {
 	return &wifi.Upload{Traj: traj, Scans: scans}
 }
 
-func newPair(t *testing.T, recs []rssimap.Record) (*rssimap.Store, *Store) {
+// newPair builds the global store and a 3-node loopback cluster on the
+// default tiling over the same records.
+func newPair(t *testing.T, recs []rssimap.Record) (*rssimap.Store, *cluster.Store) {
 	t.Helper()
-	global, err := rssimap.NewStore(rssimap.DefaultConfig(), recs)
+	cfg := shardstore.DefaultConfig()
+	global, err := rssimap.NewStore(cfg.Store, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := New(DefaultConfig(), recs)
+	lb, err := cluster.StartLoopback(cfg, []string{"n1", "n2", "n3"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return global, sharded
+	t.Cleanup(lb.Close)
+	cs, err := cluster.NewStore(cluster.Options{Shard: cfg, Nodes: lb.Addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cs.Close() })
+	cs.Add(recs)
+	return global, cs
+}
+
+// confidenceTol asks b for the Eq. 7 answer rssimap.Store.ConfidenceTol
+// gives: one reported (mac, rssi) as a one-observation TopK-1 scan.
+func confidenceTol(b rssimap.Backend, o geo.Point, mac string, rssi int, r float64, tol rssimap.Tolerance) (phi float64, num int) {
+	pc := b.PointConfidencesInto(nil, o, wifi.Scan{{MAC: mac, RSSI: rssi}}, rssimap.FeatureConfig{R: r, TopK: 1, Tol: tol})
+	return pc[0].Phi, pc[0].Num
 }
 
 func TestConfigValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TileSize = 10 // < 2*(5+3)
-	if _, err := New(cfg, nil); err == nil {
-		t.Fatal("undersized tile must be rejected")
+	if err := shardstore.DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config: %v", err)
 	}
-	cfg = DefaultConfig()
-	cfg.MaxQueryRadius = 0
-	if _, err := New(cfg, nil); err == nil {
-		t.Fatal("zero query radius must be rejected")
-	}
-	cfg = DefaultConfig()
-	cfg.Store.R = -1
-	if _, err := New(cfg, nil); err == nil {
-		t.Fatal("invalid per-shard store config must be rejected")
+	undersized := shardstore.DefaultConfig()
+	undersized.TileSize = 10 // < 2*(5+3)
+	noRadius := shardstore.DefaultConfig()
+	noRadius.MaxQueryRadius = 0
+	badStore := shardstore.DefaultConfig()
+	badStore.Store.R = -1
+	for _, tc := range []struct {
+		name     string
+		cfg      shardstore.Config
+		geometry bool // Validate itself must refuse it, not only the tile store
+	}{
+		{"undersized tile", undersized, true},
+		{"zero query radius", noRadius, true},
+		{"invalid per-tile store config", badStore, false},
+	} {
+		if tc.geometry && tc.cfg.Validate() == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
+		if n, err := cluster.NewNode("n1", tc.cfg, cluster.NodeOptions{}); err == nil {
+			n.Close()
+			t.Errorf("%s: a node accepted it", tc.name)
+		}
 	}
 }
 
 func TestConfidenceMatchesGlobalStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const width, height = 120, 90
-	global, sharded := newPair(t, randRecords(rng, 1500, width, height))
+	global, cs := newPair(t, randRecords(rng, 1500, width, height))
 
 	for trial := 0; trial < 500; trial++ {
 		o := geo.Point{X: rng.Float64() * width, Y: rng.Float64() * height}
@@ -101,10 +136,10 @@ func TestConfidenceMatchesGlobalStore(t *testing.T) {
 		r := 0.5 + rng.Float64()*4.5 // up to MaxQueryRadius
 		tol := rssimap.Tolerance(rng.Intn(3))
 		gPhi, gNum := global.ConfidenceTol(o, mac, rssi, r, tol)
-		sPhi, sNum := sharded.ConfidenceTol(o, mac, rssi, r, tol)
-		if gNum != sNum || math.Float64bits(gPhi) != math.Float64bits(sPhi) {
-			t.Fatalf("trial %d at %v r=%g: global (%v, %d) != sharded (%v, %d)",
-				trial, o, r, gPhi, gNum, sPhi, sNum)
+		cPhi, cNum := confidenceTol(cs, o, mac, rssi, r, tol)
+		if gNum != cNum || math.Float64bits(gPhi) != math.Float64bits(cPhi) {
+			t.Fatalf("trial %d at %v r=%g: global (%v, %d) != cluster (%v, %d)",
+				trial, o, r, gPhi, gNum, cPhi, cNum)
 		}
 	}
 }
@@ -112,7 +147,7 @@ func TestConfidenceMatchesGlobalStore(t *testing.T) {
 func TestFeaturesBitIdenticalToGlobalStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const width, height = 120, 90
-	global, sharded := newPair(t, randRecords(rng, 1500, width, height))
+	global, cs := newPair(t, randRecords(rng, 1500, width, height))
 
 	cfg := rssimap.DefaultFeatureConfig()
 	uploads := make([]*wifi.Upload, 12)
@@ -124,23 +159,23 @@ func TestFeaturesBitIdenticalToGlobalStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := sharded.Features(u, cfg)
+		c, err := cs.Features(u, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameVector(t, fmt.Sprintf("upload %d", i), g, s)
+		assertSameVector(t, fmt.Sprintf("upload %d", i), g, c)
 	}
 	// The batch path must agree with the serial path on both backends.
 	gb, err := global.FeaturesBatch(uploads, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := sharded.FeaturesBatch(uploads, cfg)
+	cb, err := cs.FeaturesBatch(uploads, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range uploads {
-		assertSameVector(t, fmt.Sprintf("batch upload %d", i), gb[i], sb[i])
+		assertSameVector(t, fmt.Sprintf("batch upload %d", i), gb[i], cb[i])
 	}
 }
 
@@ -160,37 +195,34 @@ func TestIncrementalAddMatchesGlobalStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const width, height = 100, 80
 	initial := randRecords(rng, 600, width, height)
-	global, sharded := newPair(t, initial)
+	global, cs := newPair(t, initial)
 
 	cfg := rssimap.DefaultFeatureConfig()
 	u := randUpload(rng, 20, width, height)
 	for round := 0; round < 3; round++ {
 		more := randRecords(rng, 200, width, height)
 		global.Add(more)
-		sharded.Add(more)
+		cs.Add(more)
 		g, err := global.Features(u, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := sharded.Features(u, cfg)
+		c, err := cs.Features(u, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameVector(t, fmt.Sprintf("round %d", round), g, s)
+		assertSameVector(t, fmt.Sprintf("round %d", round), g, c)
 	}
-	if global.Len() != sharded.Len() {
-		t.Fatalf("len %d != %d", global.Len(), sharded.Len())
+	if global.Len() != cs.Len() {
+		t.Fatalf("len %d != %d", global.Len(), cs.Len())
 	}
 }
 
 func TestRecordsRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	recs := randRecords(rng, 300, 60, 60)
-	sharded, err := New(DefaultConfig(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := sharded.Records()
+	_, cs := newPair(t, recs)
+	got := cs.Records()
 	if len(got) != len(recs) {
 		t.Fatalf("records %d != %d", len(got), len(recs))
 	}
@@ -204,13 +236,10 @@ func TestRecordsRoundtrip(t *testing.T) {
 			}
 		}
 	}
-	// Rebuilding a fresh sharded store from Records must answer identically.
-	rebuilt, err := New(DefaultConfig(), got)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A fresh cluster rebuilt from Records must answer identically.
+	_, rebuilt := newPair(t, got)
 	u := randUpload(rng, 15, 60, 60)
-	a, err := sharded.Features(u, rssimap.DefaultFeatureConfig())
+	a, err := cs.Features(u, rssimap.DefaultFeatureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,17 +251,14 @@ func TestRecordsRoundtrip(t *testing.T) {
 }
 
 func TestFeatureRadiusBoundEnforced(t *testing.T) {
-	sharded, err := New(DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, cs := newPair(t, nil)
 	cfg := rssimap.DefaultFeatureConfig()
 	cfg.R = 50 // way past MaxQueryRadius
 	rng := rand.New(rand.NewSource(19))
-	if _, err := sharded.Features(randUpload(rng, 5, 50, 50), cfg); err == nil {
+	if _, err := cs.Features(randUpload(rng, 5, 50, 50), cfg); err == nil {
 		t.Fatal("feature radius beyond MaxQueryRadius must error")
 	}
-	if _, err := sharded.FeaturesBatch([]*wifi.Upload{randUpload(rng, 5, 50, 50)}, cfg); err == nil {
+	if _, err := cs.FeaturesBatch([]*wifi.Upload{randUpload(rng, 5, 50, 50)}, cfg); err == nil {
 		t.Fatal("batch feature radius beyond MaxQueryRadius must error")
 	}
 }
@@ -242,59 +268,54 @@ func TestEmptyAreaMatchesGlobalStore(t *testing.T) {
 	// zero-reference answer on both the confidence and feature paths.
 	rng := rand.New(rand.NewSource(23))
 	recs := randRecords(rng, 100, 30, 30)
-	global, sharded := newPair(t, recs)
+	global, cs := newPair(t, recs)
 	far := geo.Point{X: 5000, Y: 5000}
 	gPhi, gNum := global.ConfidenceTol(far, "02:4e:00:00:00:01", -60, 2.5, 1)
-	sPhi, sNum := sharded.ConfidenceTol(far, "02:4e:00:00:00:01", -60, 2.5, 1)
-	if gPhi != sPhi || gNum != sNum {
-		t.Fatalf("far query: global (%v, %d) != sharded (%v, %d)", gPhi, gNum, sPhi, sNum)
+	cPhi, cNum := confidenceTol(cs, far, "02:4e:00:00:00:01", -60, 2.5, 1)
+	if gPhi != cPhi || gNum != cNum {
+		t.Fatalf("far query: global (%v, %d) != cluster (%v, %d)", gPhi, gNum, cPhi, cNum)
 	}
 	scan := wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -60}}
 	g := global.PointConfidences(far, scan, rssimap.DefaultFeatureConfig())
-	s := sharded.PointConfidences(far, scan, rssimap.DefaultFeatureConfig())
-	if len(g) != len(s) || len(s) != 1 || s[0] != g[0] {
-		t.Fatalf("far confidences: %+v != %+v", g, s)
+	c := cs.PointConfidencesInto(nil, far, scan, rssimap.DefaultFeatureConfig())
+	if len(g) != len(c) || len(c) != 1 || c[0] != g[0] {
+		t.Fatalf("far confidences: %+v != %+v", g, c)
 	}
 }
 
-// TestHaloReplicationExactBoundaries pins tilesFor's closed-boundary
-// semantics. Each case ingests a single record at a geometric edge, so
-// Stats().StoredRecords is exactly the number of shards holding a copy.
-// The closed comparisons matter: a record exactly on a tile border or
-// exactly margin metres from it must still be replicated, or references
-// at distance exactly MaxQueryRadius (also a closed ball, see
-// rssimap's Dist2 <= r2) would be missed.
+// TestHaloReplicationExactBoundaries pins TilesFor's closed-boundary
+// semantics: how many tiles a record at a geometric edge is replicated
+// into, owner first. The closed comparisons matter: a record exactly on a
+// tile border or exactly margin metres from it must still be replicated,
+// or references at distance exactly MaxQueryRadius (also a closed ball,
+// see rssimap's Dist2 <= r2) would be missed.
 func TestHaloReplicationExactBoundaries(t *testing.T) {
-	cfg := DefaultConfig()
-	margin := cfg.MaxQueryRadius + cfg.Store.R
+	cfg := shardstore.DefaultConfig()
+	margin := cfg.Margin()
 	cases := []struct {
-		name   string
-		pos    geo.Point
-		copies int
+		name  string
+		pos   geo.Point
+		owner [2]int
+		tiles int
 	}{
-		{"tile interior", geo.Point{X: 12.5, Y: 12.5}, 1},
-		{"exactly on vertical border", geo.Point{X: 25, Y: 12.5}, 2},
-		{"exactly margin from the border", geo.Point{X: 25 + margin, Y: 12.5}, 2},
-		{"just past the margin", geo.Point{X: 25 + margin + 1e-9, Y: 12.5}, 1},
-		{"exactly on four-tile corner", geo.Point{X: 25, Y: 25}, 4},
-		{"margin from two edges, outside corner diagonal", geo.Point{X: 25 + margin, Y: 25 + margin}, 3},
-		{"origin corner", geo.Point{X: 0, Y: 0}, 4},
-		{"exactly on negative border", geo.Point{X: -25, Y: -12.5}, 2},
-		{"exactly on negative corner", geo.Point{X: -25, Y: -25}, 4},
+		{"tile interior", geo.Point{X: 12.5, Y: 12.5}, [2]int{0, 0}, 1},
+		{"exactly on vertical border", geo.Point{X: 25, Y: 12.5}, [2]int{1, 0}, 2},
+		{"exactly margin from the border", geo.Point{X: 25 + margin, Y: 12.5}, [2]int{1, 0}, 2},
+		{"just past the margin", geo.Point{X: 25 + margin + 1e-9, Y: 12.5}, [2]int{1, 0}, 1},
+		{"exactly on four-tile corner", geo.Point{X: 25, Y: 25}, [2]int{1, 1}, 4},
+		{"margin from two edges, outside corner diagonal", geo.Point{X: 25 + margin, Y: 25 + margin}, [2]int{1, 1}, 3},
+		{"origin corner", geo.Point{X: 0, Y: 0}, [2]int{0, 0}, 4},
+		{"exactly on negative border", geo.Point{X: -25, Y: -12.5}, [2]int{-1, -1}, 2},
+		{"exactly on negative corner", geo.Point{X: -25, Y: -25}, [2]int{-1, -1}, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := rssimap.Record{Pos: tc.pos, RSSI: map[string]int{"02:4e:00:00:00:01": -60}}
-			s, err := New(cfg, []rssimap.Record{rec})
-			if err != nil {
-				t.Fatal(err)
+			tiles := cfg.TilesFor(tc.pos, nil)
+			if len(tiles) != tc.tiles {
+				t.Fatalf("record at %v replicated into %d tiles %v, want %d", tc.pos, len(tiles), tiles, tc.tiles)
 			}
-			st := s.Stats()
-			if st.Records != 1 {
-				t.Fatalf("canonical records = %d, want 1", st.Records)
-			}
-			if st.StoredRecords != tc.copies {
-				t.Fatalf("record at %v stored in %d shards, want %d", tc.pos, st.StoredRecords, tc.copies)
+			if tiles[0] != tc.owner || cfg.TileOf(tc.pos) != tc.owner {
+				t.Fatalf("tiles %v for %v: want owner %v first", tiles, tc.pos, tc.owner)
 			}
 		})
 	}
@@ -313,8 +334,8 @@ func TestBorderQueriesBitIdenticalToGlobal(t *testing.T) {
 	mkRec := func(x, y float64, rssi int) rssimap.Record {
 		return rssimap.Record{Pos: geo.Point{X: x, Y: y}, RSSI: map[string]int{mac: rssi, mac2: rssi - 7}}
 	}
-	cfg := DefaultConfig()
-	margin := cfg.MaxQueryRadius + cfg.Store.R
+	cfg := shardstore.DefaultConfig()
+	margin := cfg.Margin()
 	recs := []rssimap.Record{
 		// Cluster straddling the x=25 border: references on both sides
 		// whose Eq. 4 counting areas (radius R) cross it.
@@ -323,6 +344,11 @@ func TestBorderQueriesBitIdenticalToGlobal(t *testing.T) {
 		// Exactly margin past the tile-0 edge: replicated by the closed
 		// boundary, reachable only through a neighbor's counting area.
 		mkRec(25+margin, 10, -60),
+		// Exactly margin before the tile-1 edge: the query on the border
+		// (owned by tile 1) reaches (20,10) at exactly MaxQueryRadius, whose
+		// counting area reaches this record at exactly R — so tile 1 must
+		// hold it, and only the closed halo comparison puts it there.
+		mkRec(25-margin, 10, -60),
 		// Four-tile corner cluster around (25,25).
 		mkRec(24.5, 24.5, -55), mkRec(25, 25, -56), mkRec(25.5, 25.5, -57),
 		mkRec(22, 22, -60), mkRec(28, 22, -60), mkRec(22, 28, -60), mkRec(28, 28, -60),
@@ -330,7 +356,7 @@ func TestBorderQueriesBitIdenticalToGlobal(t *testing.T) {
 		mkRec(-25, -10, -60), mkRec(-24, -10, -61), mkRec(-26, -10, -59),
 		mkRec(-20, -10, -60), mkRec(-30, -10, -62),
 	}
-	global, sharded := newPair(t, recs)
+	global, cs := newPair(t, recs)
 
 	queries := []struct {
 		name     string
@@ -362,10 +388,10 @@ func TestBorderQueriesBitIdenticalToGlobal(t *testing.T) {
 			for _, r := range radii {
 				for tol := rssimap.Tolerance(0); tol <= 2; tol++ {
 					gPhi, gNum := global.ConfidenceTol(q.o, mac, -60, r, tol)
-					sPhi, sNum := sharded.ConfidenceTol(q.o, mac, -60, r, tol)
-					if gNum != sNum || math.Float64bits(gPhi) != math.Float64bits(sPhi) {
-						t.Fatalf("r=%g tol=%d: global (%v, %d) != sharded (%v, %d)",
-							r, tol, gPhi, gNum, sPhi, sNum)
+					cPhi, cNum := confidenceTol(cs, q.o, mac, -60, r, tol)
+					if gNum != cNum || math.Float64bits(gPhi) != math.Float64bits(cPhi) {
+						t.Fatalf("r=%g tol=%d: global (%v, %d) != cluster (%v, %d)",
+							r, tol, gPhi, gNum, cPhi, cNum)
 					}
 					if gNum > 0 {
 						sawRef = true
@@ -378,13 +404,13 @@ func TestBorderQueriesBitIdenticalToGlobal(t *testing.T) {
 			scan := wifi.Scan{{MAC: mac, RSSI: -60}, {MAC: mac2, RSSI: -67}}
 			fcfg := rssimap.DefaultFeatureConfig()
 			g := global.PointConfidences(q.o, scan, fcfg)
-			s := sharded.PointConfidences(q.o, scan, fcfg)
-			if len(g) != len(s) {
-				t.Fatalf("confidences dim %d != %d", len(s), len(g))
+			c := cs.PointConfidencesInto(nil, q.o, scan, fcfg)
+			if len(g) != len(c) {
+				t.Fatalf("confidences dim %d != %d", len(c), len(g))
 			}
 			for i := range g {
-				if g[i] != s[i] {
-					t.Fatalf("confidence %d: %+v != %+v", i, s[i], g[i])
+				if g[i] != c[i] {
+					t.Fatalf("confidence %d: %+v != %+v", i, c[i], g[i])
 				}
 			}
 		})
@@ -405,7 +431,7 @@ func TestBorderWalkFeaturesBitIdentical(t *testing.T) {
 			RSSI: map[string]int{fmt.Sprintf("02:4e:00:00:00:%02x", i%40): -40 - i},
 		})
 	}
-	global, sharded := newPair(t, recs)
+	global, cs := newPair(t, recs)
 
 	walks := []struct {
 		name string
@@ -438,25 +464,22 @@ func TestBorderWalkFeaturesBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := sharded.Features(u, fcfg)
+			c, err := cs.Features(u, fcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameVector(t, wk.name, g, s)
+			assertSameVector(t, wk.name, g, c)
 		})
 	}
 }
 
-// TestConcurrentAddAndQuery exercises cross-shard ingestion racing against
-// batch feature extraction; run under -race it is the subsystem's memory-
-// safety proof.
+// TestConcurrentAddAndQuery exercises cross-tile ingestion racing against
+// batch feature extraction; run under -race it is the memory-safety proof
+// of the coordinator's halo fan-out.
 func TestConcurrentAddAndQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const width, height = 150, 150
-	sharded, err := New(DefaultConfig(), randRecords(rng, 400, width, height))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, cs := newPair(t, randRecords(rng, 400, width, height))
 	uploads := make([]*wifi.Upload, 8)
 	for i := range uploads {
 		uploads[i] = randUpload(rng, 20, width, height)
@@ -472,22 +495,27 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sharded.Add(batches[i])
+			cs.Add(batches[i])
 		}(i)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := sharded.FeaturesBatch(uploads, cfg); err != nil {
+			if _, err := cs.FeaturesBatch(uploads, cfg); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	if got, want := sharded.Len(), 400+8*100; got != want {
+	if got, want := cs.Len(), 400+8*100; got != want {
 		t.Fatalf("len after concurrent adds = %d, want %d", got, want)
 	}
-	st := sharded.Stats()
-	if st.Shards == 0 || st.Records != sharded.Len() || st.StoredRecords < st.Records {
+	st := cs.Stats()
+	tiles, stored := 0, 0
+	for _, ns := range st.Nodes {
+		tiles += ns.Tiles
+		stored += ns.Entries
+	}
+	if tiles == 0 || st.Records != cs.Len() || stored < st.Records {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -17,8 +17,8 @@ type Config struct {
 	Quarantine QuarantineConfig
 	Drift      DriftConfig
 	// TileSize is the tile side (metres) used for contributor diversity,
-	// per-tile provenance stats, and the drift alarm. It should match the
-	// serving store's tiling (shardstore.Config.TileSize).
+	// per-tile provenance stats, and the drift alarm. On a cluster backend
+	// it should match the cluster's tiling (shardstore.Config.TileSize).
 	TileSize float64
 	// WeightRefresh is how many accepted uploads pass between pushes of
 	// the ledger's weight table into the serving store's θ2 term. The

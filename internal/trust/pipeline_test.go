@@ -142,7 +142,7 @@ func TestPipelineAllTrustedBitIdentical(t *testing.T) {
 			t.Fatalf("feature %d: pipeline %v != plain %v (bits differ)", i, got[i], want[i])
 		}
 	}
-	for _, pc := range backend.PointConfidences(geo.Point{X: 1, Y: 0}, wifi.Scan{{MAC: "ap-1", RSSI: -60}}, fcfg) {
+	for _, pc := range backend.PointConfidencesInto(nil, geo.Point{X: 1, Y: 0}, wifi.Scan{{MAC: "ap-1", RSSI: -60}}, fcfg) {
 		if pc.TrustNum != float64(pc.Num) {
 			t.Fatalf("all-trusted TrustNum = %v, want exactly float64(Num) = %v", pc.TrustNum, float64(pc.Num))
 		}

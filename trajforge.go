@@ -50,7 +50,6 @@ import (
 	"trajforge/internal/roadnet"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/server"
-	"trajforge/internal/shardstore"
 	"trajforge/internal/trajectory"
 	"trajforge/internal/wifi"
 	"trajforge/internal/xgb"
@@ -94,10 +93,9 @@ type (
 
 	// RSSIStore is the provider's crowdsourced historical RSSI database.
 	RSSIStore = rssimap.Store
-	// RSSIBackend abstracts over the global and geo-sharded RSSI stores.
+	// RSSIBackend abstracts over the global RSSI store and the distributed
+	// one (internal/cluster).
 	RSSIBackend = rssimap.Backend
-	// ShardedRSSIStore is the geo-sharded store for city-scale coverage.
-	ShardedRSSIStore = shardstore.Store
 	// RSSIRecord is one crowdsourced (position, scan) record.
 	RSSIRecord = rssimap.Record
 	// WiFiDetector is the paper's RSSI-based countermeasure.
@@ -335,17 +333,9 @@ func NewRSSIStore(historical []*Upload) (*RSSIStore, error) {
 	return rssimap.NewStore(rssimap.DefaultConfig(), dataset.Records(historical))
 }
 
-// NewShardedRSSIStore builds the geo-sharded store from historical uploads.
-// It answers every query bit-identically to NewRSSIStore but partitions the
-// records by coarse grid tile, so concurrent ingestion and feature
-// extraction contend per shard instead of on one global lock.
-func NewShardedRSSIStore(historical []*Upload) (*ShardedRSSIStore, error) {
-	return shardstore.New(shardstore.DefaultConfig(), dataset.Records(historical))
-}
-
 // TrainWiFiDetector fits the paper's RSSI countermeasure: r = 2.5 m
 // reference radius, top-5 strongest APs per point, XGBoost classifier.
-// store is either backend — NewRSSIStore or NewShardedRSSIStore.
+// store is the crowdsourced history the features read (NewRSSIStore).
 func TrainWiFiDetector(store RSSIBackend, real, fake []*Upload) (*WiFiDetector, error) {
 	return detect.TrainWiFiDetector(store, real, fake,
 		rssimap.DefaultFeatureConfig(), xgb.DefaultConfig())
