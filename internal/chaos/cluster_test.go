@@ -17,13 +17,11 @@ func TestClusterCrashPointExploration(t *testing.T) {
 		t.Fatalf("explored %d cluster crash points, want 68", rep.Sites)
 	}
 	// The crash surface must exercise both migration outcomes: sites where
-	// the handoff still committed despite the dead node, and sites where
-	// the coordinator aborted and kept ownership where it was.
-	if rep.Committed == 0 {
-		t.Fatal("no crash point left the migration committed")
-	}
-	if rep.Aborted == 0 {
-		t.Fatal("no crash point aborted the migration")
+	// the move still committed despite the dead node, and sites where the
+	// coordinator aborted and kept ownership where it was. The split is
+	// pinned: a crash point that changes outcome changed the protocol.
+	if rep.Committed != 23 || rep.Aborted != 45 {
+		t.Fatalf("migration ended committed/aborted %d/%d across crash points, want 23/45", rep.Committed, rep.Aborted)
 	}
 	// With two nodes and one victim, late crashes leave the survivor able
 	// to answer at least some probes — and those answers matched reference

@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -144,6 +145,17 @@ func NewAssignment(members []string) (Assignment, error) {
 // tile t under this assignment.
 func (a Assignment) replicaOf(t [2]int, id string) bool {
 	return a.Owner(t) == id || (a.Replicate && a.Follower(t) == id)
+}
+
+// appendReplicas appends tile t's replicas under this assignment — primary,
+// then follower — skipping any dst already holds.
+func (a Assignment) appendReplicas(dst []string, t [2]int) []string {
+	for _, id := range [2]string{a.Owner(t), a.Follower(t)} {
+		if id != "" && !slices.Contains(dst, id) {
+			dst = append(dst, id)
+		}
+	}
+	return dst
 }
 
 // hasMember reports whether id participates in the assignment.

@@ -19,9 +19,9 @@ type nodeClient struct {
 	addr    string
 	timeout time.Duration
 	// retry is the transient-transport-error policy (dial refused, EOF,
-	// reset). Every shard request is idempotent — adds and installs by the
-	// per-tile seq gate, assignment pushes and drops by epoch, reads by
-	// nature — so re-sending a request whose response was lost is safe.
+	// reset). Every shard request is idempotent — adds by the per-tile seq
+	// gate, assignment pushes and drops by epoch, reads by nature — so
+	// re-sending a request whose response was lost is safe.
 	retry resilience.RetryPolicy
 	// retried counts retried transport attempts, shared across the
 	// store's clients for /v1/stats.

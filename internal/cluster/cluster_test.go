@@ -347,8 +347,9 @@ func TestClusterMigrationBuffersConcurrentWrites(t *testing.T) {
 	if from == "n1" {
 		to = "n2"
 	}
-	// Interleave each migration with writes from another goroutine; the
-	// buffered entries must land on the winner.
+	// Interleave the migration with writes from this goroutine: entries
+	// acked inside the window go to the tile's current and pending holders
+	// alike, so the winner holds them all once the move commits.
 	done := make(chan error, 1)
 	go func() { done <- tc.store.Migrate(tile, to) }()
 	for off := 150; off < len(recs); off += 30 {

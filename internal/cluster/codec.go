@@ -22,6 +22,13 @@
 // unchanged. Frames of any other version are refused (a cluster is always
 // one build).
 //
+// Kinds 7, 9, 10 and 11 (freeze a tile, fetch its entry log and the reply,
+// install a handed-off log) are retired: a migration now reaches the new
+// holder as ordinary kindAdd batches replayed from the coordinator's
+// canonical log. No layout changed, so the version stays 3; a retired kind
+// byte decodes as ErrKind like any unknown one, which is all a one-build
+// cluster needs.
+//
 // Every request payload starts with `u32 deadlineMs` — the milliseconds the
 // originating request has left, 0 for none — so a node can stop working on
 // a forward whose client deadline already passed, and the coordinator's
@@ -29,7 +36,7 @@
 // time. Requests that mutate or read tile state also carry the sender's
 // assignment epoch; a node answers statusWrongEpoch when the epochs
 // disagree, which is the fencing that prevents a stale coordinator or a
-// half-migrated tile from being served by two owners.
+// migrating tile from being served by two owners.
 //
 // The encoding is canonical — fixed field order, RSSI maps sorted by MAC,
 // assignment members and overrides sorted, payloadLen checked exactly, no
@@ -64,11 +71,7 @@ const (
 	kindAdd       byte = 3  // ingest a batch of (tile, seq, record) entries
 	kindConf      byte = 5  // point-confidence query, many points, each against its tile
 	kindConfResp  byte = 6  // one confidence vector (with its status) per point
-	kindFreeze    byte = 7  // mark a tile read-only ahead of migration
-	kindFetchTile byte = 9  // read a tile's full entry log (migration handoff)
-	kindTileState byte = 10 // fetchTile reply
-	kindInstall   byte = 11 // install handed-off entries on the new owner
-	kindDrop      byte = 13 // drop a migrated-away tile
+	kindDrop      byte = 13 // drop a tile the node no longer holds a replica of
 	kindAssign    byte = 15 // push a new assignment map (epoch bump)
 	kindTileSeqs  byte = 17 // read per-tile applied sequence numbers
 	kindSeqsResp  byte = 18 // tileSeqs reply
@@ -81,7 +84,6 @@ const (
 	statusOK         byte = 0
 	statusWrongEpoch byte = 1 // sender epoch != node epoch; body carries the node's
 	statusNotOwner   byte = 2 // tile not assigned to this node at this epoch
-	statusFrozen     byte = 3 // tile is frozen for migration (writes rejected)
 	statusFailed     byte = 4 // node-side failure (message in Msg)
 	statusExpired    byte = 5 // request deadline already expired; refused unworked
 )
@@ -121,7 +123,7 @@ type Ack struct {
 // Entry is one record destined for one tile, stamped with its canonical-log
 // sequence number. The sequence is the replication cursor: nodes apply an
 // entry only when Seq exceeds the tile's last applied sequence, which makes
-// batches, migration installs, and resyncs idempotent.
+// batches, resyncs and migration catch-ups idempotent.
 //
 // The record travels as its canonical bytes. The coordinator encodes each
 // record once and every (tile, replica) entry it fans out splices those
@@ -150,8 +152,7 @@ func (e Entry) Record() rssimap.Record {
 	return decodeRecord(binenc.NewReader(e.enc))
 }
 
-// AddReq ingests a batch of entries (kindAdd) or installs a handed-off tile
-// log on a migration target (kindInstall).
+// AddReq ingests a batch of entries.
 type AddReq struct {
 	Deadline uint32
 	Epoch    uint64
@@ -193,21 +194,11 @@ type ConfResp struct {
 	Items  []ConfItem
 }
 
-// TileReq addresses one tile: freeze (kindFreeze), fetch (kindFetchTile),
-// or drop (kindDrop).
-type TileReq struct {
+// DropReq removes a tile from a node that no longer holds a replica of it.
+type DropReq struct {
 	Deadline uint32
 	Epoch    uint64
 	Tile     [2]int
-}
-
-// TileState answers a kindFetchTile with the tile's entry log in applied
-// order — the WAL tail the migration hands to the new owner.
-type TileState struct {
-	Status  byte
-	Epoch   uint64
-	Msg     string
-	Entries []Entry
 }
 
 // AssignReq pushes a new assignment map to a node.
@@ -663,24 +654,19 @@ func EncodeFrame(msg any) ([]byte, error) {
 	case *Ack:
 		buf, err = newResponse(kindAck, 0, m.Status, m.Epoch, m.Msg)
 	case *AddReq:
-		buf, err = encodeAddLike(kindAdd, m)
-	case *InstallReq:
-		buf, err = encodeAddLike(kindInstall, (*AddReq)(m))
+		buf = binenc.NewFrame(codecVersion, kindAdd, 12+entriesSize(m.Entries))
+		buf = binenc.AppendU32(buf, m.Deadline)
+		buf = binenc.AppendU64(buf, m.Epoch)
+		buf, err = appendEntries(buf, m.Entries)
 	case *ConfReq:
 		buf, err = encodeConfReq(m)
 	case *ConfResp:
 		buf, err = encodeConfResp(m)
-	case *FreezeReq:
-		buf, err = encodeTileReq(kindFreeze, (*TileReq)(m))
-	case *FetchTileReq:
-		buf, err = encodeTileReq(kindFetchTile, (*TileReq)(m))
 	case *DropReq:
-		buf, err = encodeTileReq(kindDrop, (*TileReq)(m))
-	case *TileState:
-		if buf, err = newResponse(kindTileState, entriesSize(m.Entries), m.Status, m.Epoch, m.Msg); err != nil {
-			return nil, err
-		}
-		buf, err = appendEntries(buf, m.Entries)
+		buf = binenc.NewFrame(codecVersion, kindDrop, 20)
+		buf = binenc.AppendU32(buf, m.Deadline)
+		buf = binenc.AppendU64(buf, m.Epoch)
+		buf, err = appendTile(buf, m.Tile)
 	case *AssignReq:
 		buf = binenc.NewFrame(codecVersion, kindAssign, 64)
 		buf = binenc.AppendU32(buf, m.Deadline)
@@ -724,27 +710,6 @@ func EncodeFrame(msg any) ([]byte, error) {
 		return nil, err
 	}
 	return finishFrame(buf)
-}
-
-// InstallReq is an AddReq delivered on the migration path: the node accepts
-// it for tiles it does not (yet) own, which a plain add to a frozen or
-// foreign tile would reject.
-type InstallReq AddReq
-
-// FreezeReq marks a tile read-only on its current owner.
-type FreezeReq TileReq
-
-// FetchTileReq reads a tile's entry log off its current owner.
-type FetchTileReq TileReq
-
-// DropReq removes a migrated-away tile from its previous owner.
-type DropReq TileReq
-
-func encodeAddLike(kind byte, m *AddReq) ([]byte, error) {
-	buf := binenc.NewFrame(codecVersion, kind, 12+entriesSize(m.Entries))
-	buf = binenc.AppendU32(buf, m.Deadline)
-	buf = binenc.AppendU64(buf, m.Epoch)
-	return appendEntries(buf, m.Entries)
 }
 
 // A confidence query's payload:
@@ -804,13 +769,6 @@ func encodeConfResp(m *ConfResp) ([]byte, error) {
 	return buf, nil
 }
 
-func encodeTileReq(kind byte, m *TileReq) ([]byte, error) {
-	buf := binenc.NewFrame(codecVersion, kind, 20)
-	buf = binenc.AppendU32(buf, m.Deadline)
-	buf = binenc.AppendU64(buf, m.Epoch)
-	return appendTile(buf, m.Tile)
-}
-
 // --- frame decoder ---
 
 // DecodeFrame parses one wire frame into its typed message. The literals
@@ -829,11 +787,8 @@ func DecodeFrame(data []byte) (any, error) {
 		m := &Ack{}
 		m.Status, m.Epoch, m.Msg = readResponse(r)
 		msg = m
-	case kindAdd, kindInstall:
-		m := &AddReq{Deadline: r.U32(), Epoch: r.U64(), Entries: decodeEntries(r)}
-		if msg = m; kind == kindInstall {
-			msg = (*InstallReq)(m)
-		}
+	case kindAdd:
+		msg = &AddReq{Deadline: r.U32(), Epoch: r.U64(), Entries: decodeEntries(r)}
 	case kindConf:
 		m := &ConfReq{Deadline: r.U32(), Epoch: r.U64(), Cfg: decodeFeatureConfig(r)}
 		m.Points = make([]ConfPoint, r.Count(r.U32(), confPointMinBytes))
@@ -849,21 +804,8 @@ func DecodeFrame(data []byte) (any, error) {
 			m.Items[i] = ConfItem{Status: r.U8(), Confs: decodeConfs(r)}
 		}
 		msg = m
-	case kindFreeze, kindFetchTile, kindDrop:
-		m := &TileReq{Deadline: r.U32(), Epoch: r.U64(), Tile: readTile(r)}
-		switch kind {
-		case kindFreeze:
-			msg = (*FreezeReq)(m)
-		case kindFetchTile:
-			msg = (*FetchTileReq)(m)
-		default:
-			msg = (*DropReq)(m)
-		}
-	case kindTileState:
-		m := &TileState{}
-		m.Status, m.Epoch, m.Msg = readResponse(r)
-		m.Entries = decodeEntries(r)
-		msg = m
+	case kindDrop:
+		msg = &DropReq{Deadline: r.U32(), Epoch: r.U64(), Tile: readTile(r)}
 	case kindAssign:
 		msg = &AssignReq{Deadline: r.U32(), Assign: decodeAssignment(r)}
 	case kindTileSeqs:

@@ -40,7 +40,6 @@ func sampleMessages() []any {
 		&Hello{Deadline: 1500, NodeID: "coordinator"},
 		&Ack{Status: statusWrongEpoch, Epoch: 7, Msg: "node epoch 7"},
 		&AddReq{Deadline: 250, Epoch: 3, Entries: entries},
-		(*InstallReq)(&AddReq{Epoch: 3, Entries: entries[:1]}),
 		&ConfReq{Epoch: 3, Cfg: rssimap.DefaultFeatureConfig()},
 		&ConfReq{Deadline: 90, Epoch: 3, Cfg: rssimap.DefaultFeatureConfig(), Points: []ConfPoint{{
 			Tile: [2]int{-4, 2},
@@ -61,10 +60,8 @@ func sampleMessages() []any {
 			{Status: statusOK},
 		}},
 		&ConfResp{Status: statusWrongEpoch, Epoch: 5, Msg: "node epoch 5"},
-		(*FreezeReq)(&TileReq{Deadline: 40, Epoch: 3, Tile: [2]int{2, 2}}),
-		(*FetchTileReq)(&TileReq{Epoch: 3, Tile: [2]int{-2147483648, 2147483647}}),
-		(*DropReq)(&TileReq{Epoch: 4, Tile: [2]int{0, 0}}),
-		&TileState{Status: statusOK, Epoch: 3, Entries: entries},
+		&DropReq{Epoch: 4, Tile: [2]int{0, 0}},
+		&DropReq{Deadline: 40, Epoch: 3, Tile: [2]int{-2147483648, 2147483647}},
 		&AssignReq{Deadline: 12, Assign: assign},
 		&SeqsReq{Deadline: 5},
 		&SeqsResp{Status: statusOK, Epoch: 4, Tiles: []TileSeq{
@@ -125,10 +122,14 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 		}
 	})
 	t.Run("unknown kind", func(t *testing.T) {
-		frame, _ := EncodeFrame(&SeqsReq{})
-		frame[1] = 200
-		if _, err := DecodeFrame(frame); !errors.Is(err, ErrKind) {
-			t.Fatalf("got %v, want ErrKind", err)
+		// 7, 9, 10 and 11 are the retired migration kinds (freeze, fetch,
+		// its reply, install).
+		for _, kind := range []byte{7, 9, 10, 11, 200} {
+			frame, _ := EncodeFrame(&SeqsReq{})
+			frame[1] = kind
+			if _, err := DecodeFrame(frame); !errors.Is(err, ErrKind) {
+				t.Fatalf("kind %d: got %v, want ErrKind", kind, err)
+			}
 		}
 	})
 	t.Run("payload length lies short", func(t *testing.T) {
@@ -286,22 +287,18 @@ func refDecodeRecord(r *binenc.Reader) rssimap.Record {
 	return rec
 }
 
-// refDecodeEntries decodes the entry list of an add, install or tile-state
-// frame with refDecodeRecord; ok is false for every other kind.
+// refDecodeEntries decodes the entry list of an add frame with
+// refDecodeRecord; ok is false for every other kind.
 func refDecodeEntries(data []byte) (entries []Entry, ok bool, err error) {
 	kind, r, err := header(data)
 	if err != nil {
 		return nil, true, err
 	}
-	switch kind {
-	case kindAdd, kindInstall:
-		r.U32()
-		r.U64()
-	case kindTileState:
-		readResponse(r)
-	default:
+	if kind != kindAdd {
 		return nil, false, nil
 	}
+	r.U32()
+	r.U64()
 	entries = make([]Entry, r.Count(r.U32(), entryMinBytes))
 	for i := 0; i < len(entries) && r.Err() == nil; i++ {
 		entries[i] = Entry{Tile: readTile(r), Seq: r.U64(), Rec: refDecodeRecord(r)}
@@ -317,19 +314,6 @@ func decodeSentinel(err error) error {
 		}
 	}
 	return err
-}
-
-// messageEntries returns the entry list of a decoded message, if it has one.
-func messageEntries(msg any) []Entry {
-	switch m := msg.(type) {
-	case *AddReq:
-		return m.Entries
-	case *InstallReq:
-		return m.Entries
-	case *TileState:
-		return m.Entries
-	}
-	return nil
 }
 
 // sameWire compares two wire-form records by position bits (a NaN equals
@@ -351,6 +335,11 @@ func FuzzClusterCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{codecVersion, kindAdd})
 	f.Add([]byte{codecVersion, kindAdd, 0, 0, 0, 0})
+	// The retired migration kinds (freeze, fetch, its reply, install), which
+	// decode as unknown.
+	for _, kind := range []byte{7, 9, 10, 11} {
+		f.Add([]byte{codecVersion, kind, 0, 0, 0, 0})
+	}
 	// An add whose second MAC repeats the first, and one cut inside a MAC.
 	dup, _ := EncodeFrame(&AddReq{Epoch: 1, Entries: []Entry{{Seq: 1, Rec: rssimap.Record{RSSI: map[string]int{"aa": -50, "ab": -51}}}}})
 	dup[bytes.Index(dup, []byte("ab"))+1] = 'a'
@@ -365,7 +354,7 @@ func FuzzClusterCodec(f *testing.F) {
 				t.Fatalf("wire-form decode says %v, map-form decode says %v", err, refErr)
 			}
 			if err == nil {
-				got := messageEntries(msg)
+				got := msg.(*AddReq).Entries
 				if len(got) != len(want) {
 					t.Fatalf("wire-form decode reads %d entries, map-form %d", len(got), len(want))
 				}

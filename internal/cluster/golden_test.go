@@ -83,7 +83,7 @@ func TestGoldenNodeSnapshot(t *testing.T) {
 	if ack := n.handleAssign(&AssignReq{Assign: goldenAssignment()}); ack.Status != statusOK {
 		t.Fatalf("assign: %+v", ack)
 	}
-	if ack := n.handleAdd(&AddReq{Epoch: 3, Entries: goldenEntries()}, false); ack.Status != statusOK {
+	if ack := n.handleAdd(&AddReq{Epoch: 3, Entries: goldenEntries()}); ack.Status != statusOK {
 		t.Fatalf("add: %+v", ack)
 	}
 	if len(n.tiles) != 3 {

@@ -1,169 +1,137 @@
-// Live tile migration. The protocol:
+// Live tile migration: a pending assignment served from the canonical log.
+// The protocol:
 //
-//  1. Register: mark the tile migrating; from here on the coordinator
-//     buffers new writes for the tile instead of shipping them.
-//  2. Drain + freeze: flush the old owner's ordered ingest stream, then
-//     freeze the tile (read-only on the old owner — queries keep working
-//     through the whole handoff).
-//  3. Fetch: read the tile's applied entry log off the old owner — the
-//     WAL tail handoff — and top up any missing tail from the canonical
-//     log (the old owner might have been behind).
-//  4. Install: ship the entries to the new owner in bounded chunks under
-//     kindInstall. A crash mid-install leaves a clean prefix; the per-tile
-//     sequence gate makes the retried install idempotent.
-//  5. Commit: bump the assignment epoch with the tile overridden to the
-//     new owner, re-route the buffered writes, push the assignment to
-//     every node (which clears freezes), journal a Drop on the old owner.
+//  1. Register: under the coordinator lock, record the assignment the move
+//     commits as pending. From here on the tile's entries go to its
+//     replicas under both the current and the pending assignment (one rule,
+//     holdersLocked, shared by ingest and Resync), and every node new to the
+//     tile gets its history from the canonical log, queued on its ordered
+//     ingest outbox in addChunk chunks ahead of any later write — the path
+//     and the order every batch takes, so the per-tile seq gate sees the
+//     entries in order.
+//  2. Catch up: both ends must be synced (a resync first; failure aborts),
+//     then the queued history is delivered. The new owner must take all of
+//     it or the move aborts; a new follower that misses it is left unsynced
+//     for Resync to heal. Queries keep going to the current replicas, which
+//     keep receiving every write.
+//  3. Commit: bump the epoch with the tile overridden to the new owner,
+//     journaled before any node hears of it; push the assignment; then
+//     flush the outbox of each node that no longer holds the tile before
+//     sending it a Drop, so no entry queued before the commit can re-create
+//     the tile on that node after the drop.
 //
-// Any failure before commit aborts: the epoch still bumps (epoch bumps
-// are how freezes clear and how every attempt stays totally ordered), but
-// ownership is unchanged and the buffered writes flush to the old owner.
-// Either way the tile ends owned by exactly one node at the new epoch —
-// queries fence on (epoch, owner), so no interleaving of crashes and
-// retries can produce split-brain reads.
+// Any failure before commit aborts: the migration is un-registered and the
+// epoch still bumps, so every attempt ends in one and attempts stay totally
+// ordered. Nothing is flushed and no partial copy is dropped: a partial copy
+// on the would-be holder is a canonical prefix, which a later attempt extends
+// through the seq gate or a Resync drops. Queries fence on (epoch, replica),
+// so no interleaving of crashes and retries can produce split-brain reads.
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrMigrationInFlight reports a second migration while one is running.
 var ErrMigrationInFlight = errors.New("cluster: migration already in flight")
 
 // Migrate moves one tile to a new owner, live. Concurrent ingestion and
-// queries keep running: writes buffer at the coordinator, reads are served
-// by the frozen old owner until the commit flips ownership atomically with
-// the epoch bump.
+// queries keep running: the current replicas serve the tile and receive
+// every write until the commit flips ownership atomically with the epoch
+// bump.
 func (s *Store) Migrate(tile [2]int, to string) error {
-	s.mu.Lock()
-	if _, ok := s.nodes[to]; !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("cluster: unknown node %q", to)
+	from, fresh, err := s.registerMigration(tile, to)
+	if err != nil || from == to {
+		return err
 	}
-	if len(s.migrating) > 0 {
-		s.mu.Unlock()
-		return ErrMigrationInFlight
-	}
-	if s.repairing.Load() {
-		s.mu.Unlock()
-		return ErrRepairInFlight
-	}
-	from := s.assign.Owner(tile)
-	epoch := s.assign.Epoch
-	if from == to {
-		s.mu.Unlock()
-		return nil
-	}
-	s.migrating[tile] = &migration{to: to}
-	s.mu.Unlock()
-
-	if err := s.runMigration(tile, from, to, epoch); err != nil {
+	if err := s.runMigration(tile, from, to, fresh); err != nil {
 		s.abortMigration(tile)
 		return err
 	}
 	return nil
 }
 
-func (s *Store) runMigration(tile [2]int, from, to string, epoch uint64) error {
-	fromNC, toNC := s.nodes[from], s.nodes[to]
-	// Both ends must be healthy before the handoff: the old owner is about
-	// to be the only holder of a frozen tile, the new owner is about to
-	// accept its entire history.
-	if fromNC.isUnsynced() {
-		if err := s.Resync(from); err != nil {
-			return fmt.Errorf("cluster: migrate %v: resync %s: %w", tile, from, err)
+// registerMigration makes the move of tile to `to` pending and queues the
+// tile's canonical history on every node the move makes a replica of it. It
+// returns the tile's current owner (from == to: nothing to move) and those
+// new holders.
+func (s *Store) registerMigration(tile [2]int, to string) (from string, fresh []string, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.nodes[to]; !ok {
+		return "", nil, fmt.Errorf("cluster: unknown node %q", to)
+	}
+	if len(s.migrating) > 0 {
+		return "", nil, ErrMigrationInFlight
+	}
+	if s.repairing.Load() {
+		return "", nil, ErrRepairInFlight
+	}
+	from = s.assign.Owner(tile)
+	if from == to {
+		return from, nil, nil
+	}
+	next := migratedAssign(s.assign, tile, to)
+	s.migrating[tile] = next
+	idxs := s.tileIndex[tile]
+	for _, id := range next.appendReplicas(nil, tile) {
+		if s.assign.replicaOf(tile, id) {
+			continue
+		}
+		fresh = append(fresh, id)
+		for off := 0; off < len(idxs); off += addChunk {
+			chunk := idxs[off:min(off+addChunk, len(idxs))]
+			entries := make([]Entry, len(chunk))
+			for k, idx := range chunk {
+				entries[k] = Entry{Tile: tile, Seq: uint64(idx) + 1, enc: s.log[idx]}
+			}
+			s.nodes[id].enqueue(&AddReq{Epoch: s.assign.Epoch, Entries: entries})
 		}
 	}
-	if toNC.isUnsynced() {
-		if err := s.Resync(to); err != nil {
-			return fmt.Errorf("cluster: migrate %v: resync %s: %w", tile, to, err)
+	return from, fresh, nil
+}
+
+func (s *Store) runMigration(tile [2]int, from, to string, fresh []string) error {
+	// Both ends must be healthy before the move: the old owner keeps serving
+	// the tile until the commit, the new owner is about to take its history.
+	for _, id := range []string{from, to} {
+		if s.nodes[id].isUnsynced() {
+			if err := s.Resync(id); err != nil {
+				return fmt.Errorf("cluster: migrate %v: resync %s: %w", tile, id, err)
+			}
 		}
 	}
-
-	// Drain, then freeze. The freeze rides the ordered ingest stream, so
-	// every previously shipped batch lands before the tile goes read-only.
-	if err := fromNC.flush(s); err != nil {
-		return fmt.Errorf("cluster: migrate %v: drain %s: %w", tile, from, err)
-	}
-	fromNC.sendMu.Lock()
-	ack, err := fromNC.ackCallLocked(&FreezeReq{Epoch: epoch, Tile: tile})
-	fromNC.sendMu.Unlock()
-	if err != nil {
-		fromNC.markUnsynced(err)
-		return fmt.Errorf("cluster: migrate %v: freeze on %s: %w", tile, from, err)
-	}
-	if ack.Status != statusOK {
-		return fmt.Errorf("cluster: migrate %v: freeze on %s: status %d %s", tile, from, ack.Status, ack.Msg)
-	}
-
-	// Fetch the tile's applied log (the WAL-tail handoff). Failure here is
-	// survivable: the canonical log can rebuild the tile alone.
-	var handoff []Entry
-	if resp, err := fromNC.call(&FetchTileReq{Epoch: epoch, Tile: tile}, time.Time{}); err == nil {
-		if ts, ok := resp.(*TileState); ok && ts.Status == statusOK {
-			handoff = ts.Entries
-		}
-	}
-	handoff = s.topUpHandoff(tile, handoff)
-
-	// Install on the new owner in bounded chunks.
-	if err := s.installHandoff(toNC, epoch, handoff); err != nil {
-		return fmt.Errorf("cluster: migrate %v: install on %s: %w", tile, to, err)
-	}
-
-	// With replication on, the post-commit follower may be a node holding
-	// nothing for this tile (the move displaces the rendezvous follower).
-	// Install the same handoff there ahead of the commit — same seqs, so
-	// the install is idempotent and either replica serves identical bits
-	// from the first post-commit query. An old owner staying on as follower
-	// needs nothing: it already holds everything up to the freeze. Follower
-	// install failure is survivable (Resync heals it) and must not abort an
-	// otherwise-complete handoff.
-	s.mu.RLock()
-	prospective := migratedAssign(s.assign, tile, to)
-	oldFollower := s.assign.Follower(tile)
-	s.mu.RUnlock()
-	if nf := prospective.Follower(tile); nf != "" && nf != to && nf != from {
-		if fnc := s.nodes[nf]; fnc != nil {
-			if err := s.installHandoff(fnc, epoch, handoff); err != nil {
-				fnc.markUnsynced(fmt.Errorf("cluster: migrate %v: follower install on %s: %w", tile, nf, err))
+	for _, id := range fresh {
+		nc := s.nodes[id]
+		if err := nc.flush(s); err != nil {
+			nc.markUnsynced(err)
+			if id == to {
+				return fmt.Errorf("cluster: migrate %v: install on %s: %w", tile, to, err)
 			}
 		}
 	}
 
-	// Commit: epoch bump + override + buffered-write re-route, atomically
-	// under the coordinator lock, journaled before any node hears of it.
+	// Commit the pending assignment (epoch bump + override), journaled before
+	// any node hears of it.
 	s.mu.Lock()
-	next := migratedAssign(s.assign, tile, to)
+	prev, next := s.assign, s.migrating[tile]
 	s.assign = next
 	s.journalAssignLocked(next)
-	mig := s.migrating[tile]
 	delete(s.migrating, tile)
-	var flushTargets []*nodeClient
-	if mig != nil && len(mig.buffer) > 0 {
-		toNC.enqueue(&AddReq{Epoch: next.Epoch, Entries: mig.buffer})
-		flushTargets = append(flushTargets, toNC)
-		if nf := next.Follower(tile); nf != "" && nf != to {
-			if fnc := s.nodes[nf]; fnc != nil {
-				fnc.enqueue(&AddReq{Epoch: next.Epoch, Entries: mig.buffer})
-				flushTargets = append(flushTargets, fnc)
-			}
-		}
-	}
 	s.mu.Unlock()
 	s.migrations.Add(1)
 
-	// Publish the new world, retire copies on nodes that no longer hold a
-	// replica, deliver buffered writes.
+	// Publish the new world, then retire the copies on nodes that no longer
+	// hold a replica — each after its outbox has drained.
 	s.pushAssignment()
-	for _, id := range []string{from, oldFollower} {
-		if id == "" || next.replicaOf(tile, id) {
+	for _, id := range prev.appendReplicas(nil, tile) {
+		if next.replicaOf(tile, id) {
 			continue
 		}
 		nc := s.nodes[id]
-		if nc == nil {
+		if err := nc.flush(s); err != nil {
+			nc.markUnsynced(err)
 			continue
 		}
 		nc.sendMu.Lock()
@@ -173,34 +141,6 @@ func (s *Store) runMigration(tile [2]int, from, to string, epoch uint64) error {
 			nc.markUnsynced(err)
 		} else if ack.Status != statusOK {
 			nc.markUnsynced(fmt.Errorf("cluster: drop %v on %s: status %d %s", tile, id, ack.Status, ack.Msg))
-		}
-	}
-	for _, nc := range flushTargets {
-		if err := nc.flush(s); err != nil {
-			nc.markUnsynced(err)
-		}
-	}
-	return nil
-}
-
-// installHandoff ships a tile's entry log to one node in bounded chunks
-// under kindInstall. A crash mid-install leaves a clean prefix; the
-// per-tile sequence gate makes a retried install idempotent.
-func (s *Store) installHandoff(nc *nodeClient, epoch uint64, handoff []Entry) error {
-	nc.sendMu.Lock()
-	defer nc.sendMu.Unlock()
-	for off := 0; off < len(handoff); off += addChunk {
-		end := off + addChunk
-		if end > len(handoff) {
-			end = len(handoff)
-		}
-		ack, err := nc.ackCallLocked(&InstallReq{Epoch: epoch, Entries: handoff[off:end]})
-		if err != nil {
-			nc.markUnsynced(err)
-			return err
-		}
-		if ack.Status != statusOK {
-			return fmt.Errorf("status %d %s", ack.Status, ack.Msg)
 		}
 	}
 	return nil
@@ -235,57 +175,16 @@ func ownerWithout(a Assignment, tile [2]int) string {
 	return owner
 }
 
-// topUpHandoff extends the fetched entry log with any canonical tail the
-// old owner had not applied, keeping seq order.
-func (s *Store) topUpHandoff(tile [2]int, handoff []Entry) []Entry {
-	var have uint64
-	if n := len(handoff); n > 0 {
-		have = handoff[n-1].Seq
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, idx := range s.tileIndex[tile] {
-		seq := uint64(idx) + 1
-		if seq <= have {
-			continue
-		}
-		handoff = append(handoff, Entry{Tile: tile, Seq: seq, enc: s.log[idx]})
-	}
-	return handoff
-}
-
-// abortMigration rolls a failed handoff back: ownership is unchanged, but
-// the epoch still bumps — the assignment push that follows clears the
-// freeze on the old owner — and buffered writes flush to the old owner.
+// abortMigration rolls a failed move back: the migration is un-registered
+// and ownership is unchanged, but the epoch still bumps.
 func (s *Store) abortMigration(tile [2]int) {
 	s.mu.Lock()
-	mig := s.migrating[tile]
 	delete(s.migrating, tile)
 	next := s.assign.Clone()
 	next.Epoch++
 	s.assign = next
 	s.journalAssignLocked(next)
-	owner := next.Owner(tile)
-	var targets []*nodeClient
-	if mig != nil && len(mig.buffer) > 0 {
-		if nc := s.nodes[owner]; nc != nil {
-			nc.enqueue(&AddReq{Epoch: next.Epoch, Entries: mig.buffer})
-			targets = append(targets, nc)
-		}
-		if f := next.Follower(tile); f != "" && f != owner {
-			if nc := s.nodes[f]; nc != nil {
-				nc.enqueue(&AddReq{Epoch: next.Epoch, Entries: mig.buffer})
-				targets = append(targets, nc)
-			}
-		}
-	}
 	s.mu.Unlock()
 	s.aborted.Add(1)
-
 	s.pushAssignment()
-	for _, nc := range targets {
-		if err := nc.flush(s); err != nil {
-			nc.markUnsynced(err)
-		}
-	}
 }

@@ -2,8 +2,8 @@
 // maps to it. Each node keeps an independent rssimap.Store per tile plus
 // the canonical sequence number of every record in it (the store holds each
 // record once, losslessly; the tile's entry log is rebuilt from the two for
-// snapshots and migration hand-offs), journals every mutation to its own
-// wal.Lineage (WAL + snapshot), and serves the shard-transport RPC over TCP.
+// snapshots), journals every mutation to its own wal.Lineage (WAL +
+// snapshot), and serves the shard-transport RPC over TCP.
 //
 // Fencing: the node journals the assignment epoch it last accepted, and
 // every tile-addressed request carries the sender's epoch. Queries demand
@@ -11,9 +11,12 @@
 // node; mutations demand exact equality too, so a coordinator holding a
 // stale map — or a node that missed an epoch bump — gets statusWrongEpoch
 // (with the node's epoch) instead of silently acting on the wrong side of
-// a migration. Epochs only move forward: an assignment push with a lower
-// epoch is rejected, which is what makes split-brain tile ownership
-// impossible even across node restarts.
+// a migration. An add is not checked against ownership: that is how a
+// migration's new holder receives a tile's history before the commit makes
+// it a replica, while queries for the tile still go to the old one. Epochs
+// only move forward: an assignment push with a lower epoch is rejected,
+// which is what makes split-brain tile ownership impossible even across
+// node restarts.
 package cluster
 
 import (
@@ -70,7 +73,7 @@ type tileState struct {
 }
 
 // entries rebuilds the tile's applied entry log, in applied (= sequence)
-// order. Snapshots and migration hand-offs pay this; ingest does not.
+// order. Snapshots pay this; ingest does not.
 func (ts *tileState) entries(tile [2]int) []Entry {
 	recs := ts.store.Records()
 	out := make([]Entry, len(recs))
@@ -89,7 +92,6 @@ type Node struct {
 	epoch  uint64
 	assign Assignment
 	tiles  map[[2]int]*tileState
-	frozen map[[2]int]bool
 	log    *wal.Lineage // nil on a memory-only node
 	dead   error        // first fatal storage failure; the node refuses everything after
 	// applyRecs is applyEntriesLocked's reusable run buffer (write lock held).
@@ -100,11 +102,9 @@ type Node struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	statMu   sync.Mutex
-	adds     uint64
-	confs    uint64
-	installs uint64
-	expired  uint64
+	statMu  sync.Mutex
+	confs   uint64
+	expired uint64
 }
 
 // NewNode opens (or recovers) a shard node. With a Dir, state is recovered
@@ -124,11 +124,10 @@ func NewNode(id string, cfg shardstore.Config, opts NodeOptions) (*Node, error) 
 		fs = fsx.OS
 	}
 	n := &Node{
-		id:     id,
-		cfg:    cfg,
-		tiles:  make(map[[2]int]*tileState),
-		frozen: make(map[[2]int]bool),
-		conns:  make(map[net.Conn]struct{}),
+		id:    id,
+		cfg:   cfg,
+		tiles: make(map[[2]int]*tileState),
+		conns: make(map[net.Conn]struct{}),
 	}
 	if opts.Dir == "" {
 		return n, nil
@@ -175,7 +174,6 @@ func (n *Node) replayFrame(typ byte, payload []byte) error {
 		t := readTile(r)
 		if r.Done() == nil {
 			delete(n.tiles, t)
-			delete(n.frozen, t)
 		}
 	case nodeFrameAssign:
 		a := decodeAssignment(r)
@@ -447,21 +445,12 @@ func (n *Node) dispatch(msg any, sc *confScratch) (any, time.Time) {
 	case *Hello:
 		return n.guard(m.Deadline, func() any { return n.handleHello() }), wireDeadline(m.Deadline, now, transportIdle)
 	case *AddReq:
-		return n.guard(m.Deadline, func() any { return n.handleAdd(m, false) }), wireDeadline(m.Deadline, now, transportIdle)
-	case *InstallReq:
-		return n.guard(m.Deadline, func() any { return n.handleAdd((*AddReq)(m), true) }), wireDeadline(m.Deadline, now, transportIdle)
+		return n.guard(m.Deadline, func() any { return n.handleAdd(m) }), wireDeadline(m.Deadline, now, transportIdle)
 	case *ConfReq:
 		if m.Deadline == deadlineExpiredMs {
 			return n.refuseExpired(&ConfResp{}), wireDeadline(m.Deadline, now, transportIdle)
 		}
 		return n.handleConf(m, sc), wireDeadline(m.Deadline, now, transportIdle)
-	case *FreezeReq:
-		return n.guard(m.Deadline, func() any { return n.handleFreeze(m) }), wireDeadline(m.Deadline, now, transportIdle)
-	case *FetchTileReq:
-		if m.Deadline == deadlineExpiredMs {
-			return n.refuseExpired(&TileState{}), wireDeadline(m.Deadline, now, transportIdle)
-		}
-		return n.handleFetch(m), wireDeadline(m.Deadline, now, transportIdle)
 	case *DropReq:
 		return n.guard(m.Deadline, func() any { return n.handleDrop(m) }), wireDeadline(m.Deadline, now, transportIdle)
 	case *AssignReq:
@@ -505,8 +494,6 @@ func (n *Node) refuseExpired(resp any) any {
 		m.Status, m.Epoch, m.Msg = statusExpired, epoch, msg
 	case *ConfResp:
 		m.Status, m.Epoch, m.Msg = statusExpired, epoch, msg
-	case *TileState:
-		m.Status, m.Epoch, m.Msg = statusExpired, epoch, msg
 	case *SeqsResp:
 		m.Status, m.Epoch, m.Msg = statusExpired, epoch, msg
 	}
@@ -522,11 +509,10 @@ func (n *Node) handleHello() *Ack {
 	return &Ack{Status: statusOK, Epoch: n.epoch}
 }
 
-// handleAdd ingests a batch (install=false) or a migration install
-// (install=true). Both journal the batch as one WAL frame before touching
-// memory, so recovery replays exactly the acked batches; the seq gate
-// makes the replay — and any coordinator retry — idempotent.
-func (n *Node) handleAdd(m *AddReq, install bool) *Ack {
+// handleAdd ingests a batch. It journals the batch as one WAL frame before
+// touching memory, so recovery replays exactly the acked batches; the seq
+// gate makes the replay — and any coordinator retry — idempotent.
+func (n *Node) handleAdd(m *AddReq) *Ack {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.dead != nil {
@@ -534,13 +520,6 @@ func (n *Node) handleAdd(m *AddReq, install bool) *Ack {
 	}
 	if m.Epoch != n.epoch {
 		return &Ack{Status: statusWrongEpoch, Epoch: n.epoch}
-	}
-	if !install {
-		for _, e := range m.Entries {
-			if n.frozen[e.Tile] {
-				return &Ack{Status: statusFrozen, Epoch: n.epoch, Msg: fmt.Sprintf("tile %v frozen", e.Tile)}
-			}
-		}
 	}
 	if err := encodeLocal(m.Entries); err != nil {
 		return &Ack{Status: statusFailed, Epoch: n.epoch, Msg: err.Error()}
@@ -557,13 +536,6 @@ func (n *Node) handleAdd(m *AddReq, install bool) *Ack {
 		}
 	}
 	n.applyEntriesLocked(m.Entries)
-	n.statMu.Lock()
-	if install {
-		n.installs++
-	} else {
-		n.adds++
-	}
-	n.statMu.Unlock()
 	return &Ack{Status: statusOK, Epoch: n.epoch}
 }
 
@@ -633,42 +605,8 @@ func (n *Node) handleConf(m *ConfReq, sc *confScratch) *ConfResp {
 	return &ConfResp{Status: statusOK, Epoch: epoch, Items: items}
 }
 
-// handleFreeze marks a tile read-only ahead of a migration handoff. The
-// flag is memory-only: if the node crashes mid-migration the coordinator
-// restarts the handoff from scratch, re-freezing first.
-func (n *Node) handleFreeze(m *FreezeReq) *Ack {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.dead != nil {
-		return &Ack{Status: statusFailed, Epoch: n.epoch, Msg: n.dead.Error()}
-	}
-	if m.Epoch != n.epoch {
-		return &Ack{Status: statusWrongEpoch, Epoch: n.epoch}
-	}
-	n.frozen[m.Tile] = true
-	return &Ack{Status: statusOK, Epoch: n.epoch}
-}
-
-// handleFetch hands a tile's applied entry log to the migration driver,
-// in applied (= sequence) order, rebuilt from the tile's store.
-func (n *Node) handleFetch(m *FetchTileReq) *TileState {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if n.dead != nil {
-		return &TileState{Status: statusFailed, Epoch: n.epoch, Msg: n.dead.Error()}
-	}
-	if m.Epoch != n.epoch {
-		return &TileState{Status: statusWrongEpoch, Epoch: n.epoch}
-	}
-	resp := &TileState{Status: statusOK, Epoch: n.epoch}
-	if ts := n.tiles[m.Tile]; ts != nil {
-		resp.Entries = ts.entries(m.Tile)
-	}
-	return resp
-}
-
-// handleDrop removes a migrated-away tile. Journaled: a recovered node
-// must not resurrect a tile it no longer owns.
+// handleDrop removes a tile the node no longer holds a replica of.
+// Journaled: a recovered node must not resurrect a tile it no longer owns.
 func (n *Node) handleDrop(m *DropReq) *Ack {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -686,14 +624,12 @@ func (n *Node) handleDrop(m *DropReq) *Ack {
 		return &Ack{Status: statusFailed, Epoch: n.epoch, Msg: err.Error()}
 	}
 	delete(n.tiles, m.Tile)
-	delete(n.frozen, m.Tile)
 	return &Ack{Status: statusOK, Epoch: n.epoch}
 }
 
 // handleAssign installs a new assignment. Higher epochs are journaled
-// before they apply and clear every freeze (each migration attempt —
-// committed or aborted — ends in an epoch bump); the current epoch is an
-// idempotent re-push; lower epochs are fenced off.
+// before they apply; the current epoch is an idempotent re-push; lower
+// epochs are fenced off.
 func (n *Node) handleAssign(m *AssignReq) *Ack {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -714,9 +650,6 @@ func (n *Node) handleAssign(m *AssignReq) *Ack {
 		return &Ack{Status: statusFailed, Epoch: n.epoch, Msg: err.Error()}
 	}
 	n.epoch, n.assign = m.Assign.Epoch, m.Assign.Clone()
-	for t := range n.frozen {
-		delete(n.frozen, t)
-	}
 	return &Ack{Status: statusOK, Epoch: n.epoch}
 }
 

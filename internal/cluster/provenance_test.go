@@ -40,9 +40,10 @@ func tileEntries(n *Node, tile [2]int) []Entry {
 }
 
 // TestClusterMigrationPreservesProvenance pins the acceptance criterion that
-// contributor identity survives a tile migration bit-identically: the wire
-// codec carries it off the source, the install journals it on the target,
-// and a durable restart replays it — all without touching a single byte.
+// contributor identity survives a tile migration bit-identically: the
+// catch-up replays it from the coordinator's canonical log, the target
+// journals it as ordinary adds, and a durable restart replays it — all
+// without touching a single byte.
 func TestClusterMigrationPreservesProvenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const width, height = 100, 100
@@ -99,7 +100,7 @@ func TestClusterMigrationPreservesProvenance(t *testing.T) {
 		t.Fatalf("source still holds %d entries after handoff", len(left))
 	}
 
-	// Restart the target from its durable dir: the installed tile — with
+	// Restart the target from its durable dir: the migrated tile — with
 	// every contributor string — must replay from snapshot + WAL exactly.
 	replayed := tileEntries(tc.restartNode(t, to), tile)
 	if len(replayed) != len(want) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -49,29 +48,6 @@ func (s *Store) appendToLogLocked(recs []rssimap.Record) {
 	s.appendEncodedLocked(buf, 0, ends, nil)
 }
 
-// fetchTile reads one tile's entry log off a node over a fresh connection,
-// the way the migration driver does.
-func fetchTile(addr string, epoch uint64, tile [2]int) ([]Entry, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	dl := time.Now().Add(10 * time.Second)
-	if err := writeMsg(conn, &FetchTileReq{Epoch: epoch, Tile: tile}, dl); err != nil {
-		return nil, err
-	}
-	resp, err := readMsg(conn, dl)
-	if err != nil {
-		return nil, err
-	}
-	ts, ok := resp.(*TileState)
-	if !ok || ts.Status != statusOK {
-		return nil, fmt.Errorf("fetch %v from %s: %+v", tile, addr, resp)
-	}
-	return ts.Entries, nil
-}
-
 // sameTileLog requires got to equal want entry for entry: tile, seq,
 // Float64bits position, sorted MAC→RSSI readings, contributor.
 func sameTileLog(want, got []Entry) error {
@@ -89,7 +65,7 @@ func sameTileLog(want, got []Entry) error {
 	return nil
 }
 
-// checkReplicaLogs fetches every non-empty tile from every replica and
+// checkReplicaLogs reads every non-empty tile off every replica and
 // compares it with the canonical log. With settled false (ingest still
 // running) a replica may trail the coordinator, so it must hold a prefix.
 func (tc *testCluster) checkReplicaLogs(settled bool) error {
@@ -101,20 +77,17 @@ func (tc *testCluster) checkReplicaLogs(settled bool) error {
 	}
 	tc.store.mu.RUnlock()
 	for _, tile := range tiles {
-		for id, addr := range tc.addrs {
+		for id, node := range tc.nodes {
 			if !a.replicaOf(tile, id) {
 				continue
 			}
-			got, err := fetchTile(addr, a.Epoch, tile)
-			if err != nil {
-				return err
-			}
+			got := tileEntries(node, tile)
 			want := canonicalTileLog(tc.store, tile)
 			if !settled && len(got) <= len(want) {
 				want = want[:len(got)]
 			}
 			if err := sameTileLog(want, got); err != nil {
-				return fmt.Errorf("tile %v on %s: %w", tile, addr, err)
+				return fmt.Errorf("tile %v on %s: %w", tile, id, err)
 			}
 		}
 	}
@@ -137,9 +110,9 @@ func compactedSnapshot(t *testing.T, n *Node, dir string) []byte {
 
 // TestReplicaRebuildEquivalence pins what dropping the node's map-form
 // entry log must not change. A durable 3-node replicated cluster is fed a
-// seeded record set with contributors while readers, tile fetches and
+// seeded record set with contributors while readers, tile-log reads and
 // compactions run beside the ingest. Once it settles: every replica's
-// fetched tile log equals the canonical log's restriction to that tile;
+// tile log equals the canonical log's restriction to that tile;
 // each node's snapshot bytes equal the bytes it writes after close →
 // reopen → compact; and after a live migration plus a killed primary the
 // cluster still answers bit-identically to a rebuilt single-process store.
@@ -153,7 +126,7 @@ func TestReplicaRebuildEquivalence(t *testing.T) {
 	tc := bootCluster(t, 3, true, Options{Replicate: true})
 	tc.store.Add(recs[:300])
 
-	// Ingest, query, fetch and compact side by side.
+	// Ingest, query, read tile logs and compact side by side.
 	var ingest, side sync.WaitGroup
 	stop := make(chan struct{})
 	ingest.Add(1)
@@ -430,7 +403,7 @@ func TestJournalFailureCountsRefusedBatch(t *testing.T) {
 // request frame, and nothing the node keeps may go on aliasing it once
 // handleAdd returns (a frame is garbage after its request).
 // A durable node is fed one decoded add; then the frame is overwritten while
-// the node is queried, fetched from and compacted (under -race a retained
+// the node is queried, has its tile logs read and is compacted (under -race a retained
 // alias is a reported race, and without it a changed byte). The tile store,
 // the rebuilt tile log, the snapshot and the journaled frame must all equal
 // those of a control node fed the same entries from an untouched frame.
@@ -464,7 +437,7 @@ func TestHandleAddKeepsNoAliasOfTheFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ack := n.handleAdd(msg.(*AddReq), false); ack.Status != statusOK {
+		if ack := n.handleAdd(msg.(*AddReq)); ack.Status != statusOK {
 			t.Fatalf("add: %+v", ack)
 		}
 		if !clobber {
@@ -482,7 +455,7 @@ func TestHandleAddKeepsNoAliasOfTheFrame(t *testing.T) {
 		for _, e := range entries[:10] {
 			n.handleConf(&ConfReq{Epoch: assign.Epoch, Cfg: rssimap.DefaultFeatureConfig(), Points: []ConfPoint{{
 				Tile: e.Tile, Pos: e.Rec.Pos, Scan: wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}}}}}, &sc)
-			n.handleFetch(&FetchTileReq{Epoch: assign.Epoch, Tile: e.Tile})
+			tileEntries(n, e.Tile)
 		}
 		wg.Wait()
 		return n
@@ -569,7 +542,7 @@ func TestHandleAddCompletesLocalEntries(t *testing.T) {
 		if ack := n.handleAssign(&AssignReq{Assign: assign}); ack.Status != statusOK {
 			t.Fatalf("assign: %+v", ack)
 		}
-		return n, n.handleAdd(&AddReq{Epoch: assign.Epoch, Entries: entries}, false)
+		return n, n.handleAdd(&AddReq{Epoch: assign.Epoch, Entries: entries})
 	}
 	state := func(n *Node) []byte {
 		t.Helper()

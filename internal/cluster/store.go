@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,17 +68,10 @@ func defaultShardRetry() resilience.RetryPolicy {
 	return resilience.RetryPolicy{MaxAttempts: 3, Base: 25 * time.Millisecond, Max: 250 * time.Millisecond, Budget: time.Second}
 }
 
-// addChunk bounds entries per ingest/install frame, so a migration crash
-// leaves a clean prefix and retries stay idempotent via the seq gate.
+// addChunk bounds entries per resync or migration catch-up frame, so a crash
+// mid-replay leaves a clean prefix and retries stay idempotent via the seq
+// gate.
 const addChunk = 128
-
-// migration is one in-flight tile handoff.
-type migration struct {
-	to string
-	// buffer holds entries for the migrating tile that arrived after the
-	// freeze; they flush to the winning owner at the post-migration epoch.
-	buffer []Entry
-}
 
 // Store is the coordinator: a distributed rssimap.Backend.
 type Store struct {
@@ -93,7 +87,7 @@ type Store struct {
 	log       [][]byte
 	tileIndex map[[2]int][]int // tile → canonical log indices (halo included)
 	assign    Assignment
-	migrating map[[2]int]*migration
+	migrating map[[2]int]Assignment // tile → the assignment its migration commits
 	nodes     map[string]*nodeClient
 	wlog      *wal.Lineage // canonical-log + assignment journal (nil = memory-only)
 	walErr    error        // first fatal journal failure; Add fails closed after
@@ -159,7 +153,7 @@ func NewStore(opts Options) (*Store, error) {
 		cfg:       opts.Shard,
 		opts:      opts,
 		tileIndex: make(map[[2]int][]int),
-		migrating: make(map[[2]int]*migration),
+		migrating: make(map[[2]int]Assignment),
 		nodes:     make(map[string]*nodeClient, len(opts.Nodes)),
 	}
 	for id, addr := range opts.Nodes {
@@ -307,9 +301,10 @@ func (s *Store) AddUploads(uploads []*wifi.Upload) {
 // appends them to the canonical log and fans each out to the nodes holding
 // its tiles (owner + halo; with replication on, the follower gets the same
 // entries — a dual-write with identical seqs, so either replica serves
-// bit-identical answers). Each record is encoded once, outside the lock, into
-// one buffer that is the coordinator journal's frame, that the log keeps, and
-// that every (tile, replica) entry splices from. Sequence
+// bit-identical answers; a migrating tile's entries also go to its pending
+// holders, see holdersLocked). Each record is encoded once, outside the lock,
+// into one buffer that is the coordinator journal's frame, that the log keeps,
+// and that every (tile, replica) entry splices from. Sequence
 // numbers are the canonical log positions, assigned under the lock together
 // with the per-node outbox order — so every node sees every tile's entries in
 // canonical order, and the per-tile replica a node builds is bit-identical to
@@ -351,6 +346,7 @@ func (s *Store) addBatch(n int, shape func(i int) (contributor string, readings 
 		return
 	}
 	perNode := make(map[string][]Entry)
+	var holders []string
 	s.appendEncodedLocked(frame, 4, ends, func(idx int, enc []byte, tiles [][2]int) {
 		e := Entry{Seq: uint64(idx) + 1, enc: enc}
 		for ti, t := range tiles {
@@ -358,14 +354,9 @@ func (s *Store) addBatch(n int, shape func(i int) (contributor string, readings 
 				s.halo.Add(1)
 			}
 			e.Tile = t
-			if mig := s.migrating[t]; mig != nil {
-				mig.buffer = append(mig.buffer, e)
-				continue
-			}
-			owner := s.assign.Owner(t)
-			perNode[owner] = append(perNode[owner], e)
-			if f := s.assign.Follower(t); f != "" && f != owner {
-				perNode[f] = append(perNode[f], e)
+			holders = s.holdersLocked(holders[:0], t)
+			for _, id := range holders {
+				perNode[id] = append(perNode[id], e)
 			}
 		}
 	})
@@ -392,6 +383,19 @@ func (s *Store) addBatch(n int, shape func(i int) (contributor string, readings 
 			targets[k].markUnsynced(err)
 		}
 	})
+}
+
+// holdersLocked appends to dst the nodes tile t's entries go to: its
+// replicas under the current assignment and, while t migrates, under the
+// assignment the migration commits. Ingest and Resync both route by it, so a
+// resync during the window neither drops t from a replica still serving it
+// nor strands a pending holder. s.mu must be held.
+func (s *Store) holdersLocked(dst []string, t [2]int) []string {
+	dst = s.assign.appendReplicas(dst, t)
+	if next, ok := s.migrating[t]; ok {
+		dst = next.appendReplicas(dst, t)
+	}
+	return dst
 }
 
 // fanOut runs fn(0) … fn(n-1) at once, the last on the caller's goroutine,
@@ -452,10 +456,9 @@ type route struct {
 // routePoints resolves the given points under one read of the coordinator
 // lock: each point's tile, and either a local answer (an empty tile is
 // bit-identical to a node holding no records for it) or its replicas — the
-// primary, then (with replication on) the follower. A migrating tile has no
-// settled follower, so it is read from its primary only; an unsynced
-// primary with a healthy follower is tried second, so the query does not
-// stall on a resync attempt.
+// primary, then (with replication on) the follower. An unsynced primary with
+// a healthy follower is tried second, so the query does not stall on a
+// resync attempt.
 func (s *Store) routePoints(pts []ConfPoint, pending []int, out [][]rssimap.PointConfidence, cfg rssimap.FeatureConfig) ([]route, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -474,7 +477,7 @@ func (s *Store) routePoints(pts []ConfPoint, pending []int, out [][]rssimap.Poin
 			return nil, 0, fmt.Errorf("cluster: tile %v has no owner", tile)
 		}
 		r := route{i: i, order: []*nodeClient{primary}, primary: primary}
-		if f := s.assign.Follower(tile); f != "" && f != owner && s.migrating[tile] == nil {
+		if f := s.assign.Follower(tile); f != "" && f != owner {
 			if follower := s.nodes[f]; primary.isUnsynced() && !follower.isUnsynced() {
 				r.order = []*nodeClient{follower, primary}
 			} else {
@@ -744,11 +747,12 @@ func (s *Store) FeaturesBatch(uploads []*wifi.Upload, cfg rssimap.FeatureConfig)
 }
 
 // Resync replays onto one node everything the canonical log says it should
-// hold — the tiles it owns plus, with replication on, the tiles it follows:
-// push the current assignment, read the node's per-tile sequence high-water
-// marks, send every missing tail entry, and drop tiles the node no longer
-// holds a replica of. Idempotent (the seq gate skips what the node kept),
-// and the reason a node crash is never data loss.
+// hold — the tiles it owns plus, with replication on, the tiles it follows,
+// plus a migrating tile it is a pending holder of (holdersLocked): push the
+// current assignment, read the node's per-tile sequence high-water marks,
+// send every missing tail entry, and drop the tiles it reports but should
+// not hold. Idempotent (the seq gate skips what the node kept), and the
+// reason a node crash is never data loss.
 func (s *Store) Resync(id string) error {
 	nc := s.nodes[id]
 	if nc == nil {
@@ -760,8 +764,12 @@ func (s *Store) Resync(id string) error {
 	s.mu.RLock()
 	assign := s.assign.Clone()
 	owned := make(map[[2]int][]int)
+	var holders []string
 	for t, idxs := range s.tileIndex {
-		if len(idxs) > 0 && assign.replicaOf(t, id) && s.migrating[t] == nil {
+		if len(idxs) == 0 {
+			continue
+		}
+		if holders = s.holdersLocked(holders[:0], t); slices.Contains(holders, id) {
 			owned[t] = idxs
 		}
 	}
