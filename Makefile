@@ -43,7 +43,8 @@ bench:
 # row and batched); the replicated cluster's write path (a seeded 5k-record
 # city into a fresh 3-node cluster: ns/record, allocs/record, live
 # B/replica-record); the Eq. 4-7 hot path (confidence queries, serial vs
-# batch feature extraction, a detector evaluation pass); and the storage
+# batch feature extraction, a detector evaluation pass, a 20-point session
+# close with every answer reused vs every point recomputed); and the storage
 # write path (concurrent Add on one global store, upload ingest ns/record,
 # WAL append/replay). End-to-end numbers come from bench/ (bench-run,
 # bench-pairs), never from here.
@@ -51,7 +52,7 @@ bench-micro:
 	$(GO) test ./internal/xgb/ -run NONE -benchmem -bench 'BenchmarkKernel'
 	$(GO) test ./internal/cluster/ -run NONE -bench 'BenchmarkClusterIngest' -benchtime 3x
 	$(GO) test . -run NONE -benchmem \
-		-bench 'StoreConfidence|StoreFeatures|EvaluateWiFi$$'
+		-bench 'StoreConfidence|StoreFeatures|EvaluateWiFi$$|SessionClose'
 	$(GO) test . -run NONE -benchmem \
 		-bench 'StoreAddConcurrent|StoreAddUploads|WAL'
 

@@ -18,6 +18,7 @@ package trajforge
 // the full harness whose output EXPERIMENTS.md records.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -34,6 +35,7 @@ import (
 	"trajforge/internal/geo"
 	"trajforge/internal/loadgen"
 	"trajforge/internal/rssimap"
+	"trajforge/internal/stream"
 	"trajforge/internal/trajectory"
 	"trajforge/internal/wal"
 	"trajforge/internal/wifi"
@@ -470,6 +472,61 @@ func BenchmarkEvaluateWiFi(b *testing.B) {
 		if _, err := det.EvaluateWiFi(al.TestReal, al.TestFake); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSessionClose measures the WiFi stage of a streaming close over a
+// 20-point session whose points were all scored at append: "fresh" hands the
+// close to the store the appends ran against, so every answer is reused;
+// "stale" hands it to a twin store over the same records, whose generation
+// no append-time mark carries, so every point runs the kernel again — the
+// cost of a close before reuse, bit for bit the same vector.
+func BenchmarkSessionClose(b *testing.B) {
+	lab := benchWiFiLab(b)
+	al := lab.Areas[0]
+	recs := dataset.Records(al.StoreUploads)
+	store, err := rssimap.NewStore(rssimap.DefaultConfig(), recs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	twin, err := rssimap.NewStore(rssimap.DefaultConfig(), recs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fcfg := rssimap.DefaultFeatureConfig()
+	det, err := trainWiFiWith(store, al, fcfg, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := stream.NewManager(stream.Config{Detector: det, DisableEarlyExit: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := al.TestReal[0]
+	n := min(20, u.Traj.Len())
+	id, err := m.Open("", u.Traj.Mode)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := m.AppendChunk(id, 0, u.Traj.Points[:n], u.Scans[:n]); err != nil {
+		b.Fatal(err)
+	}
+	closing, _, err := m.BeginClose(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		back rssimap.Backend
+	}{{"fresh", store}, {"stale", twin}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.CloseFeatures(context.Background(), id, closing, bc.back, fcfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

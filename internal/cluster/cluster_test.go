@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -160,7 +161,10 @@ func newGlobal(t *testing.T, recs []rssimap.Record) *rssimap.Store {
 // rssimap.Store.ConfidenceTol gives: one reported (mac, rssi) as a
 // one-observation TopK-1 scan. A failed query answers (0, 0).
 func confidenceTol(s *Store, o geo.Point, mac string, rssi int, r float64, tol rssimap.Tolerance) (phi float64, num int) {
-	pc := s.PointConfidencesInto(nil, o, wifi.Scan{{MAC: mac, RSSI: rssi}}, rssimap.FeatureConfig{R: r, TopK: 1, Tol: tol})
+	pc, _, err := s.PointConfidencesInto(context.Background(), nil, o, wifi.Scan{{MAC: mac, RSSI: rssi}}, rssimap.FeatureConfig{R: r, TopK: 1, Tol: tol})
+	if err != nil {
+		return 0, 0
+	}
 	return pc[0].Phi, pc[0].Num
 }
 
@@ -478,7 +482,7 @@ func TestClusterConcurrentAddAndQuery(t *testing.T) {
 			qrng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				o := geo.Point{X: qrng.Float64() * width, Y: qrng.Float64() * height}
-				tc.store.PointConfidencesInto(nil, o, wifi.Scan{{MAC: "02:4e:00:00:00:07", RSSI: -60}}, rssimap.DefaultFeatureConfig())
+				tc.store.PointConfidencesInto(context.Background(), nil, o, wifi.Scan{{MAC: "02:4e:00:00:00:07", RSSI: -60}}, rssimap.DefaultFeatureConfig())
 			}
 		}(int64(g) + 100)
 	}
@@ -492,7 +496,7 @@ func TestClusterStatsShape(t *testing.T) {
 	tc := startCluster(t, 3, false)
 	recs := randRecords(rand.New(rand.NewSource(71)), 200, 60, 60)
 	tc.store.Add(recs)
-	tc.store.PointConfidencesInto(nil, geo.Point{X: 30, Y: 30}, wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}}, rssimap.DefaultFeatureConfig())
+	tc.store.PointConfidencesInto(context.Background(), nil, geo.Point{X: 30, Y: 30}, wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}}, rssimap.DefaultFeatureConfig())
 
 	st := tc.store.Stats()
 	if st.Records != len(recs) {

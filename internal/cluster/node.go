@@ -20,6 +20,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -596,8 +597,9 @@ func (n *Node) handleConf(m *ConfReq, sc *confScratch) *ConfResp {
 			items[i].Confs = shardstore.EmptyConfidences(items[i].Confs, p.Scan, m.Cfg)
 		default:
 			// The per-tile store has its own lock; queries on different
-			// tiles of this node never contend.
-			items[i].Confs = tiles[i].store.PointConfidencesInto(items[i].Confs, p.Pos, p.Scan, m.Cfg)
+			// tiles of this node never contend. A tile store fails only on a
+			// done context, and this one never is.
+			items[i].Confs, _, _ = tiles[i].store.PointConfidencesInto(context.Background(), items[i].Confs, p.Pos, p.Scan, m.Cfg)
 		}
 	}
 	// The tile pointers must not pin dropped tiles until the next query.

@@ -92,6 +92,15 @@ type Store struct {
 	wlog      *wal.Lineage // canonical-log + assignment journal (nil = memory-only)
 	walErr    error        // first fatal journal failure; Add fails closed after
 
+	gen *rssimap.Generation // the generation confidence marks carry
+
+	// unflushed holds the first log index of every ingest batch whose node
+	// fan-out has not returned. A node may not hold those records yet, so an
+	// answer is marked as having seen only the log below the smallest of
+	// them (settledLocked). flushMu is taken inside s.mu, or alone.
+	flushMu   sync.Mutex
+	unflushed []int
+
 	forwards     atomic.Uint64 // confidence RPCs sent to nodes (one per node per query wave)
 	halo         atomic.Uint64 // halo (non-owner-tile) entries fanned out
 	localHits    atomic.Uint64 // empty-tile queries answered locally
@@ -114,7 +123,6 @@ type Store struct {
 }
 
 var _ rssimap.Backend = (*Store)(nil)
-var _ rssimap.ContextBackend = (*Store)(nil)
 
 // NewStore connects a coordinator to its nodes and installs the first
 // assignment. Nodes that are unreachable start unsynced and heal through
@@ -155,6 +163,7 @@ func NewStore(opts Options) (*Store, error) {
 		tileIndex: make(map[[2]int][]int),
 		migrating: make(map[[2]int]Assignment),
 		nodes:     make(map[string]*nodeClient, len(opts.Nodes)),
+		gen:       rssimap.NewGeneration(),
 	}
 	for id, addr := range opts.Nodes {
 		s.nodes[id] = &nodeClient{id: id, addr: addr, timeout: opts.CallTimeout, retry: retry, retried: &s.retried}
@@ -345,6 +354,11 @@ func (s *Store) addBatch(n int, shape func(i int) (contributor string, readings 
 		refuse()
 		return
 	}
+	start := len(s.log)
+	s.flushMu.Lock()
+	s.unflushed = append(s.unflushed, start)
+	s.flushMu.Unlock()
+	defer s.settle(start)
 	perNode := make(map[string][]Entry)
 	var holders []string
 	s.appendEncodedLocked(frame, 4, ends, func(idx int, enc []byte, tiles [][2]int) {
@@ -383,6 +397,48 @@ func (s *Store) addBatch(n int, shape func(i int) (contributor string, readings 
 			targets[k].markUnsynced(err)
 		}
 	})
+}
+
+// settle retires the ingest batch that began at log index start once its
+// fan-out has returned: every node holding its tiles either has its entries
+// or is marked unsynced, and an unsynced node is resynced before it answers.
+func (s *Store) settle(start int) {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	for k, v := range s.unflushed {
+		if v == start {
+			s.unflushed = append(s.unflushed[:k], s.unflushed[k+1:]...)
+			return
+		}
+	}
+}
+
+// settledLocked is the mark of an answer a node gives from now on: the
+// canonical log up to the first record some node may still be waiting for.
+// s.mu must be held.
+func (s *Store) settledLocked() rssimap.Mark {
+	n := len(s.log)
+	s.flushMu.Lock()
+	for _, v := range s.unflushed {
+		n = min(n, v)
+	}
+	s.flushMu.Unlock()
+	return rssimap.MarkAt(s.gen, n)
+}
+
+// freshLocked reports whether an answer marked m at a point of tile t is
+// still exact: m is this coordinator's, and no record the answer did not see
+// is filed under t. A tile's index holds every record within the halo margin
+// (≥ MaxQueryRadius + R) of it in log order, so a record that could change
+// the answer is there, and the index's last entry is its newest. s.mu must
+// be held.
+func (s *Store) freshLocked(m rssimap.Mark, t [2]int) bool {
+	gen, n := m.At()
+	if gen != s.gen || n > len(s.log) {
+		return false
+	}
+	idx := s.tileIndex[t]
+	return len(idx) == 0 || idx[len(idx)-1] < n
 }
 
 // holdersLocked appends to dst the nodes tile t's entries go to: its
@@ -454,18 +510,24 @@ type route struct {
 }
 
 // routePoints resolves the given points under one read of the coordinator
-// lock: each point's tile, and either a local answer (an empty tile is
-// bit-identical to a node holding no records for it) or its replicas — the
+// lock: each point's tile, and either a local answer — prior[i] when it is
+// still exact (reused counts those), or an empty tile's, which is
+// bit-identical to a node holding no records for it — or its replicas: the
 // primary, then (with replication on) the follower. An unsynced primary with
 // a healthy follower is tried second, so the query does not stall on a
-// resync attempt.
-func (s *Store) routePoints(pts []ConfPoint, pending []int, out [][]rssimap.PointConfidence, cfg rssimap.FeatureConfig) ([]route, uint64, error) {
+// resync attempt. The mark is taken before any node is asked.
+func (s *Store) routePoints(pts []ConfPoint, pending []int, out [][]rssimap.PointConfidence, prior []rssimap.Answer, reused *int, cfg rssimap.FeatureConfig) ([]route, uint64, rssimap.Mark, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	routes := make([]route, 0, len(pending))
 	for _, i := range pending {
 		tile := s.cfg.TileOf(pts[i].Pos)
 		pts[i].Tile = tile
+		if i < len(prior) && s.freshLocked(prior[i].Mark, tile) {
+			*reused++
+			out[i] = prior[i].Confs
+			continue
+		}
 		if len(s.tileIndex[tile]) == 0 {
 			s.localHits.Add(1)
 			out[i] = shardstore.EmptyConfidences(nil, pts[i].Scan, cfg)
@@ -474,7 +536,7 @@ func (s *Store) routePoints(pts []ConfPoint, pending []int, out [][]rssimap.Poin
 		owner := s.assign.Owner(tile)
 		primary := s.nodes[owner]
 		if primary == nil {
-			return nil, 0, fmt.Errorf("cluster: tile %v has no owner", tile)
+			return nil, 0, rssimap.Mark{}, fmt.Errorf("cluster: tile %v has no owner", tile)
 		}
 		r := route{i: i, order: []*nodeClient{primary}, primary: primary}
 		if f := s.assign.Follower(tile); f != "" && f != owner {
@@ -486,7 +548,7 @@ func (s *Store) routePoints(pts []ConfPoint, pending []int, out [][]rssimap.Poin
 		}
 		routes = append(routes, r)
 	}
-	return routes, s.assign.Epoch, nil
+	return routes, s.assign.Epoch, s.settledLocked(), nil
 }
 
 // confGroup is one node's share of a query wave: the routes sent to it and
@@ -549,28 +611,29 @@ func (s *Store) sendConf(g *confGroup, pts []ConfPoint, epoch uint64, cfg rssima
 // migration can commit between routing and the node answering) re-pushes
 // the assignment and routes the point again. A query whose deadline already
 // passed is refused with ErrExpired before any node sees it. out[i] answers
-// pts[i].
-func (s *Store) forwardConfs(ctx context.Context, pts []ConfPoint, cfg rssimap.FeatureConfig) ([][]rssimap.PointConfidence, error) {
-	var deadline time.Time
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			s.expired.Add(1)
-			return nil, fmt.Errorf("%w: %v", ErrExpired, err)
-		}
-		if d, ok := ctx.Deadline(); ok {
-			deadline = d
-		}
+// pts[i]. A point whose prior answer is still exact is answered from it and
+// counted in reused; the rest go out in one wave. The mark is the first
+// routing's, taken before any node was asked, so it claims no record an
+// answer may have missed.
+func (s *Store) forwardConfs(ctx context.Context, pts []ConfPoint, cfg rssimap.FeatureConfig, prior []rssimap.Answer) (out [][]rssimap.PointConfidence, mark rssimap.Mark, reused int, err error) {
+	if err := ctx.Err(); err != nil {
+		s.expired.Add(1)
+		return nil, mark, 0, fmt.Errorf("%w: %v", ErrExpired, err)
 	}
-	out := make([][]rssimap.PointConfidence, len(pts))
+	deadline, _ := ctx.Deadline()
+	out = make([][]rssimap.PointConfidence, len(pts))
 	pending := make([]int, len(pts))
 	for i := range pending {
 		pending[i] = i
 	}
 	var lastErr error
 	for attempt := 0; attempt < 4 && len(pending) > 0; attempt++ {
-		routes, epoch, err := s.routePoints(pts, pending, out, cfg)
+		routes, epoch, m, err := s.routePoints(pts, pending, out, prior, &reused, cfg)
 		if err != nil {
-			return nil, err
+			return nil, mark, 0, err
+		}
+		if attempt == 0 {
+			mark = m
 		}
 		pending = pending[:0]
 		repush := false
@@ -602,12 +665,12 @@ func (s *Store) forwardConfs(ctx context.Context, pts []ConfPoint, cfg rssimap.F
 				}
 				cr, ok := g.resp.(*ConfResp)
 				if !ok {
-					return nil, fmt.Errorf("%w: %T to a confidence query", ErrKind, g.resp)
+					return nil, mark, 0, fmt.Errorf("%w: %T to a confidence query", ErrKind, g.resp)
 				}
 				switch cr.Status {
 				case statusOK:
 					if len(cr.Items) != len(g.routes) {
-						return nil, fmt.Errorf("%w: %d answers to %d points", ErrKind, len(cr.Items), len(g.routes))
+						return nil, mark, 0, fmt.Errorf("%w: %d answers to %d points", ErrKind, len(cr.Items), len(g.routes))
 					}
 					for k, r := range g.routes {
 						switch cr.Items[k].Status {
@@ -627,7 +690,7 @@ func (s *Store) forwardConfs(ctx context.Context, pts []ConfPoint, cfg rssimap.F
 					}
 				case statusExpired:
 					s.expired.Add(1)
-					return nil, fmt.Errorf("%w: node %s: %s", ErrExpired, g.nc.id, cr.Msg)
+					return nil, mark, 0, fmt.Errorf("%w: node %s: %s", ErrExpired, g.nc.id, cr.Msg)
 				case statusWrongEpoch, statusNotOwner:
 					// The assignment moved under us (or the node is behind).
 					lastErr = fmt.Errorf("cluster: node %s fenced query (status %d, node epoch %d)", g.nc.id, cr.Status, cr.Epoch)
@@ -650,20 +713,20 @@ func (s *Store) forwardConfs(ctx context.Context, pts []ConfPoint, cfg rssimap.F
 		}
 	}
 	if len(pending) > 0 {
-		return nil, fmt.Errorf("cluster: confidence query exhausted retries: %w", lastErr)
+		return nil, mark, 0, fmt.Errorf("cluster: confidence query exhausted retries: %w", lastErr)
 	}
-	return out, nil
+	return out, mark, reused, nil
 }
 
 // PointConfidencesInto verifies the TopK strongest observations of one scan
 // against the node owning o's tile, appending into dst[:0]. A failed query
-// answers as an empty tile does.
-func (s *Store) PointConfidencesInto(dst []rssimap.PointConfidence, o geo.Point, scan wifi.Scan, cfg rssimap.FeatureConfig) []rssimap.PointConfidence {
-	confs, err := s.forwardConfs(context.Background(), []ConfPoint{{Pos: o, Scan: scan}}, cfg)
+// returns its error.
+func (s *Store) PointConfidencesInto(ctx context.Context, dst []rssimap.PointConfidence, o geo.Point, scan wifi.Scan, cfg rssimap.FeatureConfig) ([]rssimap.PointConfidence, rssimap.Mark, error) {
+	confs, mark, _, err := s.forwardConfs(ctx, []ConfPoint{{Pos: o, Scan: scan}}, cfg, nil)
 	if err != nil {
-		return shardstore.EmptyConfidences(dst, scan, cfg)
+		return dst[:0], rssimap.Mark{}, err
 	}
-	return append(dst[:0], confs[0]...)
+	return append(dst[:0], confs[0]...), mark, nil
 }
 
 // checkFeatureRadius rejects feature configs the tile geometry cannot
@@ -688,20 +751,30 @@ func (s *Store) Features(u *wifi.Upload, cfg rssimap.FeatureConfig) ([]float64, 
 // and the conn deadlines), so admission control accounts remote time and a
 // shed request stops consuming node capacity.
 func (s *Store) FeaturesContext(ctx context.Context, u *wifi.Upload, cfg rssimap.FeatureConfig) ([]float64, error) {
+	feat, _, err := s.FeaturesReusing(ctx, u, cfg, nil)
+	return feat, err
+}
+
+// FeaturesReusing is FeaturesContext taking each point's confidences from
+// prior where the coordinator proves them still exact (routePoints) and
+// asking the nodes for the rest in one wave.
+func (s *Store) FeaturesReusing(ctx context.Context, u *wifi.Upload, cfg rssimap.FeatureConfig, prior []rssimap.Answer) (feat []float64, computed int, err error) {
 	if err := s.checkFeatureRadius(cfg); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// FeaturesFrom validates the upload before asking for its first point;
 	// that first call queries every point at once.
 	var confs [][]rssimap.PointConfidence
 	var rpcErr error
-	feat, err := rssimap.FeaturesFrom(u, cfg, func(i int, _ geo.Point, scan wifi.Scan) []rssimap.PointConfidence {
+	feat, err = rssimap.FeaturesFrom(u, cfg, func(i int, _ geo.Point, scan wifi.Scan) []rssimap.PointConfidence {
 		if confs == nil && rpcErr == nil {
 			pts := make([]ConfPoint, len(u.Scans))
 			for k := range pts {
 				pts[k] = ConfPoint{Pos: u.Traj.Points[k].Pos, Scan: u.Scans[k]}
 			}
-			confs, rpcErr = s.forwardConfs(ctx, pts, cfg)
+			var reused int
+			confs, _, reused, rpcErr = s.forwardConfs(ctx, pts, cfg, prior)
+			computed = len(pts) - reused
 		}
 		if rpcErr != nil {
 			return shardstore.EmptyConfidences(nil, scan, cfg)
@@ -709,9 +782,9 @@ func (s *Store) FeaturesContext(ctx context.Context, u *wifi.Upload, cfg rssimap
 		return confs[i]
 	})
 	if rpcErr != nil {
-		return nil, rpcErr
+		return nil, 0, rpcErr
 	}
-	return feat, err
+	return feat, computed, err
 }
 
 // FeaturesBatch extracts the feature vectors of many uploads across the

@@ -14,6 +14,13 @@ import (
 // tiles spread over shard nodes. Detector training, the verification
 // server, and snapshot persistence all program against this interface so a
 // provider can swap backends without touching the pipeline.
+//
+// Both calls the served path makes carry the request's context and fail
+// closed: a backend that cannot reach its records returns an error, never an
+// answer computed from no data. Every confidence answer comes with the Mark
+// of the state it read, and FeaturesReusing takes such answers back: a
+// streaming session's close hands over what its appends computed, and the
+// backend reuses each one it can prove still exact (see reuse.go).
 type Backend interface {
 	// Len returns the number of historical records.
 	Len() int
@@ -26,10 +33,17 @@ type Backend interface {
 	AddUploads(uploads []*wifi.Upload)
 	// PointConfidencesInto verifies the TopK strongest observations of one
 	// scan at o (Eq. 7 per AP), appending into dst[:0] — the form streaming
-	// verification runs per chunk.
-	PointConfidencesInto(dst []PointConfidence, o geo.Point, scan wifi.Scan, cfg FeatureConfig) []PointConfidence
+	// verification runs per chunk — and returns the mark of the state the
+	// answer read.
+	PointConfidencesInto(ctx context.Context, dst []PointConfidence, o geo.Point, scan wifi.Scan, cfg FeatureConfig) ([]PointConfidence, Mark, error)
 	// Features computes the Eq. 8 feature vector of an upload.
 	Features(u *wifi.Upload, cfg FeatureConfig) ([]float64, error)
+	// FeaturesReusing is Features carrying the request's context, taking
+	// point i's confidences from prior[i] wherever the backend proves them
+	// still exact (prior answers were computed under the same cfg) and
+	// computing the rest; computed counts the latter. A nil prior computes
+	// every point.
+	FeaturesReusing(ctx context.Context, u *wifi.Upload, cfg FeatureConfig, prior []Answer) (feat []float64, computed int, err error)
 	// FeaturesBatch extracts the feature vectors of many uploads in parallel,
 	// bit-identical to calling Features serially.
 	FeaturesBatch(uploads []*wifi.Upload, cfg FeatureConfig) ([][]float64, error)
@@ -49,16 +63,3 @@ type TrustWeighted interface {
 }
 
 var _ TrustWeighted = (*Store)(nil)
-
-// ContextBackend is a Backend whose feature extraction can carry the
-// originating request's context. Remote backends (internal/cluster) use the
-// context deadline to bound forwarded RPCs, so admission control's
-// deadline-aware shedding accounts remote time too; in-process backends
-// don't need it and simply ignore the context. The verification server
-// type-asserts for this interface and prefers FeaturesContext when present.
-type ContextBackend interface {
-	Backend
-	// FeaturesContext computes the Eq. 8 feature vector of an upload,
-	// propagating ctx's deadline into any forwarded work.
-	FeaturesContext(ctx context.Context, u *wifi.Upload, cfg FeatureConfig) ([]float64, error)
-}

@@ -1,6 +1,7 @@
 package rssimap
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -112,13 +113,18 @@ func (s *Store) PointConfidences(o geo.Point, scan wifi.Scan, cfg FeatureConfig)
 }
 
 // PointConfidencesInto is PointConfidences appending into dst[:0] — the
-// allocation-free form for callers that hold a reusable buffer.
-func (s *Store) PointConfidencesInto(dst []PointConfidence, o geo.Point, scan wifi.Scan, cfg FeatureConfig) []PointConfidence {
+// allocation-free form for callers that hold a reusable buffer — with the
+// mark of the state it read, taken under the same read lock. It fails only
+// when ctx is already done.
+func (s *Store) PointConfidencesInto(ctx context.Context, dst []PointConfidence, o geo.Point, scan wifi.Scan, cfg FeatureConfig) ([]PointConfidence, Mark, error) {
+	if err := ctx.Err(); err != nil {
+		return dst[:0], Mark{}, err
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sc := getScratch()
 	defer putScratch(sc)
-	return append(dst[:0], s.pointConfidencesLocked(sc, o, scan, cfg)...)
+	return append(dst[:0], s.pointConfidencesLocked(sc, o, scan, cfg)...), MarkAt(s.gen, len(s.records)), nil
 }
 
 // pointConfidencesLocked is the per-point verification kernel (Eq. 4–7). The
@@ -250,14 +256,8 @@ func (s *Store) pointConfidencesLocked(sc *scratch, o geo.Point, scan wifi.Scan,
 // trajectory-level aggregates. Points that heard fewer than TopK APs are
 // padded with zeros.
 func (s *Store) Features(u *wifi.Upload, cfg FeatureConfig) ([]float64, error) {
-	if err := validateFeatureArgs(u, cfg); err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sc := getScratch()
-	defer putScratch(sc)
-	return s.featuresLocked(sc, u, cfg), nil
+	feat, _, err := s.FeaturesReusing(context.Background(), u, cfg, nil)
+	return feat, err
 }
 
 // FeaturesBatch extracts the feature vectors of many uploads, fanning the

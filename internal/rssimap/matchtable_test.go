@@ -1,6 +1,7 @@
 package rssimap
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -138,7 +139,7 @@ func TestMatchTableBitIdentical(t *testing.T) {
 	// different sizes, so marks left by one store are read against another.
 	var buf []PointConfidence
 	points, bad := matchTableMismatches(t, func(s *Store, o geo.Point, scan wifi.Scan, cfg FeatureConfig) []PointConfidence {
-		buf = s.PointConfidencesInto(buf, o, scan, cfg)
+		buf, _, _ = s.PointConfidencesInto(context.Background(), buf, o, scan, cfg)
 		return buf
 	})
 	if bad != 0 {
@@ -239,7 +240,7 @@ func TestMatchTableConcurrentAddScans(t *testing.T) {
 				default:
 				}
 				o := geo.Point{X: lr.Float64() * 30, Y: lr.Float64() * 4}
-				buf = s.PointConfidencesInto(buf, o, tableScan(lr), cfg)
+				buf, _, _ = s.PointConfidencesInto(context.Background(), buf, o, tableScan(lr), cfg)
 				for _, pc := range buf {
 					if pc.Phi < 0 || pc.Phi > 1 {
 						t.Errorf("phi = %v out of range", pc.Phi)
@@ -254,7 +255,7 @@ func TestMatchTableConcurrentAddScans(t *testing.T) {
 	for p := 0; p < 50; p++ {
 		o := geo.Point{X: rng.Float64() * 30, Y: rng.Float64() * 4}
 		scan := tableScan(rng)
-		if buf = s.PointConfidencesInto(buf, o, scan, cfg); !sameConfidences(buf, s.oracleConfidences(o, scan, cfg)) {
+		if buf, _, _ = s.PointConfidencesInto(context.Background(), buf, o, scan, cfg); !sameConfidences(buf, s.oracleConfidences(o, scan, cfg)) {
 			t.Fatalf("point %d differs from the oracle after concurrent growth", p)
 		}
 	}
@@ -331,7 +332,7 @@ func TestKernelAllocations(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(20, func() {
 			for i, pt := range u.Traj.Points {
-				buf = s.PointConfidencesInto(buf, pt.Pos, u.Scans[i], cfg)
+				buf, _, _ = s.PointConfidencesInto(context.Background(), buf, pt.Pos, u.Scans[i], cfg)
 			}
 		}); n != 0 {
 			t.Errorf("%s: PointConfidencesInto allocates %v times per upload, want 0", when, n)

@@ -105,6 +105,11 @@ type Store struct {
 	contribIDs   map[string]int32
 	contribNames []string
 
+	// gen is the store's generation (NewGeneration): taken at build and
+	// again on every trust table push, it is the half of a Mark that proves
+	// an answer came from this store under the current weights.
+	gen *Generation
+
 	// trust, when non-nil, down-weights low-trust contributors in the θ2
 	// density term: the counting-area population ε of Eq. 6 becomes the sum
 	// of contributor trust weights over the area instead of its cardinality.
@@ -152,6 +157,7 @@ func NewStore(cfg Config, records []Record) (*Store, error) {
 		contribIDs: make(map[string]int32),
 		cell:       cfg.R,
 		grid:       make(map[[2]int][]int32),
+		gen:        NewGeneration(),
 	}
 	s.records = make([]storedRecord, 0, len(records))
 	for _, rec := range records {
@@ -329,10 +335,12 @@ func (s *Store) trustWeightOf(name string) float64 {
 // per-point verification at full strength. The call recomputes the
 // trusted-mass and θ2 caches for every record; subsequent Adds maintain
 // them incrementally. An all-1.0 (or empty) table leaves every answer
-// bit-identical to the unweighted store.
+// bit-identical to the unweighted store. Every push starts a new generation,
+// so no answer marked before it is reused.
 func (s *Store) SetTrustWeights(weights map[string]float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gen = NewGeneration()
 	if weights == nil {
 		s.trust, s.wByID, s.wsum = nil, nil, nil
 	} else {

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"testing"
+	"time"
 
 	"trajforge/internal/cluster"
 	"trajforge/internal/detect"
@@ -290,7 +293,7 @@ func TestClusterHealthDegraded(t *testing.T) {
 	for _, n := range lb.Nodes {
 		n.Close()
 	}
-	clusterStore.PointConfidencesInto(nil, recs[0].Pos, wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}},
+	clusterStore.PointConfidencesInto(context.Background(), nil, recs[0].Pos, wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}},
 		rssimap.FeatureConfig{R: 5, TopK: 1, Tol: 2})
 
 	code, h, retryAfter := fetchHealth()
@@ -356,5 +359,98 @@ func TestTrustStatsSayWhetherWeightingIsLive(t *testing.T) {
 		if got := string(st.Trust["weighting_active"]); got != fmt.Sprint(tc.want) {
 			t.Errorf("%s: /v1/stats trust.weighting_active = %q, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// startReuseCluster is a replicated 3-node loopback cluster over recs, with
+// node RPCs tried once so a dead node fails a query at once.
+func startReuseCluster(t *testing.T, recs []rssimap.Record) (*cluster.Loopback, *cluster.Store) {
+	t.Helper()
+	lb, err := cluster.StartLoopback(shardstore.DefaultConfig(), []string{"n1", "n2", "n3"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lb.Close)
+	cs, err := cluster.NewStore(cluster.Options{
+		Shard: shardstore.DefaultConfig(), Nodes: lb.Addrs, Replicate: true,
+		Retry: &resilience.RetryPolicy{MaxAttempts: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cs.Close() })
+	cs.Add(recs)
+	return lb, cs
+}
+
+// TestClusterSessionCloseAfterInterleavedIngest is the cluster variant of
+// TestSessionCloseAfterInterleavedIngest: the session runs against the
+// cluster, where a point is stale when its tile's index gained a record since
+// its append. The close must equal a batch upload to a single-process twin
+// that saw the same ingest, bit for bit, having recomputed some points but
+// not all.
+func TestClusterSessionCloseAfterInterleavedIngest(t *testing.T) {
+	recs := persistRecords(rand.New(rand.NewSource(151)), 400)
+	twin, err := rssimap.NewStore(shardstore.DefaultConfig().Store, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cs := startReuseCluster(t, recs)
+	u := uploadFor(t, 120, 30)         // X 0 … 37 m: tiles 0 and 1
+	v := shiftedUpload(t, 121, 30, 34) // X 34 … 79 m: tile 1's index and beyond, not tile 0's
+	r := closeAfterIngest(t, cs, twin, trainTestDetector(t, twin).Model, u, v, nil)
+	r.sameBits(t)
+	n := int64(u.Traj.Len())
+	t.Logf("close reused %d, recomputed %d", r.sessions.CloseReused, r.sessions.CloseRecomputed)
+	if rc := r.sessions.CloseRecomputed; rc <= 0 || rc >= n {
+		t.Fatalf("close recomputed %d of %d points, want some but not all", rc, n)
+	}
+}
+
+// TestClusterSessionAppendFailsClosed kills every node mid-session. The next
+// append must answer 503 with Retry-After and score nothing — no cached
+// confidence, no provisional verdict, no early exit drawn from the silence —
+// and the close must answer an error, never a verdict.
+func TestClusterSessionAppendFailsClosed(t *testing.T) {
+	recs := persistRecords(rand.New(rand.NewSource(157)), 400)
+	single, err := rssimap.NewStore(shardstore.DefaultConfig().Store, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, cs := startReuseCluster(t, recs)
+	det := trainTestDetector(t, single)
+	svc, _, client := newTestService(t, Config{
+		Motion:        &fixedMotion{prob: 0.9},
+		WiFi:          &detect.WiFiDetector{Store: cs, Model: det.Model, Features: det.Features},
+		Stream:        &stream.Config{EarlyExitAfter: 1},
+		UploadTimeout: 5 * time.Second,
+	})
+	u := uploadFor(t, 158, 24)
+	id, err := client.OpenSession("dark", "walking")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := client.AppendSession(id, 0, u, 0, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Scored != 12 || ack.Rejected {
+		t.Fatalf("first append ack = %+v", ack)
+	}
+	for _, n := range lb.Nodes {
+		n.Close()
+	}
+	for attempt := 0; attempt < 2; attempt++ { // the append, then its replay
+		_, err = client.AppendSession(id, 1, u, 12, 24)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable || se.RetryAfter <= 0 {
+			t.Fatalf("append %d against dead nodes = %v, want 503 with Retry-After", attempt, err)
+		}
+	}
+	if st := svc.Stats().Sessions; st.PointsScored != 12 || st.EarlyExits != 0 {
+		t.Fatalf("after the failed appends: scored %d points, %d early exits; want 12 and 0", st.PointsScored, st.EarlyExits)
+	}
+	if v, err := client.CloseSession(id); err == nil {
+		t.Fatalf("close against dead nodes answered a verdict: %+v", v)
 	}
 }

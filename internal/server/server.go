@@ -28,7 +28,6 @@ import (
 	"trajforge/internal/detect"
 	"trajforge/internal/geo"
 	"trajforge/internal/resilience"
-	"trajforge/internal/rssimap"
 	"trajforge/internal/stats"
 	"trajforge/internal/stream"
 	"trajforge/internal/trajectory"
@@ -162,7 +161,7 @@ type Service struct {
 	stream    *stream.Manager // nil unless Config.Stream is set
 	trust     *trust.Pipeline // nil unless Config.Trust is set
 
-	internalErrors  atomic.Int64 // pipeline failures answered with 500
+	internalErrors  atomic.Int64 // pipeline failures answered with 500, and failed append scoring (503)
 	deadlineRejects atomic.Int64 // uploads cut off by UploadTimeout/disconnect mid-pipeline
 	degradedRejects atomic.Int64 // uploads refused with 503 while the breaker was open
 }
@@ -508,24 +507,18 @@ func (s *Service) decodePoints(points []uploadPoint) ([]trajectory.Point, []wifi
 	return pts, scans, anyScan, nil
 }
 
-// backendFeatures extracts Eq. 8 features, threading the request context
-// through backends that can carry it. A distributed backend forwards
-// per-point confidence queries to remote shard nodes; propagating the
-// upload deadline means a shed or disconnected request stops consuming
-// remote node capacity too, and admission control's deadline accounting
-// covers remote time the same as local time.
-func backendFeatures(ctx context.Context, b rssimap.Backend, u *wifi.Upload, cfg rssimap.FeatureConfig) ([]float64, error) {
-	if cb, ok := b.(rssimap.ContextBackend); ok {
-		return cb.FeaturesContext(ctx, u, cfg)
-	}
-	return b.Features(u, cfg)
-}
-
 // Verify runs the full pipeline on an already-decoded upload. The context
 // is consulted before every stage: a request that was shed, timed out, or
 // whose client disconnected stops burning pipeline CPU at the next stage
 // boundary instead of running the remaining detectors to completion.
 func (s *Service) Verify(ctx context.Context, u *wifi.Upload) (Verdict, error) {
+	return s.verify(ctx, u, "")
+}
+
+// verify is Verify for a batch upload (sessionID "") or for the assembled
+// upload of a closing session, whose WiFi stage reuses the confidences the
+// session's appends computed wherever the backend proves them still exact.
+func (s *Service) verify(ctx context.Context, u *wifi.Upload, sessionID string) (Verdict, error) {
 	v := Verdict{Checks: map[string]string{
 		"rules":  "skipped",
 		"route":  "skipped",
@@ -607,7 +600,7 @@ func (s *Service) Verify(ctx context.Context, u *wifi.Upload) (Verdict, error) {
 		// kernel. Together they are exactly detect.ProbFake, so the verdict
 		// is bit-identical to the single-call path.
 		start := time.Now()
-		feat, err := backendFeatures(ctx, s.cfg.WiFi.Store, u, s.cfg.WiFi.Features)
+		feat, err := s.features(ctx, u, sessionID)
 		s.observeStage(stageFeatures, start)
 		if err != nil {
 			return v, fmt.Errorf("server: wifi check: %w", err)
@@ -626,6 +619,18 @@ func (s *Service) Verify(ctx context.Context, u *wifi.Upload) (Verdict, error) {
 
 	v.Accepted = true
 	return v, nil
+}
+
+// features extracts the Eq. 8 vector for the WiFi stage, carrying the
+// request's context into the backend (a cluster bounds its node RPCs by the
+// deadline). A session close goes through the stream manager, which hands
+// the backend the session's append-time answers; a batch upload has none.
+func (s *Service) features(ctx context.Context, u *wifi.Upload, sessionID string) ([]float64, error) {
+	if sessionID != "" {
+		return s.stream.CloseFeatures(ctx, sessionID, u, s.cfg.WiFi.Store, s.cfg.WiFi.Features)
+	}
+	feat, _, err := s.cfg.WiFi.Store.FeaturesReusing(ctx, u, s.cfg.WiFi.Features, nil)
+	return feat, err
 }
 
 // record updates counters and, on acceptance, the provider history. The

@@ -176,7 +176,20 @@ func (s *Service) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 	// earlier attempt whose Score then failed, and the retry must answer
 	// with a fresh verdict rather than echo the stale pre-score ack —
 	// Score is idempotent over already-scored points, so this is cheap.
-	ack, err = s.stream.Score(req.SessionID)
+	// A failed confidence query fails closed: the chunk stays committed but
+	// unscored, no provisional verdict is drawn from it, and the client is
+	// told to retry (the retry is a replay, which scores).
+	ack, err = s.stream.Score(ctx, req.SessionID)
+	if errors.Is(err, stream.ErrStore) {
+		if ctx.Err() != nil {
+			s.deadlineRejects.Add(1)
+		} else {
+			s.internalErrors.Add(1)
+		}
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
+		return
+	}
 	if err != nil {
 		s.internalErrors.Add(1)
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
@@ -321,7 +334,7 @@ func (s *Service) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	verdict, err := s.Verify(ctx, u)
+	verdict, err := s.verify(ctx, u, req.SessionID)
 	if err != nil {
 		s.stream.AbortClose(req.SessionID)
 		if ctx.Err() != nil {

@@ -516,6 +516,12 @@ func TestSessionCrashRecoveryResume(t *testing.T) {
 	})
 	u := uploadFor(t, 106, 18)
 	want := streamUpload(t, refClient, u, []int{6, 6, 6})
+	// A second session, far from the first, is closed right after recovery
+	// without another append: none of its points has an append-time answer
+	// then, so the close computes all of them.
+	far := shiftedUpload(t, 107, 12, 200)
+	far.Traj.ID = "unscored"
+	wantFar := streamUpload(t, refClient, far, []int{12})
 
 	// Run 1: open, append two chunks, flush, crash without closing.
 	p1, err := OpenPersistence(dir, PersistOptions{})
@@ -545,6 +551,13 @@ func TestSessionCrashRecoveryResume(t *testing.T) {
 	if _, err := client1.AppendSession(id, 1, u, 6, 12); err != nil {
 		t.Fatal(err)
 	}
+	farID, err := client1.OpenSession(far.Traj.ID, "walking")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client1.AppendSession(farID, 0, far, 0, 12); err != nil {
+		t.Fatal(err)
+	}
 	if err := p1.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -556,8 +569,8 @@ func TestSessionCrashRecoveryResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := p2.Recovered()
-	if len(state.Sessions) != 1 {
-		t.Fatalf("recovered %d sessions, want 1", len(state.Sessions))
+	if len(state.Sessions) != 2 {
+		t.Fatalf("recovered %d sessions, want 2", len(state.Sessions))
 	}
 	sess := state.Sessions[0]
 	if sess.ID != "survivor" || sess.Chunks != 2 || len(sess.Points) != 12 {
@@ -574,8 +587,16 @@ func TestSessionCrashRecoveryResume(t *testing.T) {
 		Persist: p2, IngestAccepted: true,
 	})
 	svc2.Restore(state)
-	if st := svc2.Stats(); st.Sessions.Resumed != 1 || st.Sessions.Open != 1 {
+	if st := svc2.Stats(); st.Sessions.Resumed != 2 || st.Sessions.Open != 2 {
 		t.Fatalf("restored session stats = %+v", st.Sessions)
+	}
+	gotFar, err := client2.CloseSession(farID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVerdict(t, gotFar, wantFar)
+	if st := svc2.Stats().Sessions; st.CloseRecomputed != 12 || st.CloseReused != 0 {
+		t.Fatalf("restored session's close reused %d, recomputed %d; want all 12 recomputed", st.CloseReused, st.CloseRecomputed)
 	}
 	// The client continues where its last acknowledged chunk left off.
 	ack, err := client2.AppendSession(id, 2, u, 12, 18)
@@ -590,6 +611,11 @@ func TestSessionCrashRecoveryResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameVerdict(t, got, want)
+	// The append after recovery scored every buffered point, so this close
+	// reused all 18.
+	if st := svc2.Stats().Sessions; st.CloseReused != 18 {
+		t.Fatalf("resumed session's close reused %d points, want 18", st.CloseReused)
+	}
 
 	// The verdict frame is durable: a third incarnation sees the session
 	// resolved (accepted with its full trajectory), not in flight.
@@ -604,8 +630,12 @@ func TestSessionCrashRecoveryResume(t *testing.T) {
 	if len(state3.Sessions) != 0 {
 		t.Fatalf("run 3 recovered %d in-flight sessions, want 0", len(state3.Sessions))
 	}
-	if state3.Accepted != 1 {
-		t.Fatalf("run 3 accepted = %d, want 1", state3.Accepted)
+	wantAccepted := 1
+	if gotFar.Accepted {
+		wantAccepted++
+	}
+	if state3.Accepted != wantAccepted {
+		t.Fatalf("run 3 accepted = %d, want %d", state3.Accepted, wantAccepted)
 	}
 }
 

@@ -6,6 +6,7 @@
 package shardstore_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -91,7 +92,10 @@ func newPair(t *testing.T, recs []rssimap.Record) (*rssimap.Store, *cluster.Stor
 // confidenceTol asks b for the Eq. 7 answer rssimap.Store.ConfidenceTol
 // gives: one reported (mac, rssi) as a one-observation TopK-1 scan.
 func confidenceTol(b rssimap.Backend, o geo.Point, mac string, rssi int, r float64, tol rssimap.Tolerance) (phi float64, num int) {
-	pc := b.PointConfidencesInto(nil, o, wifi.Scan{{MAC: mac, RSSI: rssi}}, rssimap.FeatureConfig{R: r, TopK: 1, Tol: tol})
+	pc, _, err := b.PointConfidencesInto(context.Background(), nil, o, wifi.Scan{{MAC: mac, RSSI: rssi}}, rssimap.FeatureConfig{R: r, TopK: 1, Tol: tol})
+	if err != nil {
+		panic(err)
+	}
 	return pc[0].Phi, pc[0].Num
 }
 
@@ -277,7 +281,10 @@ func TestEmptyAreaMatchesGlobalStore(t *testing.T) {
 	}
 	scan := wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -60}}
 	g := global.PointConfidences(far, scan, rssimap.DefaultFeatureConfig())
-	c := cs.PointConfidencesInto(nil, far, scan, rssimap.DefaultFeatureConfig())
+	c, _, err := cs.PointConfidencesInto(context.Background(), nil, far, scan, rssimap.DefaultFeatureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(g) != len(c) || len(c) != 1 || c[0] != g[0] {
 		t.Fatalf("far confidences: %+v != %+v", g, c)
 	}
@@ -404,7 +411,10 @@ func TestBorderQueriesBitIdenticalToGlobal(t *testing.T) {
 			scan := wifi.Scan{{MAC: mac, RSSI: -60}, {MAC: mac2, RSSI: -67}}
 			fcfg := rssimap.DefaultFeatureConfig()
 			g := global.PointConfidences(q.o, scan, fcfg)
-			c := cs.PointConfidencesInto(nil, q.o, scan, fcfg)
+			c, _, err := cs.PointConfidencesInto(context.Background(), nil, q.o, scan, fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(g) != len(c) {
 				t.Fatalf("confidences dim %d != %d", len(c), len(g))
 			}

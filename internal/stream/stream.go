@@ -6,20 +6,25 @@
 // work and bounding abuse) and to give honest clients early feedback.
 //
 // A Manager owns the open/append/close lifecycle of verification sessions.
-// Each appended chunk runs the store's allocation-free per-point confidence
-// kernel (rssimap.Store.PointConfidencesInto) incrementally and caches the
-// resulting (Num_mac, Φ) confidences; a sliding window over the most recent
-// points is aggregated into an Eq. 8 feature vector and scored by the
-// XGBoost detector to produce a *provisional* P(fake). When the provisional
-// probability of a sufficiently long prefix crosses the early-exit
-// threshold, the session is rejected on the spot.
+// Each appended chunk runs the backend's per-point confidence query
+// (rssimap.Backend.PointConfidencesInto) incrementally and caches the
+// resulting (Num_mac, Φ) confidences with the mark of the store state they
+// read; a sliding window over the most recent points is aggregated into an
+// Eq. 8 feature vector and scored by the XGBoost detector to produce a
+// *provisional* P(fake). When the provisional probability of a sufficiently
+// long prefix crosses the early-exit threshold, the session is rejected on
+// the spot. A failed query fails the append: nothing is cached for the point
+// and no provisional verdict is drawn from it.
 //
 // Close hands the fully buffered trajectory back to the caller, which runs
-// the ordinary batch pipeline on it — so the final verdict is bit-identical
-// to what POSTing the same points to /v1/trajectory would have produced,
-// regardless of how the stream was chunked. (The cached per-point
-// confidences are deliberately NOT reused for the final verdict: the store
-// may have grown between chunks, and the batch path is the ground truth.)
+// the ordinary batch pipeline on it; CloseFeatures is that pipeline's WiFi
+// stage, and it hands the backend the cached confidences. The backend reuses
+// a point's cached answer only where it proves no record has landed within
+// r + R of the point (and no trust table has been pushed) since, and
+// recomputes the rest — so the final verdict is bit-identical to what
+// POSTing the same points to /v1/trajectory would have produced at that
+// instant, regardless of how the stream was chunked or what was ingested
+// between its chunks.
 //
 // Sessions are bounded three ways: an admission gate on the number of open
 // sessions (MaxSessions), a per-session point budget (MaxPoints), and
@@ -30,6 +35,7 @@
 package stream
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -75,6 +81,10 @@ var (
 	ErrClosing = errors.New("stream: session close in progress")
 	// ErrTooManyPoints: the chunk would exceed the per-session point budget.
 	ErrTooManyPoints = errors.New("stream: session point budget exhausted")
+	// ErrStore: a confidence query failed (the backend could not answer, or
+	// the request's deadline passed). The chunk stays buffered and the point
+	// unscored: a replay of the chunk retries it, and a close computes it.
+	ErrStore = errors.New("stream: confidence query failed")
 )
 
 // SeqError reports an out-of-order chunk: the client's seq is neither the
@@ -198,11 +208,11 @@ type session struct {
 	chunks   int
 	lastAck  Ack
 
-	// Provisional-scoring state: confs[i] is the cached TopK confidence
-	// slice of point i, backed by arena; confBuf is the reusable
+	// Provisional-scoring state: answers[i] is point i's cached TopK
+	// confidences (backed by arena) and their mark; confBuf is the reusable
 	// PointConfidencesInto target.
 	scored  int
-	confs   [][]rssimap.PointConfidence
+	answers []rssimap.Answer
 	arena   []rssimap.PointConfidence
 	confBuf []rssimap.PointConfidence
 
@@ -249,6 +259,11 @@ type Stats struct {
 	// runs.
 	Chunks       int64 `json:"chunks"`
 	PointsScored int64 `json:"points_scored"`
+	// CloseReused and CloseRecomputed split the points of closed sessions'
+	// feature calls: answered from the append-time cache, or run through
+	// the kernel again.
+	CloseReused     int64 `json:"close_points_reused"`
+	CloseRecomputed int64 `json:"close_points_recomputed"`
 }
 
 // Manager owns the streaming sessions of one verification service.
@@ -264,6 +279,7 @@ type Manager struct {
 	opened, closed, expired, aborted atomic.Int64
 	resumed, earlyExits              atomic.Int64
 	chunks, pointsScored             atomic.Int64
+	closeReused, closeRecomputed     atomic.Int64
 }
 
 // NewManager validates the config and returns an empty manager.
@@ -441,12 +457,14 @@ func (m *Manager) checkTiming(s *session, pts []trajectory.Point) error {
 	return nil
 }
 
-// Score runs the confidence kernel over every buffered-but-unscored point
+// Score runs the confidence query over every buffered-but-unscored point
 // and refreshes the provisional sliding-window verdict. It takes only the
 // session lock — concurrent sessions score in parallel, and the store's own
 // read lock governs access to the crowdsourced history. Safe to call at any
-// time; scoring is idempotent over already-scored points.
-func (m *Manager) Score(id string) (Ack, error) {
+// time; scoring is idempotent over already-scored points. ctx bounds the
+// queries. Scoring stops at the first failed query with ErrStore, caching
+// nothing for that point and leaving the provisional verdict as it was.
+func (m *Manager) Score(ctx context.Context, id string) (Ack, error) {
 	s, err := m.lookup(id)
 	if err != nil {
 		return Ack{}, err
@@ -468,10 +486,15 @@ func (m *Manager) Score(id string) (Ack, error) {
 		// The allocation-free hot path: confidences land in the reusable
 		// buffer, then move to the session arena so they survive the next
 		// point.
-		s.confBuf = det.Store.PointConfidencesInto(s.confBuf, s.points[i].Pos, s.scans[i], fcfg)
+		var mark rssimap.Mark
+		var err error
+		s.confBuf, mark, err = det.Store.PointConfidencesInto(ctx, s.confBuf, s.points[i].Pos, s.scans[i], fcfg)
+		if err != nil {
+			return s.lastAck, fmt.Errorf("%w: point %d: %w", ErrStore, i, err)
+		}
 		start := len(s.arena)
 		s.arena = append(s.arena, s.confBuf...)
-		s.confs = append(s.confs, s.arena[start:len(s.arena):len(s.arena)])
+		s.answers = append(s.answers, rssimap.Answer{Confs: s.arena[start:len(s.arena):len(s.arena)], Mark: mark})
 		m.pointsScored.Add(1)
 	}
 	n := len(s.points)
@@ -488,7 +511,7 @@ func (m *Manager) Score(id string) (Ack, error) {
 		Scans: s.scans[lo:n],
 	}
 	feat, err := rssimap.FeaturesFrom(win, fcfg, func(i int, _ geo.Point, _ wifi.Scan) []rssimap.PointConfidence {
-		return s.confs[lo+i]
+		return s.answers[lo+i].Confs
 	})
 	if err != nil {
 		return s.lastAck, fmt.Errorf("stream: window features: %w", err)
@@ -510,13 +533,13 @@ func (m *Manager) Score(id string) (Ack, error) {
 }
 
 // AppendChunk is Buffer followed by Score — the convenience form for
-// callers without a WAL to couple the commit to.
+// callers without a WAL to couple the commit to or a request to bound it.
 func (m *Manager) AppendChunk(id string, seq int, pts []trajectory.Point, scans []wifi.Scan) (Ack, bool, error) {
 	ack, replayed, err := m.Buffer(id, seq, pts, scans)
 	if err != nil || replayed {
 		return ack, replayed, err
 	}
-	ack, err = m.Score(id)
+	ack, err = m.Score(context.Background(), id)
 	return ack, false, err
 }
 
@@ -551,6 +574,32 @@ func (m *Manager) BeginClose(id string) (*wifi.Upload, Ack, error) {
 		Contributor: s.contributor,
 	}
 	return u, s.lastAck, nil
+}
+
+// CloseFeatures is the WiFi stage of a close: the Eq. 8 vector of the
+// assembled upload u of closing session id, computed by b under cfg. The
+// session's append-time answers go along when they were computed under the
+// same cfg; b reuses each one it proves still exact and recomputes the rest
+// (b judges marks it did not issue stale, as it does every point Score never
+// answered). The split is counted in Stats.
+func (m *Manager) CloseFeatures(ctx context.Context, id string, u *wifi.Upload, b rssimap.Backend, cfg rssimap.FeatureConfig) ([]float64, error) {
+	var prior []rssimap.Answer
+	if s, err := m.lookup(id); err == nil {
+		s.mu.Lock()
+		// A closing session is frozen: Score refuses it, so the answers
+		// cannot grow under the backend's read.
+		if s.phase == phaseClosing && m.cfg.Detector != nil && m.cfg.Detector.Features == cfg {
+			prior = s.answers
+		}
+		s.mu.Unlock()
+	}
+	feat, computed, err := b.FeaturesReusing(ctx, u, cfg, prior)
+	if err != nil {
+		return nil, err
+	}
+	m.closeReused.Add(int64(u.Traj.Len() - computed))
+	m.closeRecomputed.Add(int64(computed))
+	return feat, nil
 }
 
 // AbortClose returns a closing session to the open phase (used when the
@@ -660,16 +709,18 @@ func (m *Manager) Stats() Stats {
 	open := len(m.sessions)
 	m.mu.Unlock()
 	return Stats{
-		Open:         open,
-		OpenPoints:   int(m.openPoints.Load()),
-		Opened:       m.opened.Load(),
-		Closed:       m.closed.Load(),
-		Expired:      m.expired.Load(),
-		Aborted:      m.aborted.Load(),
-		Resumed:      m.resumed.Load(),
-		EarlyExits:   m.earlyExits.Load(),
-		Chunks:       m.chunks.Load(),
-		PointsScored: m.pointsScored.Load(),
+		Open:            open,
+		OpenPoints:      int(m.openPoints.Load()),
+		Opened:          m.opened.Load(),
+		Closed:          m.closed.Load(),
+		Expired:         m.expired.Load(),
+		Aborted:         m.aborted.Load(),
+		Resumed:         m.resumed.Load(),
+		EarlyExits:      m.earlyExits.Load(),
+		Chunks:          m.chunks.Load(),
+		PointsScored:    m.pointsScored.Load(),
+		CloseReused:     m.closeReused.Load(),
+		CloseRecomputed: m.closeRecomputed.Load(),
 	}
 }
 

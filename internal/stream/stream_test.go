@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -648,4 +649,81 @@ func TestSnapshotRestoreRejected(t *testing.T) {
 	if _, _, err := m2.AppendChunk(id, 1, forged.Traj.Points[12:], forged.Scans[12:]); !errors.Is(err, ErrRejected) {
 		t.Fatalf("append after aborted close of rejection = %v", err)
 	}
+}
+
+// failingBackend fails every confidence query while down is set.
+type failingBackend struct {
+	rssimap.Backend
+	down bool
+}
+
+func (f *failingBackend) PointConfidencesInto(ctx context.Context, dst []rssimap.PointConfidence, o geo.Point, scan wifi.Scan, cfg rssimap.FeatureConfig) ([]rssimap.PointConfidence, rssimap.Mark, error) {
+	if f.down {
+		return dst[:0], rssimap.Mark{}, errors.New("store unreachable")
+	}
+	return f.Backend.PointConfidencesInto(ctx, dst, o, scan, cfg)
+}
+
+// TestScoreFailsClosedAndCloseReuses: a failed confidence query fails the
+// append with ErrStore and caches nothing; the retry scores the rest; the
+// close then reuses every append-time answer under the append's feature
+// config and recomputes every point under another, bit-identical to the
+// batch path both ways.
+func TestScoreFailsClosedAndCloseReuses(t *testing.T) {
+	det := newDetector(t)
+	fb := &failingBackend{Backend: det.Store}
+	sdet := &detect.WiFiDetector{Store: fb, Model: det.Model, Features: det.Features}
+	m := newManager(t, Config{Detector: sdet, DisableEarlyExit: true})
+	u := walkUpload(t, 160, 16)
+	id, err := m.Open("", trajectory.ModeWalking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.AppendChunk(id, 0, u.Traj.Points[:8], u.Scans[:8]); err != nil {
+		t.Fatal(err)
+	}
+	fb.down = true
+	ack, _, err := m.AppendChunk(id, 1, u.Traj.Points[8:], u.Scans[8:])
+	if !errors.Is(err, ErrStore) {
+		t.Fatalf("append against a failing store = %v, want ErrStore", err)
+	}
+	if ack.Scored != 8 || m.Stats().PointsScored != 8 {
+		t.Fatalf("failed append scored: ack %+v, stats %+v", ack, m.Stats())
+	}
+	fb.down = false
+	if ack, err = m.Score(context.Background(), id); err != nil || ack.Scored != 16 {
+		t.Fatalf("retry = %+v, %v; want all 16 scored", ack, err)
+	}
+
+	got, _, err := m.BeginClose(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := det.Features
+	other.Tol++
+	for _, tc := range []struct {
+		cfg                rssimap.FeatureConfig
+		reused, recomputed int64
+	}{
+		{det.Features, 16, 0},
+		{other, 16, 16}, // counters accumulate: the second close recomputed all 16
+	} {
+		feat, err := m.CloseFeatures(context.Background(), id, got, fb, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := det.Store.Features(got, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(feat[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("tol %d: feature %d: close %v != batch %v", tc.cfg.Tol, i, feat[i], want[i])
+			}
+		}
+		if st := m.Stats(); st.CloseReused != tc.reused || st.CloseRecomputed != tc.recomputed {
+			t.Fatalf("tol %d: close reused %d, recomputed %d; want %d, %d", tc.cfg.Tol, st.CloseReused, st.CloseRecomputed, tc.reused, tc.recomputed)
+		}
+	}
+	m.Resolve(id)
 }

@@ -1,6 +1,7 @@
 package trust
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -142,7 +143,11 @@ func TestPipelineAllTrustedBitIdentical(t *testing.T) {
 			t.Fatalf("feature %d: pipeline %v != plain %v (bits differ)", i, got[i], want[i])
 		}
 	}
-	for _, pc := range backend.PointConfidencesInto(nil, geo.Point{X: 1, Y: 0}, wifi.Scan{{MAC: "ap-1", RSSI: -60}}, fcfg) {
+	confs, _, err := backend.PointConfidencesInto(context.Background(), nil, geo.Point{X: 1, Y: 0}, wifi.Scan{{MAC: "ap-1", RSSI: -60}}, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pc := range confs {
 		if pc.TrustNum != float64(pc.Num) {
 			t.Fatalf("all-trusted TrustNum = %v, want exactly float64(Num) = %v", pc.TrustNum, float64(pc.Num))
 		}
