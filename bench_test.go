@@ -434,7 +434,7 @@ func BenchmarkStoreFeaturesSerial(b *testing.B) {
 }
 
 // BenchmarkStoreFeaturesBatch runs the identical workload through the
-// worker-fanned FeaturesBatch path; compare ns/op against
+// worker-fanned rssimap.BatchFeatures path; compare ns/op against
 // BenchmarkStoreFeaturesSerial on a multi-core machine.
 func BenchmarkStoreFeaturesBatch(b *testing.B) {
 	lab := benchWiFiLab(b)
@@ -447,7 +447,7 @@ func BenchmarkStoreFeaturesBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := store.FeaturesBatch(al.TestReal, fcfg); err != nil {
+		if _, err := rssimap.BatchFeatures(store, al.TestReal, fcfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,6 +39,7 @@ package chaos
 //     still match the reference bits.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -158,7 +159,7 @@ func newClusterFixture(seed int64, records int, ids []string, replicate bool) (*
 		}
 		var feats [][]float64
 		for _, u := range f.probes {
-			feat, err := ref.Features(u, f.fcfg)
+			feat, err := rssimap.Features(context.Background(), ref, u, f.fcfg)
 			if err != nil {
 				return nil, err
 			}
@@ -237,7 +238,7 @@ func (f *clusterFixture) ingest(store *cluster.Store) (migErr error) {
 // window; an answer whose bits differ from want is the error.
 func (f *clusterFixture) probe(store *cluster.Store, want [][]float64) (refused, err error) {
 	for i, u := range f.probes {
-		feat, err := store.Features(u, f.fcfg)
+		feat, err := rssimap.Features(context.Background(), store, u, f.fcfg)
 		if err != nil {
 			return fmt.Errorf("probe %d: %w", i, err), nil
 		}

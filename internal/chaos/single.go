@@ -34,6 +34,7 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -230,7 +231,7 @@ func (f *fixture) reference(drive func(c *boundClient, verdict func(accepted boo
 	}
 	defer cleanup()
 	sample := func() error {
-		feat, err := store.Features(f.probe, f.fcfg)
+		feat, err := rssimap.Features(context.Background(), store, f.probe, f.fcfg)
 		if err != nil {
 			return err
 		}
@@ -356,7 +357,7 @@ func (f *fixture) recover(dir string, acked int, rep *Report) (*server.Recovered
 		rep.EmptyRecoveries++
 		return state, nil
 	}
-	got, err := store.Features(f.probe, f.fcfg)
+	got, err := rssimap.Features(context.Background(), store, f.probe, f.fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("recovery features: %w", err)
 	}

@@ -8,10 +8,29 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
+
+// ErrEpochExhausted reports an epoch bump past the last epoch: the fence
+// only moves forward, and an epoch that wrapped to 0 would sit below every
+// node's. math.MaxUint64 is never issued, and a node refuses an assignment
+// carrying it. A node pushed to the last epoch still stops the cluster, but
+// with this error, not a silent wrap: the transport does not authenticate
+// who pushes.
+var ErrEpochExhausted = errors.New("cluster: assignment epoch exhausted")
+
+// nextEpoch is the epoch after e, or ErrEpochExhausted when that would be
+// math.MaxUint64 or wrap.
+func nextEpoch(e uint64) (uint64, error) {
+	if e >= math.MaxUint64-1 {
+		return 0, fmt.Errorf("%w: no epoch follows %d", ErrEpochExhausted, e)
+	}
+	return e + 1, nil
+}
 
 // rendezvousScore ranks node id for tile t with FNV-1a over the tile
 // coordinates and the id. The hash must be identical in every process —

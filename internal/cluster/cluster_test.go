@@ -157,11 +157,18 @@ func newGlobal(t *testing.T, recs []rssimap.Record) *rssimap.Store {
 	return global
 }
 
+// pointConfs is a one-point Confidences call.
+func pointConfs(b rssimap.Backend, o geo.Point, scan wifi.Scan, cfg rssimap.FeatureConfig) ([]rssimap.PointConfidence, error) {
+	ans := make([]rssimap.Answer, 1)
+	_, err := b.Confidences(context.Background(), ans, []trajectory.Point{{Pos: o}}, []wifi.Scan{scan}, cfg, nil)
+	return ans[0].Confs, err
+}
+
 // confidenceTol asks the cluster for the Eq. 7 answer
 // rssimap.Store.ConfidenceTol gives: one reported (mac, rssi) as a
 // one-observation TopK-1 scan. A failed query answers (0, 0).
 func confidenceTol(s *Store, o geo.Point, mac string, rssi int, r float64, tol rssimap.Tolerance) (phi float64, num int) {
-	pc, _, err := s.PointConfidencesInto(context.Background(), nil, o, wifi.Scan{{MAC: mac, RSSI: rssi}}, rssimap.FeatureConfig{R: r, TopK: 1, Tol: tol})
+	pc, err := pointConfs(s, o, wifi.Scan{{MAC: mac, RSSI: rssi}}, rssimap.FeatureConfig{R: r, TopK: 1, Tol: tol})
 	if err != nil {
 		return 0, 0
 	}
@@ -186,11 +193,11 @@ func assertClusterMatchesGlobal(t *testing.T, rng *rand.Rand, cs *Store, global 
 	cfg := rssimap.DefaultFeatureConfig()
 	for i := 0; i < 6; i++ {
 		u := randUpload(rng, 30, width, height)
-		want, err := global.Features(u, cfg)
+		want, err := rssimap.Features(context.Background(), global, u, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cs.Features(u, cfg)
+		got, err := rssimap.Features(context.Background(), cs, u, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,12 +227,12 @@ func TestClusterBitIdenticalToShardstore(t *testing.T) {
 		uploads[i] = randUpload(rng, 20, width, height)
 	}
 	cfg := rssimap.DefaultFeatureConfig()
-	batch, err := tc.store.FeaturesBatch(uploads, cfg)
+	batch, err := rssimap.BatchFeatures(tc.store, uploads, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, u := range uploads {
-		want, err := global.Features(u, cfg)
+		want, err := rssimap.Features(context.Background(), global, u, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +489,7 @@ func TestClusterConcurrentAddAndQuery(t *testing.T) {
 			qrng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				o := geo.Point{X: qrng.Float64() * width, Y: qrng.Float64() * height}
-				tc.store.PointConfidencesInto(context.Background(), nil, o, wifi.Scan{{MAC: "02:4e:00:00:00:07", RSSI: -60}}, rssimap.DefaultFeatureConfig())
+				pointConfs(tc.store, o, wifi.Scan{{MAC: "02:4e:00:00:00:07", RSSI: -60}}, rssimap.DefaultFeatureConfig())
 			}
 		}(int64(g) + 100)
 	}
@@ -496,7 +503,7 @@ func TestClusterStatsShape(t *testing.T) {
 	tc := startCluster(t, 3, false)
 	recs := randRecords(rand.New(rand.NewSource(71)), 200, 60, 60)
 	tc.store.Add(recs)
-	tc.store.PointConfidencesInto(context.Background(), nil, geo.Point{X: 30, Y: 30}, wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}}, rssimap.DefaultFeatureConfig())
+	pointConfs(tc.store, geo.Point{X: 30, Y: 30}, wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}}, rssimap.DefaultFeatureConfig())
 
 	st := tc.store.Stats()
 	if st.Records != len(recs) {
@@ -529,7 +536,7 @@ func TestClusterFeatureRadiusBound(t *testing.T) {
 	cfg := rssimap.DefaultFeatureConfig()
 	cfg.R = shardstore.DefaultConfig().MaxQueryRadius + 1
 	u := randUpload(rand.New(rand.NewSource(5)), 5, 20, 20)
-	if _, err := tc.store.Features(u, cfg); err == nil {
+	if _, err := rssimap.Features(context.Background(), tc.store, u, cfg); err == nil {
 		t.Fatal("oversized feature radius accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -165,7 +166,7 @@ func clusterProbeFeatures(t *testing.T, s *Store) string {
 	var b strings.Builder
 	rng := rand.New(rand.NewSource(1402))
 	for i := 0; i < 3; i++ {
-		feat, err := s.Features(randUpload(rng, 20, 90, 90), rssimap.DefaultFeatureConfig())
+		feat, err := rssimap.Features(context.Background(), s, randUpload(rng, 20, 90, 90), rssimap.DefaultFeatureConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -51,7 +52,7 @@ func featureBits(t *testing.T, b rssimap.Backend, probes []*wifi.Upload) [][]uin
 	t.Helper()
 	out := make([][]uint64, len(probes))
 	for i, u := range probes {
-		feat, err := b.Features(u, rssimap.DefaultFeatureConfig())
+		feat, err := rssimap.Features(context.Background(), b, u, rssimap.DefaultFeatureConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

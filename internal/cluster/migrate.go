@@ -46,8 +46,7 @@ func (s *Store) Migrate(tile [2]int, to string) error {
 		return err
 	}
 	if err := s.runMigration(tile, from, to, fresh); err != nil {
-		s.abortMigration(tile)
-		return err
+		return errors.Join(err, s.abortMigration(tile))
 	}
 	return nil
 }
@@ -72,7 +71,10 @@ func (s *Store) registerMigration(tile [2]int, to string) (from string, fresh []
 	if from == to {
 		return from, nil, nil
 	}
-	next := migratedAssign(s.assign, tile, to)
+	next, err := migratedAssign(s.assign, tile, to)
+	if err != nil {
+		return "", nil, err
+	}
 	s.migrating[tile] = next
 	idxs := s.tileIndex[tile]
 	for _, id := range next.appendReplicas(nil, tile) {
@@ -150,9 +152,12 @@ func (s *Store) runMigration(tile [2]int, from, to string, fresh []string) error
 // tile to `to`: epoch bump, ownership override (trimmed when rendezvous
 // already agrees), and follower-override cleanup so a pinned follower can
 // never alias the new owner.
-func migratedAssign(a Assignment, tile [2]int, to string) Assignment {
+func migratedAssign(a Assignment, tile [2]int, to string) (Assignment, error) {
 	next := a.Clone()
-	next.Epoch++
+	var err error
+	if next.Epoch, err = nextEpoch(a.Epoch); err != nil {
+		return Assignment{}, err
+	}
 	next.Overrides[tile] = to
 	if ownerWithout(next, tile) == to {
 		// The override is redundant under rendezvous; keep the map minimal.
@@ -161,7 +166,7 @@ func migratedAssign(a Assignment, tile [2]int, to string) Assignment {
 	if next.FollowerOverrides[tile] == to {
 		delete(next.FollowerOverrides, tile)
 	}
-	return next
+	return next, nil
 }
 
 // ownerWithout computes the rendezvous owner of tile ignoring overrides.
@@ -176,15 +181,21 @@ func ownerWithout(a Assignment, tile [2]int) string {
 }
 
 // abortMigration rolls a failed move back: the migration is un-registered
-// and ownership is unchanged, but the epoch still bumps.
-func (s *Store) abortMigration(tile [2]int) {
+// and ownership is unchanged, but the epoch still bumps — unless it is
+// exhausted, which is the error.
+func (s *Store) abortMigration(tile [2]int) error {
 	s.mu.Lock()
 	delete(s.migrating, tile)
 	next := s.assign.Clone()
-	next.Epoch++
+	var err error
+	if next.Epoch, err = nextEpoch(next.Epoch); err != nil {
+		s.mu.Unlock()
+		return err
+	}
 	s.assign = next
 	s.journalAssignLocked(next)
 	s.mu.Unlock()
 	s.aborted.Add(1)
 	s.pushAssignment()
+	return nil
 }

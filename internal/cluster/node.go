@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"path/filepath"
 	"sort"
@@ -33,7 +34,9 @@ import (
 	"trajforge/internal/fsx"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/shardstore"
+	"trajforge/internal/trajectory"
 	"trajforge/internal/wal"
+	"trajforge/internal/wifi"
 )
 
 // Node WAL frame types.
@@ -541,11 +544,16 @@ func (n *Node) handleAdd(m *AddReq) *Ack {
 }
 
 // confScratch is one connection's reusable query state: the items of the
-// last reply (each keeping its confidence buffer for the next request) and
-// the tile each point resolved to.
+// last reply (each keeping its confidence buffer for the next request), the
+// tile each point resolved to, and one tile's share of the query.
 type confScratch struct {
 	items []ConfItem
 	tiles []*tileState
+
+	idx     []int
+	pts     []trajectory.Point
+	scans   []wifi.Scan
+	answers []rssimap.Answer
 }
 
 // handleConf answers a many-point confidence query. Queries fence hard: the
@@ -556,7 +564,10 @@ type confScratch struct {
 // bit-identical. A point whose tile this node holds no replica of is
 // answered statusNotOwner on its own, so the coordinator re-resolves just
 // that point: during a migration's ownership flip no node outside the
-// replica set at the current epoch will answer for the tile.
+// replica set at the current epoch will answer for the tile. A config the
+// node's tiling cannot answer exactly — a radius beyond its MaxQueryRadius,
+// whose halo would be too narrow, or a non-positive radius or top-k — is
+// refused whole.
 func (n *Node) handleConf(m *ConfReq, sc *confScratch) *ConfResp {
 	n.mu.RLock()
 	if n.dead != nil {
@@ -566,6 +577,12 @@ func (n *Node) handleConf(m *ConfReq, sc *confScratch) *ConfResp {
 	}
 	if m.Epoch != n.epoch {
 		resp := &ConfResp{Status: statusWrongEpoch, Epoch: n.epoch}
+		n.mu.RUnlock()
+		return resp
+	}
+	if err := m.Cfg.Validate(); err != nil || m.Cfg.R > n.cfg.MaxQueryRadius {
+		resp := &ConfResp{Status: statusFailed, Epoch: n.epoch,
+			Msg: fmt.Sprintf("cluster: node %s refuses feature radius %g (max %g), top-k %d", n.id, m.Cfg.R, n.cfg.MaxQueryRadius, m.Cfg.TopK)}
 		n.mu.RUnlock()
 		return resp
 	}
@@ -594,16 +611,36 @@ func (n *Node) handleConf(m *ConfReq, sc *confScratch) *ConfResp {
 		case items[i].Status != statusOK:
 			items[i].Confs = items[i].Confs[:0]
 		case tiles[i] == nil:
-			items[i].Confs = shardstore.EmptyConfidences(items[i].Confs, p.Scan, m.Cfg)
-		default:
-			// The per-tile store has its own lock; queries on different
-			// tiles of this node never contend. A tile store fails only on a
-			// done context, and this one never is.
-			items[i].Confs, _, _ = tiles[i].store.PointConfidencesInto(context.Background(), items[i].Confs, p.Pos, p.Scan, m.Cfg)
+			items[i].Confs = rssimap.EmptyConfidences(items[i].Confs, p.Scan, m.Cfg)
 		}
 	}
-	// The tile pointers must not pin dropped tiles until the next query.
+	for i, ts := range tiles {
+		if ts == nil {
+			continue
+		}
+		// One call to each tile store (which has its own lock, so queries on
+		// different tiles of this node never contend) for all of its points.
+		sc.idx, sc.pts, sc.scans, sc.answers = sc.idx[:0], sc.pts[:0], sc.scans[:0], sc.answers[:0]
+		for j := i; j < len(tiles); j++ {
+			if tiles[j] == ts {
+				tiles[j] = nil
+				sc.idx = append(sc.idx, j)
+				sc.pts = append(sc.pts, trajectory.Point{Pos: m.Points[j].Pos})
+				sc.scans = append(sc.scans, m.Points[j].Scan)
+				sc.answers = append(sc.answers, rssimap.Answer{Confs: items[j].Confs})
+			}
+		}
+		_, err := ts.store.Confidences(context.Background(), sc.answers, sc.pts, sc.scans, m.Cfg, nil)
+		for k, j := range sc.idx {
+			if items[j].Confs = sc.answers[k].Confs; err != nil {
+				items[j].Status, items[j].Confs = statusFailed, items[j].Confs[:0]
+			}
+		}
+	}
+	// Neither the tile pointers nor the request's scans may be pinned until
+	// the next query.
 	clear(tiles)
+	clear(sc.scans[:cap(sc.scans)])
 	return &ConfResp{Status: statusOK, Epoch: epoch, Items: items}
 }
 
@@ -639,6 +676,8 @@ func (n *Node) handleAssign(m *AssignReq) *Ack {
 		return &Ack{Status: statusFailed, Epoch: n.epoch, Msg: n.dead.Error()}
 	}
 	switch {
+	case m.Assign.Epoch == math.MaxUint64:
+		return &Ack{Status: statusFailed, Epoch: n.epoch, Msg: ErrEpochExhausted.Error()}
 	case m.Assign.Epoch < n.epoch:
 		return &Ack{Status: statusWrongEpoch, Epoch: n.epoch}
 	case m.Assign.Epoch == n.epoch && n.epoch != 0:

@@ -45,7 +45,7 @@ func newQueryFixture(t *testing.T, seed int64) *queryFixture {
 func (f *queryFixture) check(t *testing.T, u *wifi.Upload, label string) {
 	t.Helper()
 	cfg := rssimap.DefaultFeatureConfig()
-	want, err := f.ref.Features(u, cfg)
+	want, err := rssimap.Features(context.Background(), f.ref, u, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,11 @@ func (s *Store) Rereplicate(dead string) error {
 		s.mu.Unlock()
 		return nil
 	}
-	next.Epoch++
+	var err error
+	if next.Epoch, err = nextEpoch(next.Epoch); err != nil {
+		s.mu.Unlock()
+		return err
+	}
 	s.assign = next
 	s.journalAssignLocked(next)
 	s.mu.Unlock()

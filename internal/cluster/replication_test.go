@@ -78,12 +78,12 @@ func TestFollowerReadBitIdentity(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 4; i++ {
 				u := randUpload(r, 30, width, height)
-				want, err := global.Features(u, cfg)
+				want, err := rssimap.Features(context.Background(), global, u, cfg)
 				if err != nil {
 					errCh <- err
 					return
 				}
-				got, err := tc.store.Features(u, cfg)
+				got, err := rssimap.Features(context.Background(), tc.store, u, cfg)
 				if err != nil {
 					errCh <- fmt.Errorf("cluster features with dead primary: %w", err)
 					return

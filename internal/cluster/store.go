@@ -21,11 +21,10 @@ import (
 
 	"trajforge/internal/binenc"
 	"trajforge/internal/fsx"
-	"trajforge/internal/geo"
-	"trajforge/internal/parallel"
 	"trajforge/internal/resilience"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/shardstore"
+	"trajforge/internal/trajectory"
 	"trajforge/internal/wal"
 	"trajforge/internal/wifi"
 )
@@ -197,7 +196,10 @@ func NewStore(opts Options) (*Store, error) {
 			maxEpoch = a.Epoch
 		}
 	}
-	assign.Epoch = maxEpoch + 1
+	if assign.Epoch, err = nextEpoch(maxEpoch); err != nil {
+		s.Close()
+		return nil, err
+	}
 	s.mu.Lock()
 	s.assign = assign
 	s.journalAssignLocked(assign)
@@ -510,27 +512,28 @@ type route struct {
 }
 
 // routePoints resolves the given points under one read of the coordinator
-// lock: each point's tile, and either a local answer — prior[i] when it is
-// still exact (reused counts those), or an empty tile's, which is
+// lock: each point's tile, and either a local answer in dst — prior[i] when
+// it is still exact (reused counts those), or an empty tile's, which is
 // bit-identical to a node holding no records for it — or its replicas: the
 // primary, then (with replication on) the follower. An unsynced primary with
 // a healthy follower is tried second, so the query does not stall on a
 // resync attempt. The mark is taken before any node is asked.
-func (s *Store) routePoints(pts []ConfPoint, pending []int, out [][]rssimap.PointConfidence, prior []rssimap.Answer, reused *int, cfg rssimap.FeatureConfig) ([]route, uint64, rssimap.Mark, error) {
+func (s *Store) routePoints(pts []ConfPoint, pending []int, dst, prior []rssimap.Answer, reused *int, cfg rssimap.FeatureConfig) ([]route, uint64, rssimap.Mark, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	mark := s.settledLocked()
 	routes := make([]route, 0, len(pending))
 	for _, i := range pending {
 		tile := s.cfg.TileOf(pts[i].Pos)
 		pts[i].Tile = tile
 		if i < len(prior) && s.freshLocked(prior[i].Mark, tile) {
 			*reused++
-			out[i] = prior[i].Confs
+			dst[i] = prior[i]
 			continue
 		}
 		if len(s.tileIndex[tile]) == 0 {
 			s.localHits.Add(1)
-			out[i] = shardstore.EmptyConfidences(nil, pts[i].Scan, cfg)
+			dst[i] = rssimap.Answer{Confs: rssimap.EmptyConfidences(dst[i].Confs, pts[i].Scan, cfg), Mark: mark}
 			continue
 		}
 		owner := s.assign.Owner(tile)
@@ -548,7 +551,7 @@ func (s *Store) routePoints(pts []ConfPoint, pending []int, out [][]rssimap.Poin
 		}
 		routes = append(routes, r)
 	}
-	return routes, s.assign.Epoch, s.settledLocked(), nil
+	return routes, s.assign.Epoch, mark, nil
 }
 
 // confGroup is one node's share of a query wave: the routes sent to it and
@@ -602,35 +605,58 @@ func (s *Store) sendConf(g *confGroup, pts []ConfPoint, epoch uint64, cfg rssima
 	return resp, nil
 }
 
+// Confidences is the coordinator's rssimap.Backend call: a radius the tile
+// geometry cannot answer exactly is refused before anything is routed, and
+// forwardConfs answers the rest.
+func (s *Store) Confidences(ctx context.Context, dst []rssimap.Answer, pts []trajectory.Point, scans []wifi.Scan, cfg rssimap.FeatureConfig, prior []rssimap.Answer) (int, error) {
+	if cfg.R > s.cfg.MaxQueryRadius {
+		return 0, fmt.Errorf("cluster: feature radius %g exceeds MaxQueryRadius %g", cfg.R, s.cfg.MaxQueryRadius)
+	}
+	return s.forwardConfs(ctx, dst, pts, scans, cfg, prior)
+}
+
+// FeaturesContext is rssimap.Features against s. bench/ calls this method by
+// name.
+func (s *Store) FeaturesContext(ctx context.Context, u *wifi.Upload, cfg rssimap.FeatureConfig) ([]float64, error) {
+	return rssimap.Features(ctx, s, u, cfg)
+}
+
 // forwardConfs answers the point-confidence queries of many points with one
-// request per node, sent to all nodes at once. Each point keeps the rules a
-// lone query follows: an empty tile is answered locally; a point whose node
-// fails, cannot be reached, or refuses it fails over to its follower
-// replica (both replicas apply the same entries under the same seqs, so
-// either answer is bit-identical); a wrong-epoch or not-owner refusal (a
-// migration can commit between routing and the node answering) re-pushes
-// the assignment and routes the point again. A query whose deadline already
-// passed is refused with ErrExpired before any node sees it. out[i] answers
-// pts[i]. A point whose prior answer is still exact is answered from it and
-// counted in reused; the rest go out in one wave. The mark is the first
-// routing's, taken before any node was asked, so it claims no record an
+// request per node, sent to all nodes at once; the request's deadline rides
+// every forward (the wire's remaining-time field and the conn deadlines).
+// Each point keeps the rules a lone query follows: an empty tile is answered
+// locally; a point whose node fails, cannot be reached, or refuses it fails
+// over to its follower replica (both replicas apply the same entries under
+// the same seqs, so either answer is bit-identical); a wrong-epoch or
+// not-owner refusal (a migration can commit between routing and the node
+// answering) re-pushes the assignment and routes the point again. A query
+// whose deadline already passed is refused with ErrExpired before any node
+// sees it. dst[i] answers point i. A point whose prior answer is still exact
+// is answered from it; the rest go out in one wave, marked with the first
+// routing's mark, taken before any node was asked, so it claims no record an
 // answer may have missed.
-func (s *Store) forwardConfs(ctx context.Context, pts []ConfPoint, cfg rssimap.FeatureConfig, prior []rssimap.Answer) (out [][]rssimap.PointConfidence, mark rssimap.Mark, reused int, err error) {
+func (s *Store) forwardConfs(ctx context.Context, dst []rssimap.Answer, points []trajectory.Point, scans []wifi.Scan, cfg rssimap.FeatureConfig, prior []rssimap.Answer) (computed int, err error) {
+	if err := rssimap.CheckQuery(dst, points, scans, cfg); err != nil {
+		return 0, err
+	}
 	if err := ctx.Err(); err != nil {
 		s.expired.Add(1)
-		return nil, mark, 0, fmt.Errorf("%w: %v", ErrExpired, err)
+		return 0, fmt.Errorf("%w: %v", ErrExpired, err)
 	}
 	deadline, _ := ctx.Deadline()
-	out = make([][]rssimap.PointConfidence, len(pts))
-	pending := make([]int, len(pts))
+	pts := make([]ConfPoint, len(points))
+	pending := make([]int, len(points))
 	for i := range pending {
+		pts[i] = ConfPoint{Pos: points[i].Pos, Scan: scans[i]}
 		pending[i] = i
 	}
+	var mark rssimap.Mark
+	reused := 0
 	var lastErr error
 	for attempt := 0; attempt < 4 && len(pending) > 0; attempt++ {
-		routes, epoch, m, err := s.routePoints(pts, pending, out, prior, &reused, cfg)
+		routes, epoch, m, err := s.routePoints(pts, pending, dst, prior, &reused, cfg)
 		if err != nil {
-			return nil, mark, 0, err
+			return 0, err
 		}
 		if attempt == 0 {
 			mark = m
@@ -665,12 +691,12 @@ func (s *Store) forwardConfs(ctx context.Context, pts []ConfPoint, cfg rssimap.F
 				}
 				cr, ok := g.resp.(*ConfResp)
 				if !ok {
-					return nil, mark, 0, fmt.Errorf("%w: %T to a confidence query", ErrKind, g.resp)
+					return 0, fmt.Errorf("%w: %T to a confidence query", ErrKind, g.resp)
 				}
 				switch cr.Status {
 				case statusOK:
 					if len(cr.Items) != len(g.routes) {
-						return nil, mark, 0, fmt.Errorf("%w: %d answers to %d points", ErrKind, len(cr.Items), len(g.routes))
+						return 0, fmt.Errorf("%w: %d answers to %d points", ErrKind, len(cr.Items), len(g.routes))
 					}
 					for k, r := range g.routes {
 						switch cr.Items[k].Status {
@@ -678,7 +704,7 @@ func (s *Store) forwardConfs(ctx context.Context, pts []ConfPoint, cfg rssimap.F
 							if g.nc != r.primary {
 								s.replicaReads.Add(1)
 							}
-							out[r.i] = cr.Items[k].Confs
+							dst[r.i] = rssimap.Answer{Confs: cr.Items[k].Confs, Mark: mark}
 						case statusNotOwner:
 							lastErr = fmt.Errorf("cluster: node %s does not hold tile %v at epoch %d", g.nc.id, pts[r.i].Tile, epoch)
 							repush = true
@@ -690,7 +716,7 @@ func (s *Store) forwardConfs(ctx context.Context, pts []ConfPoint, cfg rssimap.F
 					}
 				case statusExpired:
 					s.expired.Add(1)
-					return nil, mark, 0, fmt.Errorf("%w: node %s: %s", ErrExpired, g.nc.id, cr.Msg)
+					return 0, fmt.Errorf("%w: node %s: %s", ErrExpired, g.nc.id, cr.Msg)
 				case statusWrongEpoch, statusNotOwner:
 					// The assignment moved under us (or the node is behind).
 					lastErr = fmt.Errorf("cluster: node %s fenced query (status %d, node epoch %d)", g.nc.id, cr.Status, cr.Epoch)
@@ -713,110 +739,9 @@ func (s *Store) forwardConfs(ctx context.Context, pts []ConfPoint, cfg rssimap.F
 		}
 	}
 	if len(pending) > 0 {
-		return nil, mark, 0, fmt.Errorf("cluster: confidence query exhausted retries: %w", lastErr)
+		return 0, fmt.Errorf("cluster: confidence query exhausted retries: %w", lastErr)
 	}
-	return out, mark, reused, nil
-}
-
-// PointConfidencesInto verifies the TopK strongest observations of one scan
-// against the node owning o's tile, appending into dst[:0]. A failed query
-// returns its error.
-func (s *Store) PointConfidencesInto(ctx context.Context, dst []rssimap.PointConfidence, o geo.Point, scan wifi.Scan, cfg rssimap.FeatureConfig) ([]rssimap.PointConfidence, rssimap.Mark, error) {
-	confs, mark, _, err := s.forwardConfs(ctx, []ConfPoint{{Pos: o, Scan: scan}}, cfg, nil)
-	if err != nil {
-		return dst[:0], rssimap.Mark{}, err
-	}
-	return append(dst[:0], confs[0]...), mark, nil
-}
-
-// checkFeatureRadius rejects feature configs the tile geometry cannot
-// answer exactly.
-func (s *Store) checkFeatureRadius(cfg rssimap.FeatureConfig) error {
-	if cfg.R > s.cfg.MaxQueryRadius {
-		return fmt.Errorf("cluster: feature radius %g exceeds MaxQueryRadius %g", cfg.R, s.cfg.MaxQueryRadius)
-	}
-	return nil
-}
-
-// Features computes the Eq. 8 feature vector of an upload, sending each
-// node one request for the points whose tiles it holds. Aggregation runs
-// through rssimap.FeaturesFrom, so the vector is bit-identical to the local
-// backends'.
-func (s *Store) Features(u *wifi.Upload, cfg rssimap.FeatureConfig) ([]float64, error) {
-	return s.FeaturesContext(context.Background(), u, cfg)
-}
-
-// FeaturesContext is Features carrying the originating request's context:
-// its deadline rides every forwarded RPC (the wire's remaining-time field
-// and the conn deadlines), so admission control accounts remote time and a
-// shed request stops consuming node capacity.
-func (s *Store) FeaturesContext(ctx context.Context, u *wifi.Upload, cfg rssimap.FeatureConfig) ([]float64, error) {
-	feat, _, err := s.FeaturesReusing(ctx, u, cfg, nil)
-	return feat, err
-}
-
-// FeaturesReusing is FeaturesContext taking each point's confidences from
-// prior where the coordinator proves them still exact (routePoints) and
-// asking the nodes for the rest in one wave.
-func (s *Store) FeaturesReusing(ctx context.Context, u *wifi.Upload, cfg rssimap.FeatureConfig, prior []rssimap.Answer) (feat []float64, computed int, err error) {
-	if err := s.checkFeatureRadius(cfg); err != nil {
-		return nil, 0, err
-	}
-	// FeaturesFrom validates the upload before asking for its first point;
-	// that first call queries every point at once.
-	var confs [][]rssimap.PointConfidence
-	var rpcErr error
-	feat, err = rssimap.FeaturesFrom(u, cfg, func(i int, _ geo.Point, scan wifi.Scan) []rssimap.PointConfidence {
-		if confs == nil && rpcErr == nil {
-			pts := make([]ConfPoint, len(u.Scans))
-			for k := range pts {
-				pts[k] = ConfPoint{Pos: u.Traj.Points[k].Pos, Scan: u.Scans[k]}
-			}
-			var reused int
-			confs, _, reused, rpcErr = s.forwardConfs(ctx, pts, cfg, prior)
-			computed = len(pts) - reused
-		}
-		if rpcErr != nil {
-			return shardstore.EmptyConfidences(nil, scan, cfg)
-		}
-		return confs[i]
-	})
-	if rpcErr != nil {
-		return nil, 0, rpcErr
-	}
-	return feat, computed, err
-}
-
-// FeaturesBatch extracts the feature vectors of many uploads across the
-// worker pool; each upload's queries fan out to whichever nodes own its
-// tiles. Results are ordered by upload index and bit-identical to Features
-// run serially.
-func (s *Store) FeaturesBatch(uploads []*wifi.Upload, cfg rssimap.FeatureConfig) ([][]float64, error) {
-	for i, u := range uploads {
-		if err := u.Validate(); err != nil {
-			return nil, fmt.Errorf("upload %d: rssimap: %w", i, err)
-		}
-	}
-	if err := s.checkFeatureRadius(cfg); err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(uploads))
-	var firstErr error
-	var errOnce sync.Once
-	parallel.ForEachChunk(len(uploads), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			feat, err := s.Features(uploads[i], cfg)
-			if err != nil {
-				errOnce.Do(func() { firstErr = fmt.Errorf("upload %d: %w", i, err) })
-				return
-			}
-			out[i] = feat
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return len(points) - reused, nil
 }
 
 // Resync replays onto one node everything the canonical log says it should

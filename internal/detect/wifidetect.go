@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"fmt"
 
 	"trajforge/internal/parallel"
@@ -31,11 +32,11 @@ func TrainWiFiDetector(store rssimap.Backend, real, fake []*wifi.Upload,
 	if len(real) == 0 || len(fake) == 0 {
 		return nil, fmt.Errorf("detect: need both real (%d) and fake (%d) uploads", len(real), len(fake))
 	}
-	realX, err := store.FeaturesBatch(real, fcfg)
+	realX, err := rssimap.BatchFeatures(store, real, fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("detect: features of real %w", err)
 	}
-	fakeX, err := store.FeaturesBatch(fake, fcfg)
+	fakeX, err := rssimap.BatchFeatures(store, fake, fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("detect: features of fake %w", err)
 	}
@@ -58,7 +59,7 @@ func TrainWiFiDetector(store rssimap.Backend, real, fake []*wifi.Upload,
 
 // ProbFake returns P(fake | upload).
 func (d *WiFiDetector) ProbFake(u *wifi.Upload) (float64, error) {
-	feat, err := d.Store.Features(u, d.Features)
+	feat, err := rssimap.Features(context.Background(), d.Store, u, d.Features)
 	if err != nil {
 		return 0, err
 	}
@@ -71,7 +72,7 @@ func (d *WiFiDetector) ProbFake(u *wifi.Upload) (float64, error) {
 // (xgb.PredictBatchInto). Results are ordered by upload index and
 // bit-identical to calling ProbFake serially.
 func (d *WiFiDetector) ProbFakeBatch(uploads []*wifi.Upload) ([]float64, error) {
-	feats, err := d.Store.FeaturesBatch(uploads, d.Features)
+	feats, err := rssimap.BatchFeatures(d.Store, uploads, d.Features)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -37,7 +38,7 @@ func cityFeatureBits(t *testing.T, city *City, b rssimap.Backend) string {
 		probes := city.Hist[lo : lo+block]
 		for _, u := range probes {
 			for _, cfg := range cfgs {
-				vec, err := b.Features(u, cfg)
+				vec, err := rssimap.Features(context.Background(), b, u, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

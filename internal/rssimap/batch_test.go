@@ -1,8 +1,10 @@
 package rssimap
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -78,7 +80,7 @@ func TestTheta2CacheInvalidatedByAdd(t *testing.T) {
 	}
 }
 
-// FeaturesBatch must produce bit-identical vectors to the serial Features
+// BatchFeatures must produce bit-identical vectors to the serial Features
 // path — the parallel fan-out may not change a single ULP.
 func TestFeaturesBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -93,7 +95,7 @@ func TestFeaturesBatchBitIdentical(t *testing.T) {
 		{R: 1.5, TopK: 5, Tol: 2, IncludeNum: true, IncludeSummary: true},
 		{R: 2.5, TopK: 5, Tol: 1, IncludeResiduals: true, IncludeSummary: true, DisableTheta2: true},
 	} {
-		batch, err := s.FeaturesBatch(uploads, cfg)
+		batch, err := BatchFeatures(s, uploads, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,19 +120,19 @@ func TestFeaturesBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// FeaturesBatch surfaces the error of the lowest-index bad upload.
+// BatchFeatures surfaces the error of the lowest-index bad upload.
 func TestFeaturesBatchValidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	s := randStore(t, rng)
 	good := randUpload(rng, 8)
 	bad := &wifi.Upload{Traj: good.Traj, Scans: good.Scans[:2]}
-	if _, err := s.FeaturesBatch([]*wifi.Upload{good, bad}, DefaultFeatureConfig()); err == nil {
+	if _, err := BatchFeatures(s, []*wifi.Upload{good, bad}, DefaultFeatureConfig()); err == nil {
 		t.Fatal("mismatched upload must error")
 	}
-	if _, err := s.FeaturesBatch([]*wifi.Upload{good}, FeatureConfig{R: -1, TopK: 3}); err == nil {
+	if _, err := BatchFeatures(s, []*wifi.Upload{good}, FeatureConfig{R: -1, TopK: 3}); err == nil {
 		t.Fatal("bad radius must error")
 	}
-	if out, err := s.FeaturesBatch(nil, DefaultFeatureConfig()); err != nil || len(out) != 0 {
+	if out, err := BatchFeatures(s, nil, DefaultFeatureConfig()); err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v, %v", out, err)
 	}
 }
@@ -184,7 +186,7 @@ func TestConcurrentAddAndVerify(t *testing.T) {
 					t.Errorf("phi = %v out of range", phi)
 					return
 				}
-				if _, err := s.FeaturesBatch(uploads, DefaultFeatureConfig()); err != nil {
+				if _, err := BatchFeatures(s, uploads, DefaultFeatureConfig()); err != nil {
 					t.Error(err)
 					return
 				}
@@ -192,4 +194,39 @@ func TestConcurrentAddAndVerify(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+}
+
+// A prior answer's slice belongs to its owner (a session's arena): the call
+// never writes into it, and a vector that reused it does not leave it in the
+// pooled slots a later query computes into.
+func TestPriorAnswersNeverWritten(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	s := randStore(t, rng)
+	twin := mustStore(t, DefaultConfig(), s.Records()) // same records, another generation
+	cfg := DefaultFeatureConfig()
+	u := randUpload(rng, 12)
+	prior := make([]Answer, u.Traj.Len())
+	if _, err := s.Confidences(context.Background(), prior, u.Traj.Points, u.Scans, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]PointConfidence, len(prior))
+	for i, a := range prior {
+		want[i] = slices.Clone(a.Confs)
+	}
+	for round := 0; round < 4; round++ {
+		if _, computed, err := ReuseFeatures(context.Background(), s, u, cfg, prior); err != nil || computed != 0 {
+			t.Fatalf("round %d: reuse computed %d points (%v), want 0", round, computed, err)
+		}
+		if _, computed, err := ReuseFeatures(context.Background(), twin, u, cfg, prior); err != nil || computed != len(prior) {
+			t.Fatalf("round %d: twin computed %d points (%v), want %d", round, computed, err, len(prior))
+		}
+		if _, err := Features(context.Background(), s, randUpload(rng, 12), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, a := range prior {
+		if !sameConfidences(a.Confs, want[i]) {
+			t.Fatalf("prior answer %d was written: %+v, was %+v", i, a.Confs, want[i])
+		}
+	}
 }

@@ -2,13 +2,11 @@ package rssimap
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
 
 	"trajforge/internal/geo"
-	"trajforge/internal/parallel"
 	"trajforge/internal/wifi"
 )
 
@@ -101,30 +99,16 @@ type PointConfidence struct {
 	Heard int
 }
 
-// PointConfidences verifies the TopK strongest observations of one scan at
-// position o, sharing a single reference-point query across APs.
-func (s *Store) PointConfidences(o geo.Point, scan wifi.Scan, cfg FeatureConfig) []PointConfidence {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sc := getScratch()
-	defer putScratch(sc)
-	// Copy out of the scratch-backed buffer: the caller owns the result.
-	return append([]PointConfidence(nil), s.pointConfidencesLocked(sc, o, scan, cfg)...)
-}
-
-// PointConfidencesInto is PointConfidences appending into dst[:0] — the
-// allocation-free form for callers that hold a reusable buffer — with the
-// mark of the state it read, taken under the same read lock. It fails only
-// when ctx is already done.
-func (s *Store) PointConfidencesInto(ctx context.Context, dst []PointConfidence, o geo.Point, scan wifi.Scan, cfg FeatureConfig) ([]PointConfidence, Mark, error) {
-	if err := ctx.Err(); err != nil {
-		return dst[:0], Mark{}, err
+// EmptyConfidences appends to dst[:0] the answer of a point no reference
+// record is within r of: one zero entry per TopK reading, naming its MAC. The
+// kernel answers exactly this when it finds no reference, and so does a
+// backend that holds no records near the point (a cluster's empty tile).
+func EmptyConfidences(dst []PointConfidence, scan wifi.Scan, cfg FeatureConfig) []PointConfidence {
+	dst = dst[:0]
+	for _, obs := range scan.TopK(cfg.TopK) {
+		dst = append(dst, PointConfidence{MAC: obs.MAC})
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sc := getScratch()
-	defer putScratch(sc)
-	return append(dst[:0], s.pointConfidencesLocked(sc, o, scan, cfg)...), MarkAt(s.gen, len(s.records)), nil
+	return dst
 }
 
 // pointConfidencesLocked is the per-point verification kernel (Eq. 4–7). The
@@ -140,18 +124,16 @@ func (s *Store) PointConfidencesInto(ctx context.Context, dst []PointConfidence,
 // order, so no bit of any result depends on the table.
 func (s *Store) pointConfidencesLocked(sc *scratch, o geo.Point, scan wifi.Scan, cfg FeatureConfig) []PointConfidence {
 	top := scan.TopK(cfg.TopK)
+	sc.refs = s.withinRadiusInto(sc.refs, o, cfg.R)
+	refs := sc.refs
+	if len(refs) == 0 || len(top) == 0 {
+		sc.confs = EmptyConfidences(sc.confs, scan, cfg)
+		return sc.confs
+	}
 	if cap(sc.confs) < len(top) {
 		sc.confs = make([]PointConfidence, len(top))
 	}
 	out := sc.confs[:len(top)]
-	sc.refs = s.withinRadiusInto(sc.refs, o, cfg.R)
-	refs := sc.refs
-	if len(refs) == 0 || len(top) == 0 {
-		for i, obs := range top {
-			out[i] = PointConfidence{MAC: obs.MAC}
-		}
-		return out
-	}
 	// θ1 weights (Eq. 5), shared by every AP of the scan. The distance is
 	// floored at a few centimetres so a coincident record cannot absorb all
 	// weight. With a trust table installed, each reference's θ1 mass is
@@ -250,94 +232,27 @@ func (s *Store) pointConfidencesLocked(sc *scratch, o geo.Point, scan wifi.Scan,
 	return out
 }
 
-// Features computes the paper's feature vector for an uploaded trajectory:
-// for each point, the (Num_mac, Φ) pairs of the TopK strongest reported
-// APs, concatenated in point order (Eq. 8), optionally followed by
-// trajectory-level aggregates. Points that heard fewer than TopK APs are
-// padded with zeros.
+// Features is the package function Features against s with no deadline.
+// bench/ calls this method by name.
 func (s *Store) Features(u *wifi.Upload, cfg FeatureConfig) ([]float64, error) {
-	feat, _, err := s.FeaturesReusing(context.Background(), u, cfg, nil)
-	return feat, err
+	return Features(context.Background(), s, u, cfg)
 }
 
-// FeaturesBatch extracts the feature vectors of many uploads, fanning the
-// work across the worker pool. Each worker holds the read lock for a whole
-// chunk of uploads (one acquisition amortised over the chunk, instead of
-// one per trajectory point) and reuses one scratch. Results are ordered by
-// upload index and bit-identical to calling Features serially.
-func (s *Store) FeaturesBatch(uploads []*wifi.Upload, cfg FeatureConfig) ([][]float64, error) {
-	for i, u := range uploads {
-		if err := validateFeatureArgs(u, cfg); err != nil {
-			return nil, fmt.Errorf("upload %d: %w", i, err)
-		}
-	}
-	out := make([][]float64, len(uploads))
-	parallel.ForEachChunk(len(uploads), func(lo, hi int) {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		sc := getScratch()
-		defer putScratch(sc)
-		for i := lo; i < hi; i++ {
-			out[i] = s.featuresLocked(sc, uploads[i], cfg)
-		}
-	})
-	return out, nil
-}
-
-func validateFeatureArgs(u *wifi.Upload, cfg FeatureConfig) error {
-	if err := u.Validate(); err != nil {
-		return fmt.Errorf("rssimap: %w", err)
-	}
-	if cfg.R <= 0 {
-		return fmt.Errorf("rssimap: feature radius %g must be positive", cfg.R)
-	}
-	if cfg.TopK <= 0 {
-		return fmt.Errorf("rssimap: top-k %d must be positive", cfg.TopK)
-	}
-	return nil
-}
-
-// featuresLocked is the Eq. 8 kernel: it allocates only the returned
-// vector; every intermediate lives in the scratch. Callers must hold the
-// read lock and have validated the arguments.
-func (s *Store) featuresLocked(sc *scratch, u *wifi.Upload, cfg FeatureConfig) []float64 {
-	return aggregateFeatures(sc, u, cfg, func(i int) []PointConfidence {
-		return s.pointConfidencesLocked(sc, u.Traj.Points[i].Pos, u.Scans[i], cfg)
-	})
-}
-
-// FeaturesFrom computes the Eq. 8 feature vector of an upload from an
-// arbitrary per-point confidence source — the hook remote backends
-// (internal/cluster) use to share Store.Features' exact aggregation,
-// including its float accumulation order. confsAt returns the verified TopK
-// confidences of point i; its result is only read before the next confsAt
-// call, so a reused buffer is fine.
-func FeaturesFrom(u *wifi.Upload, cfg FeatureConfig, confsAt func(i int, pos geo.Point, scan wifi.Scan) []PointConfidence) ([]float64, error) {
-	if err := validateFeatureArgs(u, cfg); err != nil {
-		return nil, err
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	return aggregateFeatures(sc, u, cfg, func(i int) []PointConfidence {
-		return confsAt(i, u.Traj.Points[i].Pos, u.Scans[i])
-	}), nil
-}
-
-// aggregateFeatures concatenates per-point confidences into the Eq. 8
-// vector plus the optional summary block. It allocates only the returned
-// vector; the aggregate buffers live in the scratch.
-func aggregateFeatures(sc *scratch, u *wifi.Upload, cfg FeatureConfig, confsAt func(i int) []PointConfidence) []float64 {
-	n := u.Traj.Len()
+// vector concatenates per-point answers into the Eq. 8 vector plus the
+// optional summary block. It allocates only the returned vector; the
+// aggregate buffers live in fb.
+func (fb *featBuf) vector(answers []Answer, cfg FeatureConfig) []float64 {
+	n := len(answers)
 	out := make([]float64, 0, cfg.FeatureDim(n))
 
 	// Per-point aggregates for the summary block.
-	pointPhi := resizeF64(sc.pointPhi, n)[:0]
-	pointNum := resizeF64(sc.pointNum, n)[:0]
-	pointRes := resizeF64(sc.pointRes, n)[:0]
+	pointPhi := resizeF64(fb.pointPhi, n)[:0]
+	pointNum := resizeF64(fb.pointNum, n)[:0]
+	pointRes := resizeF64(fb.pointRes, n)[:0]
 	var zeroRefPoints int
 
-	for i := range u.Traj.Points {
-		confs := confsAt(i)
+	for _, a := range answers {
+		confs := a.Confs
 		var phiSum, numSum, resSum float64
 		var resN int
 		for j := 0; j < cfg.TopK; j++ {
@@ -381,7 +296,7 @@ func aggregateFeatures(sc *scratch, u *wifi.Upload, cfg FeatureConfig, confsAt f
 	if cfg.IncludeSummary {
 		out = append(out,
 			mean(pointPhi),
-			quantileInto(sc, pointPhi, 0.25),
+			fb.quantile(pointPhi, 0.25),
 			minOf(pointPhi),
 			mean(pointNum),
 			minOf(pointNum),
@@ -390,13 +305,13 @@ func aggregateFeatures(sc *scratch, u *wifi.Upload, cfg FeatureConfig, confsAt f
 		if cfg.IncludeResiduals {
 			out = append(out,
 				mean(pointRes),
-				quantileInto(sc, pointRes, 0.75),
+				fb.quantile(pointRes, 0.75),
 				maxOf(pointRes),
 			)
 		}
 	}
-	// Hand the (possibly re-grown) aggregate buffers back to the scratch.
-	sc.pointPhi, sc.pointNum, sc.pointRes = pointPhi, pointNum, pointRes
+	// Keep the (possibly re-grown) aggregate buffers.
+	fb.pointPhi, fb.pointNum, fb.pointRes = pointPhi, pointNum, pointRes
 	return out
 }
 
@@ -437,13 +352,13 @@ func minOf(xs []float64) float64 {
 	return m
 }
 
-// quantileInto is quantile with the sort buffer taken from the scratch.
-func quantileInto(sc *scratch, xs []float64, q float64) float64 {
+// quantile interpolates the q-quantile of xs, sorting a copy in fb.
+func (fb *featBuf) quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sc.sorted = append(resizeF64(sc.sorted, len(xs))[:0], xs...)
-	return quantileSorted(sc.sorted, q)
+	fb.sorted = append(fb.sorted[:0], xs...)
+	return quantileSorted(fb.sorted, q)
 }
 
 // quantileSorted sorts buf in place and interpolates the q-quantile.

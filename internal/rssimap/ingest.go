@@ -33,17 +33,6 @@ func (r ScanRecord) Record() Record {
 	return rec
 }
 
-// ScanRecord returns the point with its readings as a scan (in no
-// particular order) that shares nothing with the record's map — the copy a
-// log of ScanRecords keeps of a map-form record.
-func (r Record) ScanRecord() ScanRecord {
-	scan := make(wifi.Scan, 0, len(r.RSSI))
-	for mac, v := range r.RSSI {
-		scan = append(scan, wifi.Observation{MAC: mac, RSSI: v})
-	}
-	return ScanRecord{Pos: r.Pos, Scan: scan, Contributor: r.Contributor}
-}
-
 // WireRecord is a crowdsourced point in the shard transport's form: the
 // readings as a MAC-ordered observation block and the contributor as bytes,
 // both aliasing the frame they were decoded from. The store copies what it
@@ -97,15 +86,6 @@ func (s *Store) Add(records []Record) {
 	}
 }
 
-// AddScans is Add for points in the form uploads carry them.
-func (s *Store) AddScans(records []ScanRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, rec := range records {
-		s.indexLocked(s.appendLocked(rec.Pos, s.contribID(rec.Contributor), s.scanReadings(rec.Scan)))
-	}
-}
-
 // AddWire is Add for points in the shard transport's form. A record whose
 // MACs and contributor the store has seen before allocates its readings and
 // its counting area, nothing per MAC.
@@ -121,9 +101,15 @@ func (s *Store) AddWire(records []WireRecord) {
 	}
 }
 
-// AddUploads ingests every point of the given uploads that carries a scan.
+// AddUploads ingests every point of the given uploads that carries a scan,
+// in the form the uploads carry it.
 func (s *Store) AddUploads(uploads []*wifi.Upload) {
-	s.AddScans(UploadScans(uploads))
+	records := UploadScans(uploads)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, rec := range records {
+		s.indexLocked(s.appendLocked(rec.Pos, s.contribID(rec.Contributor), s.scanReadings(rec.Scan)))
+	}
 }
 
 // macID interns a MAC. Callers must hold the write lock (or be the

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"trajforge/internal/geo"
+	"trajforge/internal/trajectory"
 	"trajforge/internal/wifi"
 )
 
@@ -127,6 +128,17 @@ func matchTableMismatches(t *testing.T, kernel func(*Store, geo.Point, wifi.Scan
 	return points, mismatches
 }
 
+// confsInto is the one-point Confidences call through the scratch pool, as
+// served, reusing slot's storage.
+func (s *Store) confsInto(slot *Answer, o geo.Point, scan wifi.Scan, cfg FeatureConfig) []PointConfidence {
+	dst := []Answer{*slot}
+	if _, err := s.Confidences(context.Background(), dst, []trajectory.Point{{Pos: o}}, []wifi.Scan{scan}, cfg, nil); err != nil {
+		panic(err)
+	}
+	*slot = dst[0]
+	return slot.Confs
+}
+
 // kernelWith runs the per-point kernel on a scratch the test owns.
 func (s *Store) kernelWith(sc *scratch, o geo.Point, scan wifi.Scan, cfg FeatureConfig) []PointConfidence {
 	s.mu.RLock()
@@ -137,10 +149,9 @@ func (s *Store) kernelWith(sc *scratch, o geo.Point, scan wifi.Scan, cfg Feature
 func TestMatchTableBitIdentical(t *testing.T) {
 	// Through the pool, as served: the scratch moves between stores of
 	// different sizes, so marks left by one store are read against another.
-	var buf []PointConfidence
+	var slot Answer
 	points, bad := matchTableMismatches(t, func(s *Store, o geo.Point, scan wifi.Scan, cfg FeatureConfig) []PointConfidence {
-		buf, _, _ = s.PointConfidencesInto(context.Background(), buf, o, scan, cfg)
-		return buf
+		return s.confsInto(&slot, o, scan, cfg)
 	})
 	if bad != 0 {
 		t.Fatalf("%d of %d points differ from the probe-per-neighbour oracle", bad, points)
@@ -207,14 +218,20 @@ func TestMatchTableBaseWrap(t *testing.T) {
 }
 
 // Concurrent ingest and verification, for -race: readers run the kernel from
-// the pool while the store grows under them, and once the writer is done the
-// kernel still agrees with the oracle on the grown store.
+// the pool while the store grows under them (one-point uploads, the scan form
+// of ingest), and once the writer is done the kernel still agrees with the
+// oracle on the grown store.
 func TestMatchTableConcurrentAddScans(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	s := mustStore(t, DefaultConfig(), tableRecords(rng, 200, 30, 4))
-	fresh := make([]ScanRecord, 80)
+	fresh := make([]*wifi.Upload, 80)
 	for i, rec := range tableRecords(rng, len(fresh), 30, 4) {
-		fresh[i] = rec.ScanRecord()
+		var scan wifi.Scan
+		for mac, v := range rec.RSSI {
+			scan = append(scan, wifi.Observation{MAC: mac, RSSI: v})
+		}
+		fresh[i] = buildUpload(1, scan)
+		fresh[i].Traj.Points[0].Pos, fresh[i].Contributor = rec.Pos, rec.Contributor
 	}
 	cfg := FeatureConfig{R: 2.5, TopK: 9, Tol: 1}
 	var wg sync.WaitGroup
@@ -224,7 +241,7 @@ func TestMatchTableConcurrentAddScans(t *testing.T) {
 		defer wg.Done()
 		defer close(stop)
 		for i := range fresh {
-			s.AddScans(fresh[i : i+1])
+			s.AddUploads(fresh[i : i+1])
 		}
 	}()
 	for r := 0; r < 3; r++ {
@@ -232,7 +249,7 @@ func TestMatchTableConcurrentAddScans(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			lr := rand.New(rand.NewSource(seed))
-			var buf []PointConfidence
+			var slot Answer
 			for {
 				select {
 				case <-stop:
@@ -240,8 +257,7 @@ func TestMatchTableConcurrentAddScans(t *testing.T) {
 				default:
 				}
 				o := geo.Point{X: lr.Float64() * 30, Y: lr.Float64() * 4}
-				buf, _, _ = s.PointConfidencesInto(context.Background(), buf, o, tableScan(lr), cfg)
-				for _, pc := range buf {
+				for _, pc := range s.confsInto(&slot, o, tableScan(lr), cfg) {
 					if pc.Phi < 0 || pc.Phi > 1 {
 						t.Errorf("phi = %v out of range", pc.Phi)
 						return
@@ -251,11 +267,11 @@ func TestMatchTableConcurrentAddScans(t *testing.T) {
 		}(int64(r))
 	}
 	wg.Wait()
-	var buf []PointConfidence
+	var slot Answer
 	for p := 0; p < 50; p++ {
 		o := geo.Point{X: rng.Float64() * 30, Y: rng.Float64() * 4}
 		scan := tableScan(rng)
-		if buf, _, _ = s.PointConfidencesInto(context.Background(), buf, o, scan, cfg); !sameConfidences(buf, s.oracleConfidences(o, scan, cfg)) {
+		if !sameConfidences(s.confsInto(&slot, o, scan, cfg), s.oracleConfidences(o, scan, cfg)) {
 			t.Fatalf("point %d differs from the oracle after concurrent growth", p)
 		}
 	}
@@ -291,8 +307,8 @@ func TestRSSIComparedInInt(t *testing.T) {
 		}
 		scan := wifi.Scan{{MAC: "a", RSSI: tc.reported}}
 		cfg := FeatureConfig{R: 2.5, TopK: 1, Tol: tc.tol}
-		if pc := s.PointConfidences(o, scan, cfg)[0]; pc.Phi != 0 || pc.Heard != 2 {
-			t.Errorf("%s: PointConfidences = %+v, want Phi 0 over 2 hearing references", tc.name, pc)
+		if pc := s.confsInto(new(Answer), o, scan, cfg)[0]; pc.Phi != 0 || pc.Heard != 2 {
+			t.Errorf("%s: Confidences = %+v, want Phi 0 over 2 hearing references", tc.name, pc)
 		}
 		vec, err := s.Features(buildUpload(3, scan), cfg)
 		if err != nil {
@@ -306,8 +322,9 @@ func TestRSSIComparedInInt(t *testing.T) {
 	}
 }
 
-// The steady state allocates nothing beyond Features' returned vector, and
-// that holds again once the table has been re-sized for a grown store.
+// The steady state allocates nothing beyond Features' returned vector, a
+// whole upload's Confidences call into a reused buffer allocates nothing, and
+// both hold again once the table has been re-sized for a grown store.
 func TestKernelAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops scratches at random under the race detector")
@@ -320,7 +337,7 @@ func TestKernelAllocations(t *testing.T) {
 		u.Scans[i] = tableScan(rng)
 	}
 	cfg := DefaultFeatureConfig()
-	var buf []PointConfidence
+	buf := make([]Answer, len(u.Traj.Points))
 	pin := func(when string) {
 		t.Helper()
 		if n := testing.AllocsPerRun(20, func() {
@@ -331,11 +348,11 @@ func TestKernelAllocations(t *testing.T) {
 			t.Errorf("%s: Features allocates %v times per call, want 1 (the vector)", when, n)
 		}
 		if n := testing.AllocsPerRun(20, func() {
-			for i, pt := range u.Traj.Points {
-				buf, _, _ = s.PointConfidencesInto(context.Background(), buf, pt.Pos, u.Scans[i], cfg)
+			if _, err := s.Confidences(context.Background(), buf, u.Traj.Points, u.Scans, cfg, nil); err != nil {
+				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("%s: PointConfidencesInto allocates %v times per upload, want 0", when, n)
+			t.Errorf("%s: Confidences allocates %v times per upload, want 0", when, n)
 		}
 	}
 	pin("steady state")

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"trajforge/internal/geo"
+	"trajforge/internal/trajectory"
 	"trajforge/internal/wifi"
 )
 
@@ -12,7 +13,7 @@ import (
 // it: the references within r, and each reference's counting area within R.
 // A store only ever appends, so an answer computed at o stays exact while no
 // record has landed within r + R of o and no trust table has been installed
-// since. A Mark names the store state an answer saw; FeaturesReusing takes an
+// since. A Mark names the store state an answer saw; Confidences takes an
 // earlier answer wherever its mark proves it still exact and runs the kernel
 // for the rest.
 
@@ -75,29 +76,31 @@ func (s *Store) freshLocked(m Mark, o geo.Point, cfg FeatureConfig) bool {
 	return true
 }
 
-// FeaturesReusing computes the Eq. 8 feature vector of u, taking point i's
-// confidences from prior[i] when the store can prove them still exact and
-// running the kernel for every other point, all under one read lock: the
-// vector is bit-identical to Features at that instant. prior may be shorter
-// than the upload or nil; computed is how many points ran the kernel.
-func (s *Store) FeaturesReusing(ctx context.Context, u *wifi.Upload, cfg FeatureConfig, prior []Answer) (feat []float64, computed int, err error) {
-	if err := validateFeatureArgs(u, cfg); err != nil {
-		return nil, 0, err
+// Confidences answers every point under one read lock (see
+// Backend.Confidences): point i takes prior[i] when freshLocked proves it
+// still exact, and runs the kernel otherwise, into dst[i].Confs's storage.
+// Every answer is the store's at one instant, so a vector built from them is
+// bit-identical to Features at that instant. With dst reused it allocates
+// nothing. It fails only on invalid arguments or a done ctx.
+func (s *Store) Confidences(ctx context.Context, dst []Answer, pts []trajectory.Point, scans []wifi.Scan, cfg FeatureConfig, prior []Answer) (computed int, err error) {
+	if err := CheckQuery(dst, pts, scans, cfg); err != nil {
+		return 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sc := getScratch()
 	defer putScratch(sc)
-	feat = aggregateFeatures(sc, u, cfg, func(i int) []PointConfidence {
-		o := u.Traj.Points[i].Pos
-		if i < len(prior) && s.freshLocked(prior[i].Mark, o, cfg) {
-			return prior[i].Confs
+	mark := MarkAt(s.gen, len(s.records))
+	for i, p := range pts {
+		if i < len(prior) && s.freshLocked(prior[i].Mark, p.Pos, cfg) {
+			dst[i] = prior[i]
+			continue
 		}
 		computed++
-		return s.pointConfidencesLocked(sc, o, u.Scans[i], cfg)
-	})
-	return feat, computed, nil
+		dst[i] = Answer{Confs: append(dst[i].Confs[:0], s.pointConfidencesLocked(sc, p.Pos, scans[i], cfg)...), Mark: mark}
+	}
+	return computed, nil
 }

@@ -445,11 +445,9 @@ func (s *Store) ConfidenceTol(o geo.Point, mac string, rssi int, r float64, tol 
 	return pc.Phi, pc.Num
 }
 
-// scratch is the reusable working memory of one verification goroutine:
-// reference-point indices, θ1 weights, per-AP confidences, the match table,
-// and the feature-extraction aggregates. Pooled so the steady-state
-// confidence and feature paths allocate nothing beyond their returned
-// vectors.
+// scratch is the reusable working memory of the per-point kernel:
+// reference-point indices, θ1 weights, per-AP confidences and the match
+// table. Pooled so the steady-state confidence path allocates nothing.
 type scratch struct {
 	refs  []int32
 	inv   []float64
@@ -464,11 +462,6 @@ type scratch struct {
 	mark       []uint32
 	base, rows uint32
 	bits       []uint64
-
-	pointPhi []float64
-	pointNum []float64
-	pointRes []float64
-	sorted   []float64
 }
 
 // slot is the kernel's running state for one reported reading of a point.

@@ -16,6 +16,7 @@ import (
 	"trajforge/internal/rssimap"
 	"trajforge/internal/shardstore"
 	"trajforge/internal/stream"
+	"trajforge/internal/trajectory"
 	"trajforge/internal/trust"
 	"trajforge/internal/wifi"
 )
@@ -293,8 +294,8 @@ func TestClusterHealthDegraded(t *testing.T) {
 	for _, n := range lb.Nodes {
 		n.Close()
 	}
-	clusterStore.PointConfidencesInto(context.Background(), nil, recs[0].Pos, wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -50}},
-		rssimap.FeatureConfig{R: 5, TopK: 1, Tol: 2})
+	clusterStore.Confidences(context.Background(), make([]rssimap.Answer, 1), []trajectory.Point{{Pos: recs[0].Pos}},
+		[]wifi.Scan{{{MAC: "02:4e:00:00:00:01", RSSI: -50}}}, rssimap.FeatureConfig{R: 5, TopK: 1, Tol: 2}, nil)
 
 	code, h, retryAfter := fetchHealth()
 	if code != http.StatusServiceUnavailable {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -97,7 +98,7 @@ func driveLineageFixture(t *testing.T, dir string) []float64 {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	feat, err := store.Features(lineageProbe(t), rssimap.DefaultFeatureConfig())
+	feat, err := rssimap.Features(context.Background(), store, lineageProbe(t), rssimap.DefaultFeatureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func recoverLineageFixture(t *testing.T, dir string) (*RecoveredState, []float64
 	}
 	svc, _, _ := newTestService(t, lineageConfig(store, det, p, &fixedMotion{prob: 0.9}))
 	svc.Restore(state)
-	feat, err := store.Features(lineageProbe(t), rssimap.DefaultFeatureConfig())
+	feat, err := rssimap.Features(context.Background(), store, lineageProbe(t), rssimap.DefaultFeatureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,7 +189,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 		t.Fatalf("run 1 persistence stats = %+v", st1.Persistence)
 	}
 	probe := uploadFor(t, 999, 30)
-	want, err := store1.Features(probe, rssimap.DefaultFeatureConfig())
+	want, err := rssimap.Features(context.Background(), store1, probe, rssimap.DefaultFeatureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	})
 	svc2.Restore(state)
 
-	got, err := store2.Features(probe, rssimap.DefaultFeatureConfig())
+	got, err := rssimap.Features(context.Background(), store2, probe, rssimap.DefaultFeatureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +293,13 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := store3.Features(probe, rssimap.DefaultFeatureConfig())
+	final, err := rssimap.Features(context.Background(), store3, probe, rssimap.DefaultFeatureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// store2 ingested the WAL uploads after the feature probe above, so
 	// compare against its current answer.
-	want2, err := store2.Features(probe, rssimap.DefaultFeatureConfig())
+	want2, err := rssimap.Features(context.Background(), store2, probe, rssimap.DefaultFeatureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

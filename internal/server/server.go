@@ -28,6 +28,7 @@ import (
 	"trajforge/internal/detect"
 	"trajforge/internal/geo"
 	"trajforge/internal/resilience"
+	"trajforge/internal/rssimap"
 	"trajforge/internal/stats"
 	"trajforge/internal/stream"
 	"trajforge/internal/trajectory"
@@ -629,8 +630,7 @@ func (s *Service) features(ctx context.Context, u *wifi.Upload, sessionID string
 	if sessionID != "" {
 		return s.stream.CloseFeatures(ctx, sessionID, u, s.cfg.WiFi.Store, s.cfg.WiFi.Features)
 	}
-	feat, _, err := s.cfg.WiFi.Store.FeaturesReusing(ctx, u, s.cfg.WiFi.Features, nil)
-	return feat, err
+	return rssimap.Features(ctx, s.cfg.WiFi.Store, u, s.cfg.WiFi.Features)
 }
 
 // record updates counters and, on acceptance, the provider history. The

@@ -4,12 +4,14 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"trajforge/internal/detect"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/stream"
+	"trajforge/internal/trajectory"
 	"trajforge/internal/trust"
 	"trajforge/internal/wifi"
 	"trajforge/internal/xgb"
@@ -22,21 +24,26 @@ import (
 // the close to the same trajectory posted as a batch to a twin service that
 // saw the same ingest: verdict bits and feature-vector bits alike.
 
-// featureTap records the feature vector of its backend's last
-// FeaturesReusing call, so a test can compare the vector a close scored with
-// the one a batch upload scored.
+// featureTap records the answers of its backend's last Confidences call, so
+// a test can compare the vector a close scored with the one a batch upload
+// scored (rssimap.AnswerFeatures of those answers).
 type featureTap struct {
 	rssimap.Backend
 	mu   sync.Mutex
-	last []float64
+	last []rssimap.Answer
+	cfg  rssimap.FeatureConfig
 }
 
-func (f *featureTap) FeaturesReusing(ctx context.Context, u *wifi.Upload, cfg rssimap.FeatureConfig, prior []rssimap.Answer) ([]float64, int, error) {
-	feat, computed, err := f.Backend.FeaturesReusing(ctx, u, cfg, prior)
+func (f *featureTap) Confidences(ctx context.Context, dst []rssimap.Answer, pts []trajectory.Point, scans []wifi.Scan, cfg rssimap.FeatureConfig, prior []rssimap.Answer) (int, error) {
+	computed, err := f.Backend.Confidences(ctx, dst, pts, scans, cfg, prior)
 	f.mu.Lock()
-	f.last = feat
-	f.mu.Unlock()
-	return feat, computed, err
+	defer f.mu.Unlock()
+	// The answers live in the caller's pooled slots: keep copies.
+	f.last, f.cfg = f.last[:0], cfg
+	for _, a := range dst[:len(pts)] {
+		f.last = append(f.last, rssimap.Answer{Confs: slices.Clone(a.Confs), Mark: a.Mark})
+	}
+	return computed, err
 }
 
 // SetTrustWeights passes a trust push through to the store under the tap
@@ -48,7 +55,10 @@ func (f *featureTap) SetTrustWeights(w map[string]float64) {
 func (f *featureTap) lastFeatures() []float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.last
+	if len(f.last) == 0 {
+		return nil
+	}
+	return rssimap.AnswerFeatures(f.last, f.cfg)
 }
 
 // shiftedUpload is uploadFor's walk moved dx metres along the corridor.

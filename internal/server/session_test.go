@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -438,11 +439,11 @@ func TestSessionOnlineIngestion(t *testing.T) {
 		t.Fatalf("store sizes %d != %d", storeA.Len(), storeB.Len())
 	}
 	probe := uploadFor(t, 103, 30)
-	fa, err := storeA.Features(probe, det.Features)
+	fa, err := rssimap.Features(context.Background(), storeA, probe, det.Features)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := storeB.Features(probe, det.Features)
+	fb, err := rssimap.Features(context.Background(), storeB, probe, det.Features)
 	if err != nil {
 		t.Fatal(err)
 	}

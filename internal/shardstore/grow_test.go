@@ -1,6 +1,7 @@
 package shardstore_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -50,11 +51,11 @@ func TestGrownStoreBitIdenticalToRebuilt(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := gGlobal.Features(probe, cfg); err != nil {
+				if _, err := rssimap.Features(context.Background(), gGlobal, probe, cfg); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := gCluster.Features(probe, cfg); err != nil {
+				if _, err := rssimap.Features(context.Background(), gCluster, probe, cfg); err != nil {
 					t.Error(err)
 					return
 				}
@@ -102,20 +103,20 @@ func TestGrownStoreBitIdenticalToRebuilt(t *testing.T) {
 	// agree on both backends for arbitrary query trajectories.
 	for trial := 0; trial < 8; trial++ {
 		q := randUpload(rng, 5+rng.Intn(20), width, height)
-		gg, err := gGlobal.Features(q, cfg)
+		gg, err := rssimap.Features(context.Background(), gGlobal, q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rg, err := rGlobal.Features(q, cfg)
+		rg, err := rssimap.Features(context.Background(), rGlobal, q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameVector(t, fmt.Sprintf("global trial %d", trial), gg, rg)
-		gc, err := gCluster.Features(q, cfg)
+		gc, err := rssimap.Features(context.Background(), gCluster, q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := rCluster.Features(q, cfg)
+		rc, err := rssimap.Features(context.Background(), rCluster, q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

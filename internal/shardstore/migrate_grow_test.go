@@ -1,6 +1,7 @@
 package shardstore_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -62,7 +63,7 @@ func TestGrownMigratedClusterBitIdenticalToRebuilt(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := grown.Features(probe, fcfg); err != nil {
+				if _, err := rssimap.Features(context.Background(), grown, probe, fcfg); err != nil {
 					t.Error(err)
 					return
 				}
@@ -115,11 +116,11 @@ func TestGrownMigratedClusterBitIdenticalToRebuilt(t *testing.T) {
 
 	for trial := 0; trial < 8; trial++ {
 		q := randUpload(rng, 5+rng.Intn(20), width, height)
-		g, err := grown.Features(q, fcfg)
+		g, err := rssimap.Features(context.Background(), grown, q, fcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := rebuilt.Features(q, fcfg)
+		r, err := rssimap.Features(context.Background(), rebuilt, q, fcfg)
 		if err != nil {
 			t.Fatal(err)
 		}

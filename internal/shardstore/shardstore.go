@@ -25,7 +25,6 @@ import (
 
 	"trajforge/internal/geo"
 	"trajforge/internal/rssimap"
-	"trajforge/internal/wifi"
 )
 
 // Config sizes the tiling.
@@ -107,18 +106,4 @@ func (c Config) TilesFor(p geo.Point, out [][2]int) [][2]int {
 	copy(out[1:], out[:len(out)-1])
 	out[0] = owner
 	return out
-}
-
-// EmptyConfidences mirrors the global store's zero-reference answer: one
-// zero-valued entry per reported TopK AP — the reply a query against a tile
-// that never received a record must produce. internal/cluster
-// short-circuits queries against empty tiles with it instead of forwarding
-// them.
-func EmptyConfidences(dst []rssimap.PointConfidence, scan wifi.Scan, cfg rssimap.FeatureConfig) []rssimap.PointConfidence {
-	top := scan.TopK(cfg.TopK)
-	dst = dst[:0]
-	for _, obs := range top {
-		dst = append(dst, rssimap.PointConfidence{MAC: obs.MAC})
-	}
-	return dst
 }

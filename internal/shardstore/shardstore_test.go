@@ -89,10 +89,17 @@ func newPair(t *testing.T, recs []rssimap.Record) (*rssimap.Store, *cluster.Stor
 	return global, cs
 }
 
+// pointConfs is a one-point Confidences call.
+func pointConfs(b rssimap.Backend, o geo.Point, scan wifi.Scan, cfg rssimap.FeatureConfig) ([]rssimap.PointConfidence, error) {
+	ans := make([]rssimap.Answer, 1)
+	_, err := b.Confidences(context.Background(), ans, []trajectory.Point{{Pos: o}}, []wifi.Scan{scan}, cfg, nil)
+	return ans[0].Confs, err
+}
+
 // confidenceTol asks b for the Eq. 7 answer rssimap.Store.ConfidenceTol
 // gives: one reported (mac, rssi) as a one-observation TopK-1 scan.
 func confidenceTol(b rssimap.Backend, o geo.Point, mac string, rssi int, r float64, tol rssimap.Tolerance) (phi float64, num int) {
-	pc, _, err := b.PointConfidencesInto(context.Background(), nil, o, wifi.Scan{{MAC: mac, RSSI: rssi}}, rssimap.FeatureConfig{R: r, TopK: 1, Tol: tol})
+	pc, err := pointConfs(b, o, wifi.Scan{{MAC: mac, RSSI: rssi}}, rssimap.FeatureConfig{R: r, TopK: 1, Tol: tol})
 	if err != nil {
 		panic(err)
 	}
@@ -159,22 +166,22 @@ func TestFeaturesBitIdenticalToGlobalStore(t *testing.T) {
 		uploads[i] = randUpload(rng, 25, width, height)
 	}
 	for i, u := range uploads {
-		g, err := global.Features(u, cfg)
+		g, err := rssimap.Features(context.Background(), global, u, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := cs.Features(u, cfg)
+		c, err := rssimap.Features(context.Background(), cs, u, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameVector(t, fmt.Sprintf("upload %d", i), g, c)
 	}
 	// The batch path must agree with the serial path on both backends.
-	gb, err := global.FeaturesBatch(uploads, cfg)
+	gb, err := rssimap.BatchFeatures(global, uploads, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := cs.FeaturesBatch(uploads, cfg)
+	cb, err := rssimap.BatchFeatures(cs, uploads, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +214,11 @@ func TestIncrementalAddMatchesGlobalStore(t *testing.T) {
 		more := randRecords(rng, 200, width, height)
 		global.Add(more)
 		cs.Add(more)
-		g, err := global.Features(u, cfg)
+		g, err := rssimap.Features(context.Background(), global, u, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := cs.Features(u, cfg)
+		c, err := rssimap.Features(context.Background(), cs, u, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,11 +250,11 @@ func TestRecordsRoundtrip(t *testing.T) {
 	// A fresh cluster rebuilt from Records must answer identically.
 	_, rebuilt := newPair(t, got)
 	u := randUpload(rng, 15, 60, 60)
-	a, err := cs.Features(u, rssimap.DefaultFeatureConfig())
+	a, err := rssimap.Features(context.Background(), cs, u, rssimap.DefaultFeatureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rebuilt.Features(u, rssimap.DefaultFeatureConfig())
+	b, err := rssimap.Features(context.Background(), rebuilt, u, rssimap.DefaultFeatureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +266,10 @@ func TestFeatureRadiusBoundEnforced(t *testing.T) {
 	cfg := rssimap.DefaultFeatureConfig()
 	cfg.R = 50 // way past MaxQueryRadius
 	rng := rand.New(rand.NewSource(19))
-	if _, err := cs.Features(randUpload(rng, 5, 50, 50), cfg); err == nil {
+	if _, err := rssimap.Features(context.Background(), cs, randUpload(rng, 5, 50, 50), cfg); err == nil {
 		t.Fatal("feature radius beyond MaxQueryRadius must error")
 	}
-	if _, err := cs.FeaturesBatch([]*wifi.Upload{randUpload(rng, 5, 50, 50)}, cfg); err == nil {
+	if _, err := rssimap.BatchFeatures(cs, []*wifi.Upload{randUpload(rng, 5, 50, 50)}, cfg); err == nil {
 		t.Fatal("batch feature radius beyond MaxQueryRadius must error")
 	}
 }
@@ -280,8 +287,11 @@ func TestEmptyAreaMatchesGlobalStore(t *testing.T) {
 		t.Fatalf("far query: global (%v, %d) != cluster (%v, %d)", gPhi, gNum, cPhi, cNum)
 	}
 	scan := wifi.Scan{{MAC: "02:4e:00:00:00:01", RSSI: -60}}
-	g := global.PointConfidences(far, scan, rssimap.DefaultFeatureConfig())
-	c, _, err := cs.PointConfidencesInto(context.Background(), nil, far, scan, rssimap.DefaultFeatureConfig())
+	g, err := pointConfs(global, far, scan, rssimap.DefaultFeatureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := pointConfs(cs, far, scan, rssimap.DefaultFeatureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,8 +420,11 @@ func TestBorderQueriesBitIdenticalToGlobal(t *testing.T) {
 			}
 			scan := wifi.Scan{{MAC: mac, RSSI: -60}, {MAC: mac2, RSSI: -67}}
 			fcfg := rssimap.DefaultFeatureConfig()
-			g := global.PointConfidences(q.o, scan, fcfg)
-			c, _, err := cs.PointConfidencesInto(context.Background(), nil, q.o, scan, fcfg)
+			g, err := pointConfs(global, q.o, scan, fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := pointConfs(cs, q.o, scan, fcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -470,11 +483,11 @@ func TestBorderWalkFeaturesBitIdentical(t *testing.T) {
 				Traj:  trajectory.New(pos, time.Date(2022, 7, 1, 8, 0, 0, 0, time.UTC), time.Second),
 				Scans: scans,
 			}
-			g, err := global.Features(u, fcfg)
+			g, err := rssimap.Features(context.Background(), global, u, fcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := cs.Features(u, fcfg)
+			c, err := rssimap.Features(context.Background(), cs, u, fcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -510,7 +523,7 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := cs.FeaturesBatch(uploads, cfg); err != nil {
+			if _, err := rssimap.BatchFeatures(cs, uploads, cfg); err != nil {
 				t.Error(err)
 			}
 		}()

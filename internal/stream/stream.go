@@ -6,14 +6,14 @@
 // work and bounding abuse) and to give honest clients early feedback.
 //
 // A Manager owns the open/append/close lifecycle of verification sessions.
-// Each appended chunk runs the backend's per-point confidence query
-// (rssimap.Backend.PointConfidencesInto) incrementally and caches the
-// resulting (Num_mac, Φ) confidences with the mark of the store state they
-// read; a sliding window over the most recent points is aggregated into an
-// Eq. 8 feature vector and scored by the XGBoost detector to produce a
+// Each appended chunk makes one confidence call for its points
+// (rssimap.Backend.Confidences) and caches the resulting (Num_mac, Φ)
+// confidences with the mark of the store state they read; a sliding window
+// over the most recent points is aggregated into an Eq. 8 feature vector
+// (rssimap.AnswerFeatures) and scored by the XGBoost detector to produce a
 // *provisional* P(fake). When the provisional probability of a sufficiently
 // long prefix crosses the early-exit threshold, the session is rejected on
-// the spot. A failed query fails the append: nothing is cached for the point
+// the spot. A failed call fails the append: nothing is cached for the chunk
 // and no provisional verdict is drawn from it.
 //
 // Close hands the fully buffered trajectory back to the caller, which runs
@@ -40,12 +40,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"trajforge/internal/detect"
-	"trajforge/internal/geo"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/trajectory"
 	"trajforge/internal/wifi"
@@ -209,12 +209,10 @@ type session struct {
 	lastAck  Ack
 
 	// Provisional-scoring state: answers[i] is point i's cached TopK
-	// confidences (backed by arena) and their mark; confBuf is the reusable
-	// PointConfidencesInto target.
+	// confidences (backed by arena) and their mark.
 	scored  int
 	answers []rssimap.Answer
 	arena   []rssimap.PointConfidence
-	confBuf []rssimap.PointConfidence
 
 	created    time.Time
 	lastActive time.Time
@@ -457,13 +455,17 @@ func (m *Manager) checkTiming(s *session, pts []trajectory.Point) error {
 	return nil
 }
 
-// Score runs the confidence query over every buffered-but-unscored point
+// slotPool holds the answer slots of chunk queries. No prior answer is ever
+// passed with them, so no slot holds a session arena's storage.
+var slotPool = sync.Pool{New: func() any { return new([]rssimap.Answer) }}
+
+// Score runs one confidence query over every buffered-but-unscored point
 // and refreshes the provisional sliding-window verdict. It takes only the
 // session lock — concurrent sessions score in parallel, and the store's own
 // read lock governs access to the crowdsourced history. Safe to call at any
 // time; scoring is idempotent over already-scored points. ctx bounds the
-// queries. Scoring stops at the first failed query with ErrStore, caching
-// nothing for that point and leaving the provisional verdict as it was.
+// query. A failed query fails the whole chunk with ErrStore: nothing is
+// cached for its points and the provisional verdict stays as it was.
 func (m *Manager) Score(ctx context.Context, id string) (Ack, error) {
 	s, err := m.lookup(id)
 	if err != nil {
@@ -481,21 +483,23 @@ func (m *Manager) Score(ctx context.Context, id string) (Ack, error) {
 		return s.lastAck, nil
 	}
 	fcfg := det.Features
-	for ; s.scored < len(s.points); s.scored++ {
-		i := s.scored
-		// The allocation-free hot path: confidences land in the reusable
-		// buffer, then move to the session arena so they survive the next
-		// point.
-		var mark rssimap.Mark
-		var err error
-		s.confBuf, mark, err = det.Store.PointConfidencesInto(ctx, s.confBuf, s.points[i].Pos, s.scans[i], fcfg)
-		if err != nil {
-			return s.lastAck, fmt.Errorf("%w: point %d: %w", ErrStore, i, err)
+	if k := len(s.points) - s.scored; k > 0 {
+		// The allocation-free hot path: the answers land in pooled slots,
+		// then move to the session arena so they survive the next chunk.
+		buf := slotPool.Get().(*[]rssimap.Answer)
+		defer slotPool.Put(buf)
+		slots := slices.Grow((*buf)[:0], k)[:k]
+		*buf = slots
+		if _, err := det.Store.Confidences(ctx, slots, s.points[s.scored:], s.scans[s.scored:], fcfg, nil); err != nil {
+			return s.lastAck, fmt.Errorf("%w: points %d-%d: %w", ErrStore, s.scored, len(s.points)-1, err)
 		}
-		start := len(s.arena)
-		s.arena = append(s.arena, s.confBuf...)
-		s.answers = append(s.answers, rssimap.Answer{Confs: s.arena[start:len(s.arena):len(s.arena)], Mark: mark})
-		m.pointsScored.Add(1)
+		for _, a := range slots {
+			start := len(s.arena)
+			s.arena = append(s.arena, a.Confs...)
+			s.answers = append(s.answers, rssimap.Answer{Confs: s.arena[start:len(s.arena):len(s.arena)], Mark: a.Mark})
+		}
+		s.scored = len(s.points)
+		m.pointsScored.Add(int64(k))
 	}
 	n := len(s.points)
 	if n == 0 {
@@ -505,17 +509,7 @@ func (m *Manager) Score(ctx context.Context, id string) (Ack, error) {
 	if w > n {
 		w = n
 	}
-	lo := n - w
-	win := &wifi.Upload{
-		Traj:  &trajectory.T{ID: s.id, Mode: s.mode, Points: s.points[lo:n]},
-		Scans: s.scans[lo:n],
-	}
-	feat, err := rssimap.FeaturesFrom(win, fcfg, func(i int, _ geo.Point, _ wifi.Scan) []rssimap.PointConfidence {
-		return s.answers[lo+i].Confs
-	})
-	if err != nil {
-		return s.lastAck, fmt.Errorf("stream: window features: %w", err)
-	}
+	feat := rssimap.AnswerFeatures(s.answers[n-w:n], fcfg)
 	// PredictProb runs the compiled flat-forest kernel (internal/xgb
 	// compile.go), so the per-chunk provisional verdict costs a contiguous
 	// array walk, not a pointer-tree traversal.
@@ -593,7 +587,7 @@ func (m *Manager) CloseFeatures(ctx context.Context, id string, u *wifi.Upload, 
 		}
 		s.mu.Unlock()
 	}
-	feat, computed, err := b.FeaturesReusing(ctx, u, cfg, prior)
+	feat, computed, err := rssimap.ReuseFeatures(ctx, b, u, cfg, prior)
 	if err != nil {
 		return nil, err
 	}

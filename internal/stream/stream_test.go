@@ -657,11 +657,11 @@ type failingBackend struct {
 	down bool
 }
 
-func (f *failingBackend) PointConfidencesInto(ctx context.Context, dst []rssimap.PointConfidence, o geo.Point, scan wifi.Scan, cfg rssimap.FeatureConfig) ([]rssimap.PointConfidence, rssimap.Mark, error) {
+func (f *failingBackend) Confidences(ctx context.Context, dst []rssimap.Answer, pts []trajectory.Point, scans []wifi.Scan, cfg rssimap.FeatureConfig, prior []rssimap.Answer) (int, error) {
 	if f.down {
-		return dst[:0], rssimap.Mark{}, errors.New("store unreachable")
+		return 0, errors.New("store unreachable")
 	}
-	return f.Backend.PointConfidencesInto(ctx, dst, o, scan, cfg)
+	return f.Backend.Confidences(ctx, dst, pts, scans, cfg, prior)
 }
 
 // TestScoreFailsClosedAndCloseReuses: a failed confidence query fails the
@@ -712,7 +712,7 @@ func TestScoreFailsClosedAndCloseReuses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := det.Store.Features(got, tc.cfg)
+		want, err := rssimap.Features(context.Background(), det.Store, got, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,11 +127,11 @@ func TestPipelineAllTrustedBitIdentical(t *testing.T) {
 
 	probe := uploadAt("", 1, 0, -60, now)
 	fcfg := rssimap.DefaultFeatureConfig()
-	got, err := backend.Features(probe, fcfg)
+	got, err := rssimap.Features(context.Background(), backend, probe, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plain.Features(probe, fcfg)
+	want, err := rssimap.Features(context.Background(), plain, probe, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestPipelineAllTrustedBitIdentical(t *testing.T) {
 			t.Fatalf("feature %d: pipeline %v != plain %v (bits differ)", i, got[i], want[i])
 		}
 	}
-	confs, _, err := backend.PointConfidencesInto(context.Background(), nil, geo.Point{X: 1, Y: 0}, wifi.Scan{{MAC: "ap-1", RSSI: -60}}, fcfg)
-	if err != nil {
+	ans := make([]rssimap.Answer, 1)
+	if _, err := backend.Confidences(context.Background(), ans, []trajectory.Point{{Pos: geo.Point{X: 1, Y: 0}}}, []wifi.Scan{{{MAC: "ap-1", RSSI: -60}}}, fcfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, pc := range confs {
+	for _, pc := range ans[0].Confs {
 		if pc.TrustNum != float64(pc.Num) {
 			t.Fatalf("all-trusted TrustNum = %v, want exactly float64(Num) = %v", pc.TrustNum, float64(pc.Num))
 		}
