@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test race vet fmt-check lint bench bench-micro \
 	check fuzz-short chaos chaos-single chaos-cluster \
-	bench-poison bench-test bench-run bench-pairs loc
+	bench-poison bench-test bench-smoke bench-run bench-pairs loc
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,13 @@ bench-poison:
 bench-test:
 	cd bench && $(GO) test ./...
 
+# The quick pass of every benchmark workload, about 20 s on a 2-core host.
+# bench-test compiles the benchmark; this runs it end to end, and fails when
+# bench/run.sh exits non-zero: an INVALID line or a failed serial-reference
+# check.
+bench-smoke:
+	bash bench/run.sh --workload all --quick --out "$$(mktemp -d)"
+
 # One gated-protocol run of a single workload: make bench-run W=deep_cluster
 # (served_json, served_binary, deep_single, deep_cluster, deep_stream).
 bench-run:
@@ -119,6 +126,7 @@ loc:
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
-# bench-test is part of check: a change to a name bench/ calls fails here,
-# not in the benchmark gate.
-check: build vet fmt-check test bench-test
+# bench-test and bench-smoke are part of check: a change to a name bench/
+# calls, or one that breaks a workload's run, fails here, not in the
+# benchmark gate.
+check: build vet fmt-check test bench-test bench-smoke

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"trajforge/internal/trust"
 )
 
 // config is the parsed and validated command line.
@@ -39,18 +41,17 @@ type config struct {
 	sessionTTL    time.Duration
 	sessionWindow int
 
-	trust        bool
-	quarantineK  int
-	trustFloor   float64
-	trustPromote float64
-	trustRefresh int
-	driftWindow  int
+	// trust turns the pipeline on; the trust flags set fields of trustCfg,
+	// whose defaults are trust.DefaultConfig's.
+	trust    bool
+	trustCfg trust.Config
 }
 
 // parseConfig parses args and checks the flag combinations: which flags
 // require which mode, and which modes exclude each other.
 func parseConfig(args []string) (*config, error) {
-	var cfg config
+	cfg := config{trustCfg: trust.DefaultConfig()}
+	tc := &cfg.trustCfg
 	var join string
 	fs := flag.NewFlagSet("lspserver", flag.ContinueOnError)
 	fs.StringVar(&cfg.addr, "addr", ":8742", "listen address")
@@ -86,15 +87,15 @@ func parseConfig(args []string) (*config, error) {
 		"sliding-window length (points) of the provisional streaming verdict")
 	fs.BoolVar(&cfg.trust, "trust", false,
 		"route accepted uploads through the poisoning-resistant trust pipeline")
-	fs.IntVar(&cfg.quarantineK, "quarantine-k", 3,
+	fs.IntVar(&tc.Quarantine.K, "quarantine-k", tc.Quarantine.K,
 		"distinct contributors required to promote a quarantined point (<=1 disables staging)")
-	fs.Float64Var(&cfg.trustFloor, "trust-floor", 0.05,
+	fs.Float64Var(&tc.Ledger.Floor, "trust-floor", tc.Ledger.Floor,
 		"minimum contributor trust weight in the store's density term")
-	fs.Float64Var(&cfg.trustPromote, "trust-promote", 0.8,
+	fs.Float64Var(&tc.Quarantine.PromoteTrust, "trust-promote", tc.Quarantine.PromoteTrust,
 		"trust weight above which a contributor's points skip quarantine")
-	fs.IntVar(&cfg.trustRefresh, "trust-refresh", 32,
+	fs.IntVar(&tc.WeightRefresh, "trust-refresh", tc.WeightRefresh,
 		"accepted uploads between pushes of the trust-weight table into the store")
-	fs.IntVar(&cfg.driftWindow, "drift-window", 64,
+	fs.IntVar(&tc.Drift.Window, "drift-window", tc.Drift.Window,
 		"records per tile between drift-alarm histogram rotations")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -142,6 +143,11 @@ func parseConfig(args []string) (*config, error) {
 	}
 	if cfg.repairEvery != 0 && !cfg.replicate {
 		return nil, errors.New("-repair-every requires -replicate")
+	}
+	// Without a lease to wait on, a standby would build its store at once
+	// and fence the live coordinator off the nodes.
+	if cfg.standby && cfg.leasePath == "" {
+		return nil, errors.New("-standby requires -lease")
 	}
 	return &cfg, nil
 }

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"trajforge/internal/trust"
 )
 
 // TestParseConfig pins the command line: the defaults of a bare invocation,
@@ -31,6 +33,7 @@ func TestParseConfig(t *testing.T) {
 		{"-repair-every without -join", []string{"-repair-every", "1s"}, "-repair-every/-rebalance-every require -join"},
 		{"-rebalance-every without -join", []string{"-rebalance-every", "1s"}, "-repair-every/-rebalance-every require -join"},
 		{"-repair-every without -replicate", []string{"-join", join, "-repair-every", "1s"}, "-repair-every requires -replicate"},
+		{"-standby without -lease", []string{"-join", join, "-standby"}, "-standby requires -lease"},
 		{"node mode with -cluster-data-dir", []string{"-node-id", "n1", "-cluster-listen", ":7101", "-cluster-data-dir", "d"},
 			"-cluster-data-dir is not read in node mode (a node takes -cluster-listen and -data-dir)"},
 		{"node mode with -trust", []string{"-node-id", "n1", "-cluster-listen", ":7101", "-trust"},
@@ -66,7 +69,7 @@ func TestParseConfig(t *testing.T) {
 		leaseTTL: 5 * time.Second, coordID: "coord1",
 		maxInflight: 4 * runtime.NumCPU(), uploadTimeout: 10 * time.Second, breakerCooldown: time.Second,
 		maxSessions: 1024, sessionTTL: 10 * time.Minute, sessionWindow: 16,
-		quarantineK: 3, trustFloor: 0.05, trustPromote: 0.8, trustRefresh: 32, driftWindow: 64,
+		trustCfg: trust.DefaultConfig(),
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("defaults:\n got %+v\nwant %+v", got, want)

@@ -346,7 +346,9 @@ func (f *fixture) recover(dir string, acked int, rep *Report) (*server.Recovered
 		return nil, err
 	}
 	defer cleanup()
-	svc.Restore(state)
+	if err := svc.Restore(state); err != nil {
+		return nil, err
+	}
 	if acked > rep.MaxAcked {
 		rep.MaxAcked = acked
 	}

@@ -85,9 +85,9 @@ func (o *PersistOptions) setDefaults() {
 }
 
 // RecoveredState is what OpenPersistence reconstructed from disk: the last
-// snapshot plus every WAL frame appended after it. The caller seeds its
-// store backend from Records before building the detector; Service.Restore
-// applies the rest (counters, history, replayed uploads).
+// snapshot plus every WAL frame appended after it. The caller seeds an
+// empty store backend from Records; Service.Restore applies the rest
+// (counters, history, sessions, trust state, replayed uploads).
 type RecoveredState struct {
 	// Accepted and Rejected are the provider counters, WAL frames included.
 	Accepted, Rejected int
@@ -98,7 +98,8 @@ type RecoveredState struct {
 	// Uploads are the accepted uploads replayed from the WAL, in ingestion
 	// order. Their trajectories are NOT in History and their scans are NOT
 	// in Records — Service.Restore applies them through the same code path
-	// a live accept takes, so recovery is equivalent to re-receiving them.
+	// a live accept takes, so recovery is equivalent to re-receiving them,
+	// except that a store which recovered them itself is not written twice.
 	Uploads []*wifi.Upload
 	// UploadScores holds the WiFi detector's pFake verdict score for each
 	// entry of Uploads (same index). The trust ledger's agreement

@@ -80,9 +80,9 @@ type Config struct {
 	MaxPoints int
 	// Persist, when set, journals every verdict to the write-ahead log and
 	// snapshots the provider state on compaction, so counters, history and
-	// the crowdsourced store survive restarts. Seed the store from
-	// Persist.Recovered().Records before building the WiFi detector, then
-	// call Restore after New; Close takes the final snapshot.
+	// the crowdsourced store survive restarts. Seed an empty store from
+	// Persist.Recovered().Records, then call Restore after New; Close takes
+	// the final snapshot.
 	Persist *Persistence
 	// MaxInFlight, when positive, bounds the number of uploads running the
 	// verification pipeline concurrently; excess requests wait in a
@@ -210,14 +210,26 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Restore applies recovered state: counters, snapshot history, and the
-// uploads replayed from the WAL — the latter through the same ingestion
-// path a live accept takes, so a restarted provider answers queries
-// bit-identically to one that never went down. The caller must already
-// have seeded the store backend from state.Records.
-func (s *Service) Restore(state *RecoveredState) {
+// Restore applies recovered state: counters, history, trust state,
+// in-flight sessions, and the WAL's accepted uploads through the path a
+// live accept takes, so a restarted provider answers bit-identically to
+// one that never went down. The uploads are written into the store only
+// when it holds exactly the snapshot's records; a store holding more
+// recovered them from its own journal (a durable cluster coordinator), and
+// trust replays without writing its promotions. A store holding fewer is
+// another lineage: Restore applies nothing and fails. Seed an empty store
+// from state.Records first.
+func (s *Service) Restore(state *RecoveredState) error {
 	if state == nil {
-		return
+		return nil
+	}
+	write := true
+	if s.cfg.WiFi != nil {
+		n, want := s.cfg.WiFi.Store.Len(), len(state.Records)
+		if n < want {
+			return fmt.Errorf("server: store holds %d records, fewer than the %d of the recovered snapshot", n, want)
+		}
+		write = n == want
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -243,7 +255,12 @@ func (s *Service) Restore(state *RecoveredState) {
 		if i < len(state.UploadScores) {
 			pFake = state.UploadScores[i]
 		}
-		s.ingestLocked(u, pFake)
+		switch {
+		case write:
+			s.ingestLocked(u, pFake)
+		case s.trust != nil && s.cfg.IngestAccepted:
+			s.trust.ReplayUpload(u, pFake, uploadEventTime(u))
+		}
 	}
 	// Resume recovered in-flight sessions; one the streaming layer cannot
 	// hold (disabled, over limit, or inconsistent) is aborted cleanly with
@@ -258,6 +275,7 @@ func (s *Service) Restore(state *RecoveredState) {
 			})
 		}
 	}
+	return nil
 }
 
 // Close drains the persistence queue, takes a final snapshot, and closes

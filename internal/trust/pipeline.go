@@ -116,6 +116,16 @@ type IngestResult struct {
 // deterministic). pFake is the detector's verdict score; 1 - pFake feeds
 // the contributor's agreement statistic.
 func (p *Pipeline) IngestUpload(u *wifi.Upload, pFake float64, now time.Time) IngestResult {
+	return p.ingest(u, pFake, now, true)
+}
+
+// ReplayUpload is IngestUpload for an upload whose promotions the backend
+// already holds: the pipeline's state moves, and nothing is written.
+func (p *Pipeline) ReplayUpload(u *wifi.Upload, pFake float64, now time.Time) {
+	p.ingest(u, pFake, now, false)
+}
+
+func (p *Pipeline) ingest(u *wifi.Upload, pFake float64, now time.Time, write bool) IngestResult {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.lastNow = now
@@ -176,7 +186,7 @@ func (p *Pipeline) IngestUpload(u *wifi.Upload, pFake float64, now time.Time) In
 	}
 	p.driftGated += res.DriftGated
 	res.Promoted = len(serve)
-	if len(serve) > 0 {
+	if write && len(serve) > 0 {
 		p.backend.Add(serve)
 	}
 
